@@ -36,7 +36,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from gradedheat.errors import ResolutionError, SupportError
-from gradedheat.groups import Field, Grid, group_inverse, group_product
+from gradedheat.groups import Field, Grid, group_inverse
 
 __all__ = [
     "MIN_CELLS_PER_AXIS",
@@ -246,7 +246,9 @@ def convolve(f: Field, g: Field) -> Field:
 
     On abelian groups this is the periodic convolution sum (computed by FFT);
     on the Heisenberg group the central coordinate of y^{-1} x falls between
-    nodes, and g is interpolated linearly along that axis.
+    nodes, and g is interpolated linearly along that axis.  The Heisenberg
+    sum runs over the (a, b) columns of supp f: along c, a column's shift
+    and the interpolation are one Fourier multiplier.
     """
     if f.grid != g.grid:
         raise ValueError("convolution operands live on different grids")
@@ -274,28 +276,24 @@ def _convolve_heisenberg(f: Field, g: Field) -> Field:
     na, nb, nc = grid.points
     hc = grid.spacings[2]
     ax_a, ax_b, _ = grid.axes
-    XB = ax_b[None, :]
-    XA = ax_a[:, None]
-    IA = np.arange(na)[:, None, None]
-    IB = np.arange(nb)[None, :, None]
-    K = np.arange(nc)[None, None, :]
-    gv = g.values
-    out = np.zeros(grid.shape)
-    support = np.argwhere(f.values != 0.0)
-    for ia, ib, ic in support:
-        fy = f.values[ia, ib, ic]
-        ya, yb = ax_a[ia], ax_b[ib]
-        g_ab = np.roll(gv, (int(ia) - na // 2, int(ib) - nb // 2), axis=(0, 1))
-        # source index along the centre axis: whole-cell shift plus the
-        # symplectic area term (ya*xb - yb*xa)/2, in cells
-        shift = (int(ic) - nc // 2) + (ya * XB - yb * XA) / (2.0 * hc)
-        z = K - shift[:, :, None]
-        z0 = np.floor(z)
-        theta = z - z0
-        z0 = z0.astype(np.int64) % nc
-        z1 = (z0 + 1) % nc
-        out += fy * ((1.0 - theta) * g_ab[IA, IB, z0] + theta * g_ab[IA, IB, z1])
-    return Field(grid, out * grid.cell_volume)
+    freq = np.arange(nc // 2 + 1)
+    roots = np.exp(-2j * np.pi * np.arange(nc) / nc)
+    g_hat = np.fft.rfft(g.values, axis=2)
+    # c-transform of each column of f, with c counted from the centre node
+    f_hat = np.fft.rfft(f.values, axis=2) * (-1.0) ** freq
+    out = np.zeros(g_hat.shape, dtype=complex)
+    for ia, ib in np.argwhere(np.any(f.values != 0.0, axis=2)):
+        g_ab = np.roll(g_hat, (int(ia) - na // 2, int(ib) - nb // 2), axis=(0, 1))
+        # the symplectic area term (ya*xb - yb*xa)/2 shifts g along c by s
+        # cells; linear interpolation of that shift is the exact multiplier
+        # e^{-2 pi i k ceil(s)/nc} ((1 - theta) + theta e^{2 pi i k/nc})
+        s = (ax_a[ia] * ax_b[None, :] - ax_b[ib] * ax_a[:, None]) / (2.0 * hc)
+        whole = np.ceil(s)
+        theta = (whole - s)[:, :, None]
+        turns = (whole.astype(np.int64)[:, :, None] * freq) % nc
+        shift = roots[turns] * ((1.0 - theta) + theta * roots[-freq % nc])
+        out += f_hat[ia, ib] * shift * g_ab
+    return Field(grid, np.fft.irfft(out, n=nc, axis=2) * grid.cell_volume)
 
 
 @dataclass(frozen=True)

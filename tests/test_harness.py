@@ -308,6 +308,20 @@ class TestRunParallelDeterminism:
         assert csv1.read_bytes() == csv4.read_bytes()
         assert config_hash(rep1.config) == config_hash(rep4.config)
 
+    def test_heisenberg_thread_count_does_not_change_report(self, tmp_path):
+        # the pool's workers share the operator's cached resolvent blocks
+        cfg = make_config(group=heisenberg1(), half_width=1.5, points=(8, 8, 16),
+                          schedule=OmegaSchedule.logarithmic(1),
+                          epsilons=EpsilonNet((0.25, 0.22, 0.19, 0.17)),
+                          mollifier_radius=2.0, T=0.25, dt=1.0 / 32)
+        bodies = []
+        for threads in (1, 2):
+            rep = run_experiment(with_threads(cfg, threads))
+            assert rep.verdict.kind == "Moderate"
+            csv_path, _ = persist_report(rep, tmp_path / f"t{threads}")
+            bodies.append(csv_path.read_bytes())
+        assert bodies[0] == bodies[1]
+
     def test_dispatch_table(self):
         cfg = make_config()
         rep = run_experiment(cfg)

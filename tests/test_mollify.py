@@ -32,6 +32,33 @@ def fit_slope(x, y):
     return coef[1]
 
 
+def node_loop_heisenberg(f, g):
+    """Reference H1 convolution: one interpolated shift of g per node of supp f."""
+    grid = f.grid
+    na, nb, nc = grid.points
+    hc = grid.spacings[2]
+    ax_a, ax_b, _ = grid.axes
+    IA = np.arange(na)[:, None, None]
+    IB = np.arange(nb)[None, :, None]
+    K = np.arange(nc)[None, None, :]
+    out = np.zeros(grid.shape)
+    for ia, ib, ic in np.argwhere(f.values != 0.0):
+        g_ab = np.roll(g.values, (int(ia) - na // 2, int(ib) - nb // 2), axis=(0, 1))
+        area = (ax_a[ia] * ax_b[None, :] - ax_b[ib] * ax_a[:, None]) / (2.0 * hc)
+        z = K - ((int(ic) - nc // 2) + area)[:, :, None]
+        z0 = np.floor(z)
+        theta = z - z0
+        z0 = z0.astype(np.int64) % nc
+        z1 = (z0 + 1) % nc
+        out += f.values[ia, ib, ic] * ((1.0 - theta) * g_ab[IA, IB, z0]
+                                       + theta * g_ab[IA, IB, z1])
+    return out * grid.cell_volume
+
+
+def relative_l2(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
 class TestOmega:
     def test_polynomial_is_identity(self):
         assert omega(POLY, 0.1) == 0.1
@@ -212,6 +239,22 @@ class TestConvolve:
         lhs = discrete_integral(out)
         rhs = discrete_integral(f) * discrete_integral(g)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+
+    def test_heisenberg_matches_node_loop_random(self):
+        grid = make_grid(heisenberg1(), 1.0, 8)
+        rng = np.random.default_rng(34)
+        f = Field(grid, rng.standard_normal(grid.shape))
+        g = Field(grid, rng.standard_normal(grid.shape))
+        assert relative_l2(convolve(f, g).values, node_loop_heisenberg(f, g)) <= 1e-12
+
+    @pytest.mark.parametrize("eps", [0.25, 0.11])
+    def test_heisenberg_matches_node_loop_mollified_datum(self, eps):
+        # the existence sweep's datum and kernel on heisenberg1 16x16x32
+        grid = make_grid(heisenberg1(), 1.5, (16, 16, 32))
+        u0 = bump_field(grid, 1.125)
+        kernel = unit_mass_kernel(Mollifier(3, 1.4), eps, OmegaSchedule.logarithmic(1), grid)
+        got = convolve(u0, kernel).values
+        assert relative_l2(got, node_loop_heisenberg(u0, kernel)) <= 1e-12
 
     def test_odd_grid_rejected(self):
         grid = make_grid(euclidean(1), 1.0, 9)

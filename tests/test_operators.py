@@ -1,11 +1,16 @@
 """Rockland operator assembly and spectral calculus tests."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gradedheat.errors import CapabilityError
 from gradedheat.groups import Field, euclidean, heisenberg1, make_grid
 from gradedheat.operators import (
+    DiscreteRockland,
     build_euclidean_laplacian,
     build_heisenberg_sublaplacian,
     build_rockland,
@@ -193,3 +198,59 @@ class TestSpectralLimit:
         R = build_euclidean_laplacian(grid)
         with pytest.raises(CapabilityError):
             semigroup_apply(R, 0.1, Field.zeros(grid))
+
+
+class TestResolvent:
+    @pytest.mark.parametrize("group, points", [
+        (heisenberg1(), (8, 8, 12)),
+        (euclidean(2), (16, 10)),
+        (euclidean(1), (32,)),
+    ])
+    def test_inverts_shifted_operator(self, group, points):
+        op = build_rockland(make_grid(group, 1.5, points))
+        dt = 0.05
+        x = np.random.default_rng(5).standard_normal(op.grid.size)
+        b = x + dt * (op.matrix @ x)
+        np.testing.assert_allclose(op.resolvent(dt, b), x, rtol=0, atol=1e-12)
+
+    def test_blocks_cached_per_dt(self, sub8):
+        assert sub8._resolvent_blocks(0.125) is sub8._resolvent_blocks(0.125)
+        assert sub8._resolvent_blocks(0.125) is not sub8._resolvent_blocks(0.25)
+
+    def test_concurrent_callers_share_one_build(self):
+        # more threads than cores and a short switch interval: a lost update
+        # of the cache would hand different block arrays to different threads
+        op = build_rockland(make_grid(heisenberg1(), 1.5, (8, 8, 12)))
+        x = np.random.default_rng(6).standard_normal(op.grid.size)
+        results = [None] * 8
+        blocks = [None] * 8
+
+        def work(i):
+            blocks[i] = op._resolvent_blocks(0.1)
+            results[i] = op.resolvent(0.1, x)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(b is blocks[0] for b in blocks)
+        assert all(np.array_equal(r, results[0]) for r in results)
+
+    def test_rejects_operator_varying_along_last_axis(self):
+        grid = make_grid(euclidean(1), 1.0, 16)
+        weights = np.linspace(1.0, 2.0, grid.size)
+        op = DiscreteRockland(grid, build_euclidean_laplacian(grid).matrix + sp.diags(weights),
+                              name="weighted")
+        with pytest.raises(CapabilityError, match="translations"):
+            op.resolvent(0.1, np.ones(grid.size))
+
+    def test_nonpositive_step_rejected(self, sub8):
+        with pytest.raises(ValueError):
+            sub8.resolvent(0.0, np.ones(sub8.grid.size))

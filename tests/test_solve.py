@@ -4,10 +4,18 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from gradedheat.errors import CapabilityError, ConvergenceError, StabilityError
 from gradedheat.groups import Field, euclidean, heisenberg1, make_grid
-from gradedheat.mollify import bump_field
+from gradedheat.mollify import (
+    Mollifier,
+    OmegaSchedule,
+    PotentialSpec,
+    bump_field,
+    regularize_potential,
+)
 from gradedheat.operators import build_rockland, semigroup_apply
 from gradedheat.solve import (
     CauchyProblem,
@@ -28,6 +36,11 @@ def lap32():
 @pytest.fixture(scope="module")
 def sub8():
     return build_rockland(make_grid(heisenberg1(), 1.5, 8))
+
+
+@pytest.fixture(scope="module")
+def sub12():
+    return build_rockland(make_grid(heisenberg1(), 1.5, 12))
 
 
 def eigenvector(grid, m):
@@ -107,6 +120,71 @@ class TestStepImplicit:
         assert len(traj.states) == len(traj.state_times)
         assert len(traj.states) < 80
         np.testing.assert_array_equal(traj.states[0].values, bump_field(g, 1.0).values)
+
+
+def lu_backward_euler(p):
+    """Every state of backward Euler, each step solved by a sparse LU."""
+    dt = p.dt_effective
+    v = p.V.values.ravel()
+    system = sp.identity(v.size, format="csr") + dt * (p.op.matrix + sp.diags(v))
+    lu = splu(system.tocsc())
+    states = [p.u0.values.ravel()]
+    for _ in range(p.steps):
+        states.append(lu.solve(states[-1]))
+    return states
+
+
+class TestHeisenbergStepper:
+    # the Heisenberg stepper solves each step by preconditioned CG; a sparse
+    # LU of the same system is the reference
+    def assert_matches_lu(self, p):
+        traj = step_implicit(p)
+        want = lu_backward_euler(p)
+        assert len(traj.states) == len(want) == p.steps + 1
+        for got, ref in zip(traj.states, want):
+            err = np.linalg.norm(got.values.ravel() - ref) / np.linalg.norm(ref)
+            assert err <= 1e-10
+
+    def test_delta_potential_matches_lu(self, sub12):
+        g = sub12.grid
+        V = regularize_potential(PotentialSpec.dirac_delta(multiplier=80.0), 0.8,
+                                 OmegaSchedule.polynomial(), Mollifier(3, 1.4), g)
+        p = CauchyProblem(sub12, V, bump_field(g, 1.125), T=0.25, dt=1.0 / 32)
+        assert p.dt_effective * float(V.values.max()) > 1.0
+        self.assert_matches_lu(p)
+
+    def test_sign_changing_potential_matches_lu(self, sub12):
+        g = sub12.grid
+        raw = Field.from_function(
+            g, lambda a, b, c: np.cos(2.0 * a) * np.exp(-b * b) + 0.5 * np.sin(np.pi * c / 1.5))
+        dt = 1.0 / 32
+        V = raw * (0.5 / (dt * float(-raw.values.min())))
+        p = CauchyProblem(sub12, V, bump_field(g, 1.125), T=0.25, dt=dt)
+        assert p.dt_effective * float(-V.values.min()) == pytest.approx(0.5)
+        self.assert_matches_lu(p)
+
+    @pytest.mark.parametrize("depth", [32.0, 40.0])
+    def test_stability_guard(self, sub12, depth):
+        # dt * max V^- = 1 and 1.25
+        g = sub12.grid
+        p = CauchyProblem(sub12, Field.zeros(g) - depth, bump_field(g, 1.0), T=0.25, dt=1.0 / 32)
+        with pytest.raises(StabilityError, match="0.03125"):
+            step_implicit(p)
+
+    def test_zero_datum_stays_zero(self, sub12):
+        g = sub12.grid
+        p = CauchyProblem(sub12, bump_field(g, 1.0), Field.zeros(g), T=0.25, dt=1.0 / 32)
+        np.testing.assert_array_equal(step_implicit(p).final.values, 0.0)
+
+    def test_iteration_cap_names_step(self):
+        # without the preconditioner CG needs far more iterations than the
+        # cap sized for the preconditioned system
+        op = build_rockland(make_grid(heisenberg1(), 1.5, 12))
+        op.resolvent = lambda dt, values: np.ravel(values).copy()
+        p = CauchyProblem(op, Field.zeros(op.grid), bump_field(op.grid, 1.125),
+                          T=0.25, dt=1.0 / 32)
+        with pytest.raises(ConvergenceError, match=r"step 1 of 8.*residual.*after \d+ iterations"):
+            step_implicit(p)
 
 
 class TestDuhamel:
