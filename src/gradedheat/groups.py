@@ -152,7 +152,6 @@ class Grid:
     group: GroupInstance
     half_widths: tuple[float, ...]
     points: tuple[int, ...]
-    boundary: str = "periodic"
 
     def __post_init__(self):
         if len(self.half_widths) != self.group.dim or len(self.points) != self.group.dim:
@@ -166,8 +165,6 @@ class Grid:
         for n in self.points:
             if n < 4:
                 raise ValueError(f"need at least 4 points per axis, got {self.points}")
-        if self.boundary != "periodic":
-            raise ValueError(f"only periodic boundaries are supported, got {self.boundary!r}")
 
     @property
     def dim(self) -> int:

@@ -305,8 +305,6 @@ class PotentialSpec:
     (default 1), so value * delta covers attractive wells as well;
     sign_class records whether V is known nonnegative or genuinely real,
     which selects the energy vs Gronwall analysis paths downstream.
-    lp_exponents optionally annotates Lebesgue classes the unregularised
-    potential belongs to (informational).
     """
 
     kind: str
@@ -314,7 +312,6 @@ class PotentialSpec:
     sample: Field | None = None
     center: tuple[float, ...] | None = None
     sign_class: str = "nonneg"
-    lp_exponents: tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.kind not in ("dirac_delta", "dirac_delta_squared", "sampled", "constant"):
@@ -354,10 +351,9 @@ class PotentialSpec:
         return cls("constant", value=float(value), sign_class=sign)
 
     @classmethod
-    def sampled(cls, sample: Field, lp_exponents=()) -> "PotentialSpec":
+    def sampled(cls, sample: Field) -> "PotentialSpec":
         sign = "nonneg" if float(sample.values.min()) >= 0 else "real"
-        return cls("sampled", sample=sample, sign_class=sign,
-                   lp_exponents=tuple(lp_exponents))
+        return cls("sampled", sample=sample, sign_class=sign)
 
 
 def _check_center(center, grid: Grid):

@@ -15,19 +15,25 @@ matrices acting on C-order raveled grid values:
 
 Both operators are 2-homogeneous under the group dilations (nu = 2).
 
-Fractional powers and the heat semigroup go through a dense symmetric
-eigendecomposition that is computed lazily, cached on the operator and
-guarded by ``SPECTRAL_DOF_LIMIT``.  Tiny negative eigenvalues (within
--1e-10 * lambda_max) are clamped to zero; the zero eigenvalue uses the
-convention 0**0 = 1 so that fractional powers fix constants for s = 0.
+The spectral calculus uses the central-variable Fourier structure: the
+coefficients of both operators do not depend on the last grid axis (c on
+H1), so a real FFT along that axis splits R into one dense Hermitian
+(n_a n_b) x (n_a n_b) block per frequency -- on H1 the discrete counterpart
+of the twisted Laplacians.  The blocks are read off the assembled matrix
+and checked against it on a fixed probe; an operator that varies along the
+last axis is refused with ``CapabilityError``.
 
-The resolvent (I + dt R)^{-1} uses the central-variable Fourier structure
-instead: the coefficients of both operators do not depend on the last grid
-axis (c on H1), so a real FFT along that axis splits I + dt R into one
-dense Hermitian (n_a n_b) x (n_a n_b) block per frequency -- on H1 the
-discrete counterpart of the twisted Laplacians.  The blocks are read off
-the assembled matrix, inverted once per dt and cached on the operator; the
-backward-Euler stepper on H1 uses them as its CG preconditioner.
+* ``eigensystem`` diagonalises the blocks in one batched ``eigh``, computed
+  lazily, cached on the operator and guarded by ``SPECTRAL_DOF_LIMIT`` on
+  the block size.  Tiny negative eigenvalues (within -1e-10 * lambda_max)
+  are clamped to zero.  ``semigroup_apply`` and ``fractional_power`` apply
+  g(R) as rfft along the last axis, v^H, g(w), v, irfft; the zero
+  eigenvalue uses the convention 0**0 = 1 so that fractional powers fix
+  constants for s = 0.
+
+* ``resolvent`` applies (I + dt R)^{-1} with the blocks of I + dt R
+  inverted once per dt and cached; the backward-Euler stepper on H1 uses it
+  as its CG preconditioner.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from __future__ import annotations
 import threading
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from gradedheat.errors import CapabilityError
@@ -51,7 +56,8 @@ __all__ = [
     "semigroup_apply",
 ]
 
-# Dense eigendecompositions above this dof count are refused.
+# Dense eigendecompositions above this size are refused: per central-frequency
+# block in DiscreteRockland.eigensystem, the whole grid in solve.oracle_expm.
 SPECTRAL_DOF_LIMIT = 6000
 
 _EIG_CLAMP_REL = 1e-10
@@ -95,26 +101,31 @@ class DiscreteRockland:
         return max(q, 0.0)
 
     def eigensystem(self, dof_limit: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Clamped eigenvalues (ascending) and orthonormal eigenvectors.
+        """Clamped eigenvalues and orthonormal eigenvectors, per central frequency.
 
-        The decomposition is computed once and cached; concurrent callers
-        share the cached copy.
+        Returns w of shape (n_c // 2 + 1, m) and v of shape (n_c // 2 + 1, m, m),
+        m = size / n_c: block k of R under a real FFT along the last axis is
+        v[k] diag(w[k]) v[k]^H.  Each frequency 0 < k < n_c / 2 stands for
+        itself and n_c - k, so its eigenvalues occur twice in the spectrum
+        of R.  The decomposition is computed once and cached; concurrent
+        callers share the cached copy.
         """
         limit = SPECTRAL_DOF_LIMIT if dof_limit is None else dof_limit
-        if self.grid.size > limit:
+        block = self.grid.size // self.grid.points[-1]
+        if block > limit:
             raise CapabilityError(
-                f"spectral decomposition needs {self.grid.size} dof but the limit is "
+                f"spectral decomposition needs {block}-dof blocks but the limit is "
                 f"{limit}; use a smaller grid or raise dof_limit"
             )
         with self._lock:
             if self._eigensystem is None:
-                w, v = scipy.linalg.eigh(self.matrix.toarray())
-                lam_max = max(float(w[-1]), 0.0)
+                w, v = np.linalg.eigh(self._checked_blocks())
+                lam_max = max(float(w.max()), 0.0)
                 floor = -_EIG_CLAMP_REL * (lam_max or 1.0)
-                if float(w[0]) < floor:
+                if float(w.min()) < floor:
                     raise ValueError(
                         f"operator {self.name} is not positive semidefinite: "
-                        f"min eigenvalue {w[0]:.3e} vs max {lam_max:.3e}"
+                        f"min eigenvalue {w.min():.3e} vs max {lam_max:.3e}"
                     )
                 w = np.maximum(w, 0.0)
                 w.setflags(write=False)
@@ -139,14 +150,7 @@ class DiscreteRockland:
         with self._lock:
             inverse = self._resolvents.get(dt)
             if inverse is None:
-                blocks = _central_blocks(self.matrix, self.grid.points[-1])
-                probe = np.random.default_rng(0).standard_normal(self.grid.size)
-                want = self.matrix @ probe
-                got = _apply_central_blocks(blocks, probe.reshape(blocks.shape[1], -1))
-                if np.linalg.norm(got - want) > 1e-10 * np.linalg.norm(want):
-                    raise CapabilityError(
-                        f"operator {self.name} is not invariant under translations "
-                        "along the last grid axis; its resolvent has no block form")
+                blocks = self._checked_blocks()
                 blocks *= dt
                 idx = np.arange(blocks.shape[1])
                 blocks[:, idx, idx] += 1.0
@@ -154,6 +158,18 @@ class DiscreteRockland:
                 inverse.setflags(write=False)
                 self._resolvents[dt] = inverse
             return inverse
+
+    def _checked_blocks(self) -> np.ndarray:
+        """The central-frequency blocks of R, verified against R on a probe."""
+        blocks = _central_blocks(self.matrix, self.grid.points[-1])
+        probe = np.random.default_rng(0).standard_normal(self.grid.size)
+        want = self.matrix @ probe
+        got = _apply_central_blocks(blocks, probe.reshape(blocks.shape[1], -1))
+        if np.linalg.norm(got - want) > 1e-10 * np.linalg.norm(want):
+            raise CapabilityError(
+                f"operator {self.name} is not invariant under translations "
+                "along the last grid axis; it has no central-frequency block form")
+        return blocks
 
     def _check_field(self, f: Field):
         if f.grid != self.grid:
@@ -259,11 +275,7 @@ def fractional_power(op: DiscreteRockland, s_over_nu: float, f: Field,
     """Apply R**(s/nu) spectrally.  Requires s/nu >= 0; 0**0 is taken as 1."""
     if s_over_nu < 0:
         raise ValueError(f"fractional exponent must be >= 0, got {s_over_nu}")
-    op._check_field(f)
-    w, v = op.eigensystem(dof_limit)
-    coeff = v.T @ f.flat
-    out = v @ (w**s_over_nu * coeff)
-    return Field(op.grid, out.reshape(op.grid.shape))
+    return _spectral_apply(op, lambda w: w**s_over_nu, f, dof_limit)
 
 
 def semigroup_apply(op: DiscreteRockland, t: float, f: Field,
@@ -271,8 +283,29 @@ def semigroup_apply(op: DiscreteRockland, t: float, f: Field,
     """Apply the heat semigroup exp(-t R) spectrally.  Requires t >= 0."""
     if t < 0:
         raise ValueError(f"semigroup time must be >= 0, got {t}")
+    return _spectral_apply(op, lambda w: np.exp(-t * w), f, dof_limit)
+
+
+def _spectral_apply(op: DiscreteRockland, g, f: Field, dof_limit: int | None) -> Field:
+    """g(R) f for a function g of the eigenvalues."""
     op._check_field(f)
     w, v = op.eigensystem(dof_limit)
-    coeff = v.T @ f.flat
-    out = v @ (np.exp(-t * w) * coeff)
+    n_c = op.grid.points[-1]
+    coeff = _to_eigenbasis(v, f.values.reshape(1, -1, n_c))
+    out = _from_eigenbasis(v, g(w)[:, :, None] * coeff, n_c)
     return Field(op.grid, out.reshape(op.grid.shape))
+
+
+def _to_eigenbasis(v: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Coefficients (K, m, S) in the eigenbasis v of S real fields (S, m, n_c).
+
+    rfft along the last axis, then v[k]^H per frequency, computed as
+    conj(v[k]^T conj(x)) so that the transposed view of v is not copied.
+    """
+    spectrum = np.fft.rfft(values, axis=-1).transpose(2, 1, 0)
+    return np.matmul(v.transpose(0, 2, 1), spectrum.conj()).conj()
+
+
+def _from_eigenbasis(v: np.ndarray, coeff: np.ndarray, n_c: int) -> np.ndarray:
+    """Inverse of ``_to_eigenbasis``: real fields (S, m, n_c) from coefficients."""
+    return np.fft.irfft(np.matmul(v, coeff).transpose(2, 1, 0), n=n_c, axis=-1)

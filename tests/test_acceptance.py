@@ -55,7 +55,7 @@ def l2dist(a: Field, b: Field) -> float:
 
 @pytest.fixture(scope="module")
 def h1_op():
-    # shared because its dense eigensystem is the expensive part
+    # shared so that its per-frequency eigensystem is decomposed once
     return build_rockland(make_grid(heisenberg1(), 1.5, 16))
 
 

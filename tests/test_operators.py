@@ -1,5 +1,6 @@
 """Rockland operator assembly and spectral calculus tests."""
 
+import math
 import sys
 import threading
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from gradedheat import operators
 from gradedheat.errors import CapabilityError
 from gradedheat.groups import Field, euclidean, heisenberg1, make_grid
 from gradedheat.operators import (
@@ -186,18 +188,113 @@ class TestSemigroup:
             semigroup_apply(lap64, -0.1, Field.zeros(lap64.grid))
 
 
+def dense_eigensystem(op):
+    """Reference spectrum: a dense eigh of the whole matrix, clamped at zero."""
+    w, v = np.linalg.eigh(op.matrix.toarray())
+    return np.maximum(w, 0.0), v
+
+
+def block_multiplicities(n_c):
+    """How often each rfft frequency's eigenvalues occur in the spectrum of R."""
+    mult = np.full(n_c // 2 + 1, 2)
+    mult[0] = 1
+    if n_c % 2 == 0:
+        mult[-1] = 1
+    return mult
+
+
+@pytest.fixture(scope="module", params=[
+    (heisenberg1(), (8, 8, 12)),
+    (heisenberg1(), (12, 12, 12)),
+    (euclidean(2), (16, 10)),
+    (euclidean(1), (64,)),
+], ids=["h1-8x8x12", "h1-12^3", "r2-16x10", "r1-64"])
+def block_and_dense(request):
+    group, points = request.param
+    op = build_rockland(make_grid(group, 1.5, points))
+    return op, dense_eigensystem(op)
+
+
+class TestBlockSpectralCalculus:
+    # the per-frequency spectral calculus against a dense eigh of the whole
+    # operator, kept here as the independent reference
+
+    def test_eigensystem_shapes(self, block_and_dense):
+        op, _ = block_and_dense
+        n_c = op.grid.points[-1]
+        m = op.grid.size // n_c
+        w, v = op.eigensystem()
+        assert w.shape == (n_c // 2 + 1, m)
+        assert v.shape == (n_c // 2 + 1, m, m)
+        assert op.eigensystem() is op.eigensystem()
+
+    def test_spectrum_matches_dense(self, block_and_dense):
+        op, (w_dense, _) = block_and_dense
+        w, _ = op.eigensystem()
+        spectrum = np.sort(np.repeat(w, block_multiplicities(op.grid.points[-1]), axis=0),
+                           axis=None)
+        assert spectrum.size == op.grid.size
+        np.testing.assert_allclose(spectrum, w_dense, rtol=0, atol=1e-12 * w_dense[-1])
+
+    @pytest.mark.parametrize("t", [0.01, 0.1, 1.0])
+    def test_semigroup_matches_dense(self, t, block_and_dense):
+        op, (w, v) = block_and_dense
+        for f in random_fields(op.grid, 3, seed=30):
+            want = v @ (np.exp(-t * w) * (v.T @ f.flat))
+            got = semigroup_apply(op, t, f).flat
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_full_power_matches_apply(self, block_and_dense):
+        op, _ = block_and_dense
+        for f in random_fields(op.grid, 3, seed=31):
+            want = op.apply(f).flat
+            got = fractional_power(op, 1.0, f).flat
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_half_power_matches_dense(self, block_and_dense):
+        # eigenvalues that are zero in exact arithmetic come out as +-eps *
+        # lambda_max in either decomposition, and their square roots differ by
+        # up to sqrt(eps * lambda_max): that is the absolute floor (the 8
+        # near-zero modes of the H1 stencil leave about 1e-9 relative)
+        op, (w, v) = block_and_dense
+        for f in random_fields(op.grid, 3, seed=32):
+            want = v @ (np.sqrt(w) * (v.T @ f.flat))
+            got = fractional_power(op, 0.5, f).flat
+            floor = math.sqrt(np.finfo(float).eps * w[-1]) * np.abs(f.flat).max()
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=floor)
+
+
 class TestSpectralLimit:
-    def test_dof_limit_enforced(self):
-        grid = make_grid(euclidean(1), 1.0, 64)
-        R = build_euclidean_laplacian(grid)
+    # the limit caps the size of one central-frequency block, and it is
+    # checked before the blocks are read or decomposed
+    @pytest.fixture
+    def no_blocks(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("blocks were built before the limit was checked")
+        monkeypatch.setattr(operators, "_central_blocks", refuse)
+
+    def test_dof_limit_enforced(self, no_blocks):
+        R = build_rockland(make_grid(heisenberg1(), 1.5, 8))  # 64-dof blocks
         with pytest.raises(CapabilityError, match="smaller grid"):
             R.eigensystem(dof_limit=32)
 
-    def test_default_limit_refuses_large_grids(self):
-        grid = make_grid(euclidean(2), 1.0, 96)  # 9216 dof > 6000
+    def test_default_limit_refuses_large_grids(self, no_blocks):
+        grid = make_grid(euclidean(2), 1.0, (6004, 4))  # 6004-dof blocks > 6000
         R = build_euclidean_laplacian(grid)
-        with pytest.raises(CapabilityError):
+        with pytest.raises(CapabilityError, match="smaller grid"):
             semigroup_apply(R, 0.1, Field.zeros(grid))
+
+    def test_large_grid_with_small_blocks(self):
+        # 9216 dof, refused by the former whole-grid limit: 96-dof blocks now
+        grid = make_grid(euclidean(2), np.pi, 96)
+        R = build_euclidean_laplacian(grid)
+        h = grid.spacings[0]
+        i, j, t = 3, 5, 0.05
+        lam = [4.0 / h**2 * np.sin(m * h / 2.0) ** 2 for m in (i, j)]
+        mode = Field.from_function(grid, lambda x, y: np.sin(i * x) * np.sin(j * y))
+        out = semigroup_apply(R, t, mode)
+        np.testing.assert_allclose(out.values, np.exp(-t * sum(lam)) * mode.values,
+                                   rtol=0, atol=1e-12)
 
 
 class TestResolvent:
@@ -243,13 +340,18 @@ class TestResolvent:
         assert all(b is blocks[0] for b in blocks)
         assert all(np.array_equal(r, results[0]) for r in results)
 
-    def test_rejects_operator_varying_along_last_axis(self):
+    @pytest.mark.parametrize("use", [
+        lambda op: op.eigensystem(),
+        lambda op: semigroup_apply(op, 0.1, Field.zeros(op.grid)),
+        lambda op: op.resolvent(0.1, np.ones(op.grid.size)),
+    ], ids=["eigensystem", "semigroup_apply", "resolvent"])
+    def test_rejects_operator_varying_along_last_axis(self, use):
         grid = make_grid(euclidean(1), 1.0, 16)
         weights = np.linspace(1.0, 2.0, grid.size)
         op = DiscreteRockland(grid, build_euclidean_laplacian(grid).matrix + sp.diags(weights),
                               name="weighted")
         with pytest.raises(CapabilityError, match="translations"):
-            op.resolvent(0.1, np.ones(grid.size))
+            use(op)
 
     def test_nonpositive_step_rejected(self, sub8):
         with pytest.raises(ValueError):

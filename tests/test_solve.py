@@ -187,6 +187,31 @@ class TestHeisenbergStepper:
             step_implicit(p)
 
 
+def dense_duhamel_states(p, n_picard):
+    """Picard-Duhamel on a dense eigh of the whole operator: the reference."""
+    w, vecs = np.linalg.eigh(p.op.matrix.toarray())
+    w = np.maximum(w, 0.0)
+    dt, steps = p.dt_effective, p.steps
+    decay = np.exp(-dt * w)
+    hom = np.empty((steps + 1, w.size))
+    hom[0] = vecs.T @ p.u0.values.ravel()
+    for k in range(1, steps + 1):
+        hom[k] = decay * hom[k - 1]
+    coeff = hom.copy()
+    for _ in range(n_picard):
+        src = (-p.V.values.ravel() * (coeff @ vecs.T)) @ vecs
+        new = hom.copy()
+        integral = np.zeros(w.size)
+        for k in range(1, steps + 1):
+            integral = decay * integral + 0.5 * dt * (decay * src[k - 1] + src[k])
+            new[k] += integral
+        done = np.abs(new - coeff).max() <= 1e-13 * np.abs(new).max()
+        coeff = new
+        if done:
+            break
+    return coeff @ vecs.T
+
+
 class TestDuhamel:
     def test_zero_potential_matches_semigroup(self, lap32):
         g = lap32.grid
@@ -226,6 +251,23 @@ class TestDuhamel:
         b = step_implicit(p)
         err = math.sqrt(np.sum((a.final.values - b.final.values) ** 2) * g.cell_volume)
         assert err <= 10.0 * p.dt_effective
+
+    @pytest.mark.parametrize("group, points", [
+        (heisenberg1(), (8, 8, 12)),
+        (heisenberg1(), (12, 12, 12)),
+        (euclidean(2), (16, 10)),
+        (euclidean(1), (64,)),
+    ], ids=["h1-8x8x12", "h1-12^3", "r2-16x10", "r1-64"])
+    def test_block_eigenbasis_matches_dense(self, group, points):
+        op = build_rockland(make_grid(group, 1.5, points))
+        g = op.grid
+        p = CauchyProblem(op, bump_field(g, 1.0, amplitude=0.8), bump_field(g, 1.125),
+                          T=0.25, dt=1.0 / 32)
+        traj = solve_duhamel(p, n_picard=8)
+        want = dense_duhamel_states(p, n_picard=8)
+        assert len(traj.states) == p.steps + 1
+        for got, ref in zip(traj.states, want):
+            assert np.linalg.norm(got.values.ravel() - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_diverging_iteration_raises(self, lap32):
         g = lap32.grid
