@@ -60,7 +60,6 @@ from gradedheat.config import (
     config_hash,
     parse_sweep_config,
     parse_sweep_config_file,
-    with_threads,
 )
 from gradedheat.harness import (
     FitResult,
@@ -118,7 +117,6 @@ __all__ = [
     "config_hash",
     "parse_sweep_config",
     "parse_sweep_config_file",
-    "with_threads",
     "FitResult",
     "SweepRecord",
     "SweepReport",

@@ -74,10 +74,11 @@ def _write_trajectory(traj, out_dir: Path) -> Path:
     path = out_dir / "trajectory.csv"
     lines = ["t,l2,sobolev_nu2,h_nu2,energy"]
     has_energy = traj.energy is not None
+    h_nu2 = traj.h_nu2
     for i, t in enumerate(traj.times):
         tail = f"{traj.energy[i]:.17g}" if has_energy else ""
         lines.append(f"{t:.17g},{traj.l2[i]:.17g},{traj.sobolev_nu2[i]:.17g},"
-                     f"{traj.h_nu2[i]:.17g},{tail}")
+                     f"{h_nu2[i]:.17g},{tail}")
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return path

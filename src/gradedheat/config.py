@@ -12,7 +12,7 @@ configs hash the same as their file twins.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -329,10 +329,6 @@ def parse_sweep_config_file(path: str | Path, experiment: str | None = None) -> 
     return parse_sweep_config(text, experiment=experiment, base_dir=path.parent)
 
 
-def _group_token(group: GroupInstance) -> str:
-    return str(group)
-
-
 def canonical_text(cfg: SweepConfig) -> str:
     """Normalised rendering of the effective config, for hashing.
 
@@ -340,7 +336,7 @@ def canonical_text(cfg: SweepConfig) -> str:
     pins the data actually used and not just a file name.
     """
     items = {
-        "group": _group_token(cfg.group),
+        "group": str(cfg.group),
         "half_width": repr(cfg.half_width),
         "points": ",".join(str(p) for p in cfg.points),
         "potential": _potential_fingerprint(cfg),
@@ -381,7 +377,3 @@ def _potential_fingerprint(cfg: SweepConfig) -> str:
 
 def config_hash(cfg: SweepConfig) -> str:
     return hashlib.sha256(canonical_text(cfg).encode("utf-8")).hexdigest()
-
-
-def with_threads(cfg: SweepConfig, threads: int) -> SweepConfig:
-    return replace(cfg, threads=threads)

@@ -31,9 +31,12 @@ last axis is refused with ``CapabilityError``.
   eigenvalue uses the convention 0**0 = 1 so that fractional powers fix
   constants for s = 0.
 
-* ``resolvent`` applies (I + dt R)^{-1} with the blocks of I + dt R
-  inverted once per dt and cached; the backward-Euler stepper on H1 uses it
-  as its CG preconditioner.
+* ``resolvent`` applies (I + dt R)^{-1}, built once per dt and cached.  On
+  H1 it inverts the blocks of I + dt R.  On R^d the Laplacian is invariant
+  under every grid translation, so the resolvent is the Fourier multiplier
+  1/(1 + dt lambda), lambda the real FFT of R's row at the origin, applied by
+  one rfftn / multiply / irfftn.  The backward-Euler stepper uses it as its
+  CG preconditioner on every grid of dimension two or more.
 """
 
 from __future__ import annotations
@@ -136,25 +139,31 @@ class DiscreteRockland:
     def resolvent(self, dt: float, values) -> np.ndarray:
         """(I + dt R)^{-1} applied to grid values; returns a flat array.
 
-        One real FFT along the last axis, one batched block product, one
-        inverse FFT.  The inverted blocks are built on the first call for
-        each dt and cached; concurrent callers share them.
+        On R^d one rfftn, one multiply and one irfftn; on H1 one real FFT
+        along the last axis, one batched block product and one inverse FFT.
+        The multiplier or the inverted blocks are built on the first call
+        for each dt and cached; concurrent callers share them.
         """
-        n_c = self.grid.points[-1]
-        return _apply_central_blocks(self._resolvent_blocks(dt),
-                                     np.reshape(values, (-1, n_c)))
+        inverse = self._resolvent_blocks(dt)
+        if self.grid.group.is_abelian:
+            return _apply_multiplier(inverse, values, self.grid.shape)
+        return _apply_central_blocks(inverse, np.reshape(values, (-1, self.grid.points[-1])))
 
     def _resolvent_blocks(self, dt: float) -> np.ndarray:
+        """The cached inverse of I + dt R: a multiplier on R^d, blocks on H1."""
         if not dt > 0:
             raise ValueError(f"resolvent step must be positive, got {dt}")
         with self._lock:
             inverse = self._resolvents.get(dt)
             if inverse is None:
-                blocks = self._checked_blocks()
-                blocks *= dt
-                idx = np.arange(blocks.shape[1])
-                blocks[:, idx, idx] += 1.0
-                inverse = np.linalg.inv(blocks)
+                if self.grid.group.is_abelian:
+                    inverse = 1.0 / (1.0 + dt * self._checked_symbol())
+                else:
+                    blocks = self._checked_blocks()
+                    blocks *= dt
+                    idx = np.arange(blocks.shape[1])
+                    blocks[:, idx, idx] += 1.0
+                    inverse = np.linalg.inv(blocks)
                 inverse.setflags(write=False)
                 self._resolvents[dt] = inverse
             return inverse
@@ -162,14 +171,31 @@ class DiscreteRockland:
     def _checked_blocks(self) -> np.ndarray:
         """The central-frequency blocks of R, verified against R on a probe."""
         blocks = _central_blocks(self.matrix, self.grid.points[-1])
+        self._check_invariance(
+            lambda x: _apply_central_blocks(blocks, x.reshape(blocks.shape[1], -1)),
+            "along the last grid axis; it has no central-frequency block form")
+        return blocks
+
+    def _checked_symbol(self) -> np.ndarray:
+        """The Fourier symbol of R on an abelian grid, verified on a probe.
+
+        A translation-invariant R acts as the correlation with its row at
+        the origin, whose real FFT is then real since R is symmetric.
+        """
+        shape = self.grid.shape
+        row = self.matrix[[0]].toarray().reshape(shape)
+        symbol = np.fft.rfftn(row, axes=range(len(shape))).real
+        self._check_invariance(lambda x: _apply_multiplier(symbol, x, shape),
+                               "of the grid; it is no Fourier multiplier")
+        return symbol
+
+    def _check_invariance(self, apply, what: str):
+        """Refuse a structured form of R that disagrees with R on a fixed probe."""
         probe = np.random.default_rng(0).standard_normal(self.grid.size)
         want = self.matrix @ probe
-        got = _apply_central_blocks(blocks, probe.reshape(blocks.shape[1], -1))
-        if np.linalg.norm(got - want) > 1e-10 * np.linalg.norm(want):
+        if np.linalg.norm(apply(probe) - want) > 1e-10 * np.linalg.norm(want):
             raise CapabilityError(
-                f"operator {self.name} is not invariant under translations "
-                "along the last grid axis; it has no central-frequency block form")
-        return blocks
+                f"operator {self.name} is not invariant under translations {what}")
 
     def _check_field(self, f: Field):
         if f.grid != self.grid:
@@ -200,6 +226,14 @@ def _apply_central_blocks(blocks: np.ndarray, values: np.ndarray) -> np.ndarray:
     spectrum = np.fft.rfft(values, axis=1)
     spectrum = np.matmul(blocks, spectrum.T[:, :, None])[:, :, 0]
     return np.fft.irfft(spectrum.T, n=n_c, axis=1).ravel()
+
+
+def _apply_multiplier(multiplier: np.ndarray, values, shape: tuple[int, ...]) -> np.ndarray:
+    """Apply a real Fourier multiplier on the rfftn grid to values of ``shape``."""
+    axes = range(len(shape))
+    spectrum = np.fft.rfftn(np.reshape(values, shape), axes=axes)
+    spectrum *= multiplier
+    return np.fft.irfftn(spectrum, s=shape, axes=axes).ravel()
 
 
 def _shift(n: int):

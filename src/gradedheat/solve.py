@@ -6,14 +6,15 @@ central-frequency eigensystem, and a dense eigendecomposition oracle for
 cross-checks on small grids.  All of them record L2, homogeneous
 order-nu/2 Sobolev and (for nonnegative V) energy series at every step.
 
-Backward Euler solves I + dt(R + V) once per step.  On R^d a sparse LU,
-factorised once per problem, does that cheaply: the 1-D/2-D fill stays
-small.  On H1 the 3-D fill grows too fast (about 1.1e8 entries at 32^3), so
-the system is solved by conjugate gradients preconditioned with the
-operator's cached block resolvent (I + dt R)^{-1}.  V is the only part that
-breaks the central-translation invariance, and the preconditioned condition
-number is at most (1 + dt max V^+)/(1 - dt max V^-), which also sizes the
-iteration cap.
+Backward Euler solves I + dt(R + V) once per step.  On R a sparse LU,
+factorised once per problem, does that cheaply: the periodic tridiagonal
+fill stays linear.  In two or more dimensions the fill grows too fast (about
+1.1e7 entries on a 256^2 grid, 1.1e8 on H1 at 32^3), so the system is
+solved by conjugate gradients preconditioned with the operator's cached
+resolvent (I + dt R)^{-1}: a Fourier multiplier on R^d, central-frequency
+blocks on H1.  V is the only part that breaks the translation invariance,
+and the preconditioned condition number is at most
+(1 + dt max V^+)/(1 - dt max V^-), which also sizes the iteration cap.
 """
 
 from __future__ import annotations
@@ -81,7 +82,6 @@ class Trajectory:
     times: np.ndarray
     l2: np.ndarray
     sobolev_nu2: np.ndarray
-    h_nu2: np.ndarray
     energy: np.ndarray | None
     state_times: np.ndarray
     states: tuple[Field, ...]
@@ -89,13 +89,18 @@ class Trajectory:
     def __post_init__(self):
         if self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0):
             raise ValueError("times must increase strictly from 0")
-        for name in ("l2", "sobolev_nu2", "h_nu2"):
+        for name in ("l2", "sobolev_nu2"):
             series = getattr(self, name)
             if not np.all(np.isfinite(series)) or np.any(series < 0):
                 raise ValueError(f"{name} series must be finite and nonnegative")
         if self.energy is not None:
             if not np.all(np.isfinite(self.energy)) or np.any(self.energy < 0):
                 raise ValueError("energy series must be finite and nonnegative")
+
+    @property
+    def h_nu2(self) -> np.ndarray:
+        """The inhomogeneous H^{nu/2} series: l2 + sobolev_nu2."""
+        return self.l2 + self.sobolev_nu2
 
     @property
     def final(self) -> Field:
@@ -130,13 +135,10 @@ class _Recorder:
             self.states.append(Field(self.grid, u.reshape(self.grid.shape)))
 
     def build(self) -> Trajectory:
-        l2 = np.array(self.l2)
-        sob = np.array(self.sob)
         return Trajectory(
             times=np.array(self.times),
-            l2=l2,
-            sobolev_nu2=sob,
-            h_nu2=l2 + sob,
+            l2=np.array(self.l2),
+            sobolev_nu2=np.array(self.sob),
             energy=np.array(self.e) if self.track_energy else None,
             state_times=np.array(self.state_times),
             states=tuple(self.states),
@@ -148,8 +150,8 @@ def step_implicit(p: CauchyProblem) -> Trajectory:
 
     Unconditionally contractive for V >= 0, which is what makes the discrete
     energy inequality hold step by step.  For sign-changing V the factor is
-    only defined when dt * max(V^-) < 1.  Euclidean grids solve each step by
-    sparse LU, the Heisenberg grid by preconditioned CG (see the module
+    only defined when dt * max(V^-) < 1.  One-dimensional grids solve each
+    step by sparse LU, all others by preconditioned CG (see the module
     docstring).
     """
     dt = p.dt_effective
@@ -158,7 +160,7 @@ def step_implicit(p: CauchyProblem) -> Trajectory:
     if v_minus > 0.0 and dt * v_minus >= 1.0:
         raise StabilityError(
             f"backward Euler needs dt < 1/max(V^-) = {1.0 / v_minus:.6g}, got dt = {dt:.6g}")
-    if p.op.grid.group.is_abelian:
+    if p.op.grid.dim == 1:
         solve = _lu_solver(p, dt, v_flat)
     else:
         solve = _cg_solver(p, dt, v_flat, v_minus)
@@ -348,8 +350,8 @@ def apriori_ratios(traj: Trajectory, V: Field, u0: Field, which: str,
         bracket = (1.0 + lp_norm(V, 2.0 * Q / nu)) * math.sqrt(1.0 + lp_norm(V, Q / nu))
     else:
         bracket = 1.0 + float(np.abs(V.values).max())
-    bound = np.full_like(traj.h_nu2, bracket * traj.h_nu2[0])
-    return _safe_ratio(traj.h_nu2, bound)
+    h_nu2 = traj.h_nu2
+    return _safe_ratio(h_nu2, np.full_like(h_nu2, bracket * h_nu2[0]))
 
 
 def _safe_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:

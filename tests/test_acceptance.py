@@ -8,11 +8,12 @@ correctness and thread determinism.  Each test prints one PASS/FAIL line
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gradedheat.config import SweepConfig, with_threads
+from gradedheat.config import SweepConfig
 from gradedheat.groups import Field, euclidean, heisenberg1, make_grid
 from gradedheat.harness import (
     check_negligible,
@@ -265,7 +266,7 @@ def test_11_determinism(tmp_path):
     cfg = existence_config(PotentialSpec.dirac_delta(), "delta")
     bodies = []
     for name, threads in (("a1", 1), ("b4", 4), ("c1", 1)):
-        rep = existence_experiment(with_threads(cfg, threads))
+        rep = existence_experiment(replace(cfg, threads=threads))
         csv_path, _ = persist_report(rep, tmp_path / name)
         bodies.append(csv_path.read_bytes())
     ok = bodies[0] == bodies[1] == bodies[2]

@@ -1,6 +1,7 @@
 """Sweep engine: exponent fits, verdict rules, the three experiments."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from gradedheat.config import (
     SweepConfig,
     config_hash,
     parse_sweep_config,
-    with_threads,
 )
 from gradedheat.errors import ConfigError
 from gradedheat.harness import (
@@ -299,8 +299,8 @@ class TestConsistency:
 class TestRunParallelDeterminism:
     def test_thread_count_does_not_change_report(self, tmp_path):
         cfg = make_config()
-        rep1 = run_experiment(with_threads(cfg, 1))
-        rep4 = run_experiment(with_threads(cfg, 4))
+        rep1 = run_experiment(replace(cfg, threads=1))
+        rep4 = run_experiment(replace(cfg, threads=4))
         d1 = tmp_path / "t1"
         d4 = tmp_path / "t4"
         csv1, _ = persist_report(rep1, d1)
@@ -316,7 +316,23 @@ class TestRunParallelDeterminism:
                           mollifier_radius=2.0, T=0.25, dt=1.0 / 32)
         bodies = []
         for threads in (1, 2):
-            rep = run_experiment(with_threads(cfg, threads))
+            rep = run_experiment(replace(cfg, threads=threads))
+            assert rep.verdict.kind == "Moderate"
+            csv_path, _ = persist_report(rep, tmp_path / f"t{threads}")
+            bodies.append(csv_path.read_bytes())
+        assert bodies[0] == bodies[1]
+
+    def test_euclidean2_thread_count_does_not_change_report(self, tmp_path):
+        # the pool's workers share the operator's cached Fourier multiplier;
+        # the attractive well makes the L2 norm grow, so each sup is attained
+        # after t = 0 and the report depends on every CG step
+        cfg = make_config(group=euclidean(2), half_width=2.0, points=(48, 48),
+                          potential=PotentialSpec.dirac_delta(multiplier=-5.0),
+                          potential_token="delta:-5", norm="l2",
+                          epsilons=EpsilonNet((0.5, 0.35, 0.25, 0.18)), T=0.25, dt=1.0 / 64)
+        bodies = []
+        for threads in (1, 2):
+            rep = run_experiment(replace(cfg, threads=threads))
             assert rep.verdict.kind == "Moderate"
             csv_path, _ = persist_report(rep, tmp_path / f"t{threads}")
             bodies.append(csv_path.read_bytes())
@@ -394,7 +410,7 @@ class TestConfigRoundTrip:
 
     def test_hash_ignores_threads(self):
         cfg = parse_sweep_config(CONFIG_TEXT)
-        assert config_hash(with_threads(cfg, 8)) == config_hash(cfg)
+        assert config_hash(replace(cfg, threads=8)) == config_hash(cfg)
 
     def test_hash_changes_with_potential(self):
         other = CONFIG_TEXT.replace("potential = delta", "potential = delta2")

@@ -353,6 +353,41 @@ class TestResolvent:
         with pytest.raises(CapabilityError, match="translations"):
             use(op)
 
+    def test_multiplier_cached_per_dt_on_r2(self):
+        # on R^d the resolvent is the multiplier 1/(1 + dt lambda) on the
+        # rfftn grid, lambda the 3-point symbol summed over the axes
+        grid = make_grid(euclidean(2), 1.5, (16, 10))
+        op = build_rockland(grid)
+        inverse = op._resolvent_blocks(0.125)
+        assert inverse is op._resolvent_blocks(0.125)
+        assert inverse is not op._resolvent_blocks(0.25)
+        assert inverse.shape == (16, 6) and inverse.dtype == float
+        lam = [4.0 / h**2 * np.sin(np.pi * np.arange(n) / n) ** 2
+               for n, h in zip(grid.points, grid.spacings)]
+        want = 1.0 / (1.0 + 0.125 * (lam[0][:, None] + lam[1][None, :6]))
+        np.testing.assert_allclose(inverse, want, rtol=1e-13)
+
+    @pytest.mark.parametrize("points", [(32,), (16, 10)], ids=["r1", "r2"])
+    def test_abelian_grid_builds_no_blocks(self, monkeypatch, points):
+        def refuse(*args):
+            raise AssertionError("central-frequency blocks built on an abelian grid")
+        monkeypatch.setattr(operators, "_central_blocks", refuse)
+        op = build_rockland(make_grid(euclidean(len(points)), 1.5, points))
+        x = np.random.default_rng(7).standard_normal(op.grid.size)
+        b = x + 0.05 * (op.matrix @ x)
+        np.testing.assert_allclose(op.resolvent(0.05, b), x, rtol=0, atol=1e-12)
+
+    def test_rejects_2d_operator_with_varying_diagonal(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("central-frequency blocks built on an abelian grid")
+        monkeypatch.setattr(operators, "_central_blocks", refuse)
+        grid = make_grid(euclidean(2), 1.0, (12, 8))
+        weights = np.linspace(1.0, 2.0, grid.size)
+        op = DiscreteRockland(grid, build_euclidean_laplacian(grid).matrix + sp.diags(weights),
+                              name="weighted")
+        with pytest.raises(CapabilityError, match="translations"):
+            op.resolvent(0.1, np.ones(grid.size))
+
     def test_nonpositive_step_rejected(self, sub8):
         with pytest.raises(ValueError):
             sub8.resolvent(0.0, np.ones(sub8.grid.size))

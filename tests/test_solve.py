@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from gradedheat import solve as solve_module
 from gradedheat.errors import CapabilityError, ConvergenceError, StabilityError
 from gradedheat.groups import Field, euclidean, heisenberg1, make_grid
 from gradedheat.mollify import (
@@ -134,24 +135,25 @@ def lu_backward_euler(p):
     return states
 
 
+def assert_matches_lu(p):
+    traj = step_implicit(p)
+    want = lu_backward_euler(p)
+    assert len(traj.states) == len(want) == p.steps + 1
+    for got, ref in zip(traj.states, want):
+        err = np.linalg.norm(got.values.ravel() - ref) / np.linalg.norm(ref)
+        assert err <= 1e-10
+
+
 class TestHeisenbergStepper:
     # the Heisenberg stepper solves each step by preconditioned CG; a sparse
     # LU of the same system is the reference
-    def assert_matches_lu(self, p):
-        traj = step_implicit(p)
-        want = lu_backward_euler(p)
-        assert len(traj.states) == len(want) == p.steps + 1
-        for got, ref in zip(traj.states, want):
-            err = np.linalg.norm(got.values.ravel() - ref) / np.linalg.norm(ref)
-            assert err <= 1e-10
-
     def test_delta_potential_matches_lu(self, sub12):
         g = sub12.grid
         V = regularize_potential(PotentialSpec.dirac_delta(multiplier=80.0), 0.8,
                                  OmegaSchedule.polynomial(), Mollifier(3, 1.4), g)
         p = CauchyProblem(sub12, V, bump_field(g, 1.125), T=0.25, dt=1.0 / 32)
         assert p.dt_effective * float(V.values.max()) > 1.0
-        self.assert_matches_lu(p)
+        assert_matches_lu(p)
 
     def test_sign_changing_potential_matches_lu(self, sub12):
         g = sub12.grid
@@ -161,7 +163,7 @@ class TestHeisenbergStepper:
         V = raw * (0.5 / (dt * float(-raw.values.min())))
         p = CauchyProblem(sub12, V, bump_field(g, 1.125), T=0.25, dt=dt)
         assert p.dt_effective * float(-V.values.min()) == pytest.approx(0.5)
-        self.assert_matches_lu(p)
+        assert_matches_lu(p)
 
     @pytest.mark.parametrize("depth", [32.0, 40.0])
     def test_stability_guard(self, sub12, depth):
@@ -185,6 +187,70 @@ class TestHeisenbergStepper:
                           T=0.25, dt=1.0 / 32)
         with pytest.raises(ConvergenceError, match=r"step 1 of 8.*residual.*after \d+ iterations"):
             step_implicit(p)
+
+
+class TestEuclidean2Stepper:
+    # on R^2 each step is CG preconditioned with the Fourier multiplier
+    # (I + dt R)^{-1}; a sparse LU of the same system is the reference.  The
+    # grid is not square, so a transposed multiplier would be caught.
+    @pytest.fixture(scope="class")
+    def lap2(self):
+        return build_rockland(make_grid(euclidean(2), 2.0, (40, 24)))
+
+    def test_delta_potential_matches_lu(self, lap2):
+        g = lap2.grid
+        V = regularize_potential(PotentialSpec.dirac_delta(multiplier=80.0), 0.5,
+                                 OmegaSchedule.polynomial(), Mollifier(2, 1.5), g)
+        p = CauchyProblem(lap2, V, bump_field(g, 1.0, center=(0.3, -0.2)),
+                          T=0.25, dt=1.0 / 32)
+        assert p.dt_effective * float(V.values.max()) > 1.0
+        assert_matches_lu(p)
+
+    def test_sign_changing_potential_matches_lu(self, lap2):
+        g = lap2.grid
+        raw = Field.from_function(g, lambda x, y: np.cos(2.0 * x) * np.exp(-y * y)
+                                  + 0.5 * np.sin(np.pi * y / 2.0))
+        dt = 1.0 / 32
+        V = raw * (0.5 / (dt * float(-raw.values.min())))
+        p = CauchyProblem(lap2, V, bump_field(g, 1.0), T=0.25, dt=dt)
+        assert p.dt_effective * float(-V.values.min()) == pytest.approx(0.5)
+        assert_matches_lu(p)
+
+    @pytest.mark.parametrize("depth", [32.0, 40.0])
+    def test_stability_guard(self, lap2, depth):
+        # dt * max V^- = 1 and 1.25
+        g = lap2.grid
+        p = CauchyProblem(lap2, Field.zeros(g) - depth, bump_field(g, 1.0), T=0.25, dt=1.0 / 32)
+        with pytest.raises(StabilityError, match="0.03125"):
+            step_implicit(p)
+
+    def test_zero_datum_stays_zero(self, lap2):
+        g = lap2.grid
+        p = CauchyProblem(lap2, bump_field(g, 1.0), Field.zeros(g), T=0.25, dt=1.0 / 32)
+        np.testing.assert_array_equal(step_implicit(p).final.values, 0.0)
+
+
+class TestStepperRouting:
+    # sparse LU only where its fill stays linear: the periodic tridiagonal
+    # system on R.  Every other grid is solved by preconditioned CG.
+    @pytest.mark.parametrize("group, points, lu_calls", [
+        (euclidean(1), (32,), 1),
+        (euclidean(2), (16, 10), 0),
+        (heisenberg1(), (8, 8, 8), 0),
+    ], ids=["r1", "r2", "h1"])
+    def test_lu_only_in_one_dimension(self, monkeypatch, group, points, lu_calls):
+        calls = []
+
+        def counting_splu(*args, **kwargs):
+            calls.append(args)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(solve_module, "splu", counting_splu)
+        op = build_rockland(make_grid(group, 1.5, points))
+        g = op.grid
+        step_implicit(CauchyProblem(op, bump_field(g, 1.0), bump_field(g, 1.125),
+                                    T=0.125, dt=1.0 / 32))
+        assert len(calls) == lu_calls
 
 
 def dense_duhamel_states(p, n_picard):
@@ -449,7 +515,7 @@ class TestTrajectoryValidation:
         ones = np.ones(3)
         with pytest.raises(ValueError):
             Trajectory(times=np.array([0.0, 0.2, 0.1]), l2=ones, sobolev_nu2=ones,
-                       h_nu2=ones, energy=None, state_times=np.array([0.0]), states=(f,))
+                       energy=None, state_times=np.array([0.0]), states=(f,))
 
     def test_series_must_be_finite(self, lap32):
         g = lap32.grid
@@ -458,4 +524,4 @@ class TestTrajectoryValidation:
         ones = np.ones(2)
         with pytest.raises(ValueError):
             Trajectory(times=np.array([0.0, 0.1]), l2=bad, sobolev_nu2=ones,
-                       h_nu2=ones, energy=None, state_times=np.array([0.0]), states=(f,))
+                       energy=None, state_times=np.array([0.0]), states=(f,))
