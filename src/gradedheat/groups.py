@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -260,9 +260,6 @@ class Field:
     @property
     def flat(self) -> np.ndarray:
         return self.values.ravel()
-
-    def with_values(self, values) -> "Field":
-        return Field(self.grid, values)
 
     def __add__(self, other):
         if isinstance(other, Field):

@@ -12,7 +12,15 @@ into verdicts:
     consistency  mollified problems must converge to the classical solution,
                  strictly monotonically and below a floor
 
-Per-eps solves are independent and run on a thread pool; the report is a
+All three run through one driver, _sweep.  It builds the grid, the operator,
+the mollifier and the bump datum, regularises V and u0 for each eps on a
+thread pool, merges the rows in net order and builds each SweepRecord once.
+An experiment supplies only two pieces: measure(eps, v_eps, u0_eps) ->
+(value, extras), run per eps on the pool, and judge(rows) -> (fit, verdict,
+extra_fits), run once on the merged rows.  The first failing eps in net
+order turns the report into Fail and keeps the rows that succeeded; a
+record's fitted_flag is set iff the main fit exists and its value is
+positive.  The per-eps solves are independent and the report is a
 deterministic ordered reduction, so CSV output is byte-identical for any
 thread count.  A passing consistency run reports Moderate carrying the
 fitted slope of the error net (negative; its magnitude is the empirical
@@ -198,44 +206,66 @@ def _h_nu2_of(field: Field, op) -> float:
     return lp_norm(field, 2) + math.sqrt(op.quad_form(field))
 
 
-def _run_parallel(cfg: SweepConfig, worker):
-    """worker(eps) for each eps concurrently; results merged in net order.
+class _Row(NamedTuple):
+    """One measured eps, before the fit decides its fitted_flag."""
 
-    Returns (outcomes, first_error) where outcomes[i] is the worker result
-    or None if that eps raised; first_error is (eps, exception) for the
-    largest failing eps.
+    epsilon: float
+    omega: float
+    value: float
+    extras: dict[str, float]
+
+
+def _sweep(cfg: SweepConfig, measure_on, judge) -> SweepReport:
+    """Run one experiment over the eps-net of cfg (see the module docstring).
+
+    measure_on(grid, op, u0_raw) does the experiment's own setup and returns
+    its measure; judge is not called on a failed sweep.
     """
-    n = len(cfg.epsilons)
-    outcomes = [None] * n
-    errors = [None] * n
+    t0 = time.perf_counter()
+    grid = cfg.make_grid()
+    op = build_rockland(grid)
+    psi = Mollifier(grid.dim, cfg.mollifier_radius)
+    u0_raw = bump_field(grid, cfg.u0_width, cfg.u0_amplitude)
+    measure = measure_on(grid, op, u0_raw)
+
+    def solve(eps):
+        w = omega(cfg.schedule, eps)
+        v_eps = regularize_potential(cfg.potential, eps, cfg.v_schedule, psi, grid)
+        u0_eps = regularize_field(u0_raw, eps, cfg.u0_schedule, psi)
+        return _Row(eps, w, *measure(eps, v_eps, u0_eps))
+
+    rows, failure = [], None
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        futures = [pool.submit(worker, eps) for eps in cfg.epsilons]
-        for i, fut in enumerate(futures):
+        futures = [pool.submit(solve, eps) for eps in cfg.epsilons]
+        for eps, fut in zip(cfg.epsilons, futures):
             try:
-                outcomes[i] = fut.result()
+                rows.append(fut.result())
             except Exception as exc:  # noqa: BLE001 - verdicts must not crash the sweep
-                errors[i] = exc
-    first_error = None
-    for eps, exc in zip(cfg.epsilons, errors):
-        if exc is not None:
-            first_error = (eps, exc)
-            break
-    return outcomes, first_error
+                failure = failure or f"epsilon={eps:g}: {type(exc).__name__}: {exc}"
+    if failure is None:
+        fit, verdict, extra_fits = judge(rows)
+    else:
+        fit, verdict, extra_fits = None, Verdict("Fail", reason=failure), ()
+    records = tuple(SweepRecord(r.epsilon, r.omega, r.value,
+                                fitted_flag=fit is not None and r.value > 0.0,
+                                extras=tuple(r.extras.items()))
+                    for r in rows)
+    return SweepReport(config=cfg, records=records, fit=fit, verdict=verdict,
+                       extra_fits=extra_fits, wall_clock=time.perf_counter() - t0)
 
 
-def _fail_report(cfg, records, eps, exc, t0) -> SweepReport:
-    reason = f"epsilon={eps:g}: {type(exc).__name__}: {exc}"
-    return SweepReport(config=cfg, records=tuple(records), fit=None,
-                       verdict=Verdict("Fail", reason=reason),
-                       wall_clock=time.perf_counter() - t0)
+def _fitted_nets(nets) -> tuple[tuple[str, FitResult], ...]:
+    """(name, fit) for each (name, pairs) net that fit_exponent accepts.
 
-
-def _collect_extra_fits(records, names) -> tuple[tuple[str, FitResult], ...]:
+    A short net, one with a non-positive value or one whose omegas do not
+    decrease has no exponent and is left out.
+    """
     fits = []
-    for name in names:
-        pairs = [(r.omega, dict(r.extras)[name]) for r in records]
-        if len(pairs) >= 4 and all(v > 0 for _, v in pairs):
+    for name, pairs in nets:
+        try:
             fits.append((name, fit_exponent(pairs)))
+        except ValueError:
+            pass
     return tuple(fits)
 
 
@@ -252,57 +282,37 @@ def existence_experiment(cfg: SweepConfig) -> SweepReport:
     """
     if cfg.experiment != "existence":
         raise ValueError(f"config is for {cfg.experiment!r}, not 'existence'")
-    t0 = time.perf_counter()
-    grid = cfg.make_grid()
-    op = build_rockland(grid)
-    psi = Mollifier(grid.dim, cfg.mollifier_radius)
-    u0_raw = bump_field(grid, cfg.u0_width, cfg.u0_amplitude)
 
-    def worker(eps):
-        w_fit = omega(cfg.schedule, eps)
-        w_v = omega(cfg.v_schedule, eps)
-        v_eps = regularize_potential(cfg.potential, eps, cfg.v_schedule, psi, grid)
-        u0_eps = regularize_field(u0_raw, eps, cfg.u0_schedule, psi)
-        traj = step_implicit(CauchyProblem(op, v_eps, u0_eps, cfg.T, cfg.dt))
-        v_linf = float(np.abs(v_eps.values).max())
-        u0_h = _h_nu2_of(u0_eps, op)
-        extras = (
-            ("sup_l2", float(np.max(traj.l2))),
-            ("sup_hnu2", float(np.max(traj.h_nu2))),
-            ("v_linf", v_linf),
-            ("v_linf_vs_v_schedule", v_linf),  # fitted against w_v below
-            ("u0_hnu2", u0_h),
-            ("majorant", (1.0 + v_linf) * u0_h),
-        )
-        value = _sup_norm(traj, cfg.norm)
-        return w_fit, w_v, value, extras
+    def measure_on(grid, op, u0_raw):
+        def measure(eps, v_eps, u0_eps):
+            traj = step_implicit(CauchyProblem(op, v_eps, u0_eps, cfg.T, cfg.dt))
+            v_linf = float(np.abs(v_eps.values).max())
+            u0_h = _h_nu2_of(u0_eps, op)
+            extras = {
+                "sup_l2": float(np.max(traj.l2)),
+                "sup_hnu2": float(np.max(traj.h_nu2)),
+                "v_linf": v_linf,
+                "v_linf_vs_v_schedule": v_linf,  # fitted against the V-schedule's omega
+                "u0_hnu2": u0_h,
+                "majorant": (1.0 + v_linf) * u0_h,
+            }
+            return _sup_norm(traj, cfg.norm), extras
+        return measure
 
-    outcomes, failure = _run_parallel(cfg, worker)
-    records = []
-    v_schedule_pairs = []
-    for eps, out in zip(cfg.epsilons, outcomes):
-        if out is None:
-            continue
-        w_fit, w_v, value, extras = out
-        records.append(SweepRecord(eps, w_fit, value, fitted_flag=False, extras=extras))
-        v_schedule_pairs.append((w_v, dict(extras)["v_linf"]))
-    if failure is not None:
-        return _fail_report(cfg, records, failure[0], failure[1], t0)
-
-    fit = fit_exponent([(r.omega, r.norm_sup_t) for r in records])
-    verdict = check_moderate(fit, cfg.n_max)
-    records = [SweepRecord(r.epsilon, r.omega, r.norm_sup_t, True, r.extras)
-               for r in records]
-    extra_fits = list(_collect_extra_fits(
-        records, ("sup_l2", "sup_hnu2", "v_linf", "u0_hnu2", "majorant")))
-    if all(v > 0 for _, v in v_schedule_pairs) and len(v_schedule_pairs) >= 4:
+    def judge(rows):
+        fit = fit_exponent([(r.omega, r.value) for r in rows])
+        verdict = check_moderate(fit, cfg.n_max)
+        nets = [(name, [(r.omega, r.extras[name]) for r in rows])
+                for name in ("sup_l2", "sup_hnu2", "v_linf", "u0_hnu2", "majorant")]
         try:
-            extra_fits.append(("v_linf_vs_v_schedule", fit_exponent(v_schedule_pairs)))
+            nets.append(("v_linf_vs_v_schedule",
+                         [(omega(cfg.v_schedule, r.epsilon), r.extras["v_linf_vs_v_schedule"])
+                          for r in rows]))
         except ValueError:
-            pass  # shared schedule can make the two omega nets identical; fine
-    return SweepReport(config=cfg, records=tuple(records), fit=fit, verdict=verdict,
-                       extra_fits=tuple(extra_fits),
-                       wall_clock=time.perf_counter() - t0)
+            pass  # a constant V is never regularised, so its schedule may not reach every eps
+        return fit, verdict, _fitted_nets(nets)
+
+    return _sweep(cfg, measure_on, judge)
 
 
 def _perturbation_size(cfg: SweepConfig, eps: float) -> float:
@@ -323,42 +333,28 @@ def uniqueness_experiment(cfg: SweepConfig) -> SweepReport:
     """
     if cfg.experiment != "uniqueness":
         raise ValueError(f"config is for {cfg.experiment!r}, not 'uniqueness'")
-    t0 = time.perf_counter()
-    grid = cfg.make_grid()
-    op = build_rockland(grid)
-    psi = Mollifier(grid.dim, cfg.mollifier_radius)
-    u0_raw = bump_field(grid, cfg.u0_width, cfg.u0_amplitude)
-    probe = bump_field(grid, cfg.u0_width)
-    probe = Field(grid, probe.values / lp_norm(probe, 2))
 
-    def worker(eps):
-        w = omega(cfg.schedule, eps)
-        sigma = _perturbation_size(cfg, eps)
-        v_eps = regularize_potential(cfg.potential, eps, cfg.v_schedule, psi, grid)
-        u0_eps = regularize_field(u0_raw, eps, cfg.u0_schedule, psi)
-        v_tilde = Field(grid, v_eps.values + sigma)
-        u0_tilde = Field(grid, u0_eps.values + sigma * probe.values)
-        base = step_implicit(CauchyProblem(op, v_eps, u0_eps, cfg.T, cfg.dt))
-        tilde = step_implicit(CauchyProblem(op, v_tilde, u0_tilde, cfg.T, cfg.dt))
-        diff = _l2_state_distance(base, tilde)
-        return w, diff, (("perturbation_size", sigma),)
+    def measure_on(grid, op, u0_raw):
+        probe = bump_field(grid, cfg.u0_width)
+        probe = Field(grid, probe.values / lp_norm(probe, 2))
 
-    outcomes, failure = _run_parallel(cfg, worker)
-    records = [SweepRecord(eps, out[0], out[1], fitted_flag=False, extras=out[2])
-               for eps, out in zip(cfg.epsilons, outcomes) if out is not None]
-    if failure is not None:
-        return _fail_report(cfg, records, failure[0], failure[1], t0)
+        def measure(eps, v_eps, u0_eps):
+            sigma = _perturbation_size(cfg, eps)
+            v_tilde = Field(grid, v_eps.values + sigma)
+            u0_tilde = Field(grid, u0_eps.values + sigma * probe.values)
+            base = step_implicit(CauchyProblem(op, v_eps, u0_eps, cfg.T, cfg.dt))
+            tilde = step_implicit(CauchyProblem(op, v_tilde, u0_tilde, cfg.T, cfg.dt))
+            return _l2_state_distance(base, tilde), {"perturbation_size": sigma}
+        return measure
 
-    pairs = [(r.omega, r.norm_sup_t) for r in records]
-    verdict = check_negligible(pairs, cfg.k_max)
-    positive = [(w, v) for w, v in pairs if v > 0.0]
-    fit = fit_exponent(positive) if len(positive) >= 4 else None
-    records = [SweepRecord(r.epsilon, r.omega, r.norm_sup_t,
-                           fitted_flag=(fit is not None and r.norm_sup_t > 0.0),
-                           extras=r.extras)
-               for r in records]
-    return SweepReport(config=cfg, records=tuple(records), fit=fit, verdict=verdict,
-                       wall_clock=time.perf_counter() - t0)
+    def judge(rows):
+        pairs = [(r.omega, r.value) for r in rows]
+        verdict = check_negligible(pairs, cfg.k_max)
+        positive = [(w, v) for w, v in pairs if v > 0.0]
+        fit = fit_exponent(positive) if len(positive) >= 4 else None
+        return fit, verdict, ()
+
+    return _sweep(cfg, measure_on, judge)
 
 
 def consistency_experiment(cfg: SweepConfig) -> SweepReport:
@@ -378,54 +374,38 @@ def consistency_experiment(cfg: SweepConfig) -> SweepReport:
             "consistency needs a continuous potential (classical solutions are "
             "defined against C_0 data); delta-type potentials have no classical "
             "reference")
-    t0 = time.perf_counter()
-    grid = cfg.make_grid()
-    op = build_rockland(grid)
-    psi = Mollifier(grid.dim, cfg.mollifier_radius)
-    u0_raw = bump_field(grid, cfg.u0_width, cfg.u0_amplitude)
-    if cfg.potential.kind == "constant":
-        v_raw = Field(grid, np.full(grid.shape, cfg.potential.value))
-    else:
-        v_raw = cfg.potential.sample
-    reference = step_implicit(CauchyProblem(op, v_raw, u0_raw, cfg.T, cfg.dt))
 
-    def worker(eps):
-        w = omega(cfg.schedule, eps)
-        v_eps = regularize_potential(cfg.potential, eps, cfg.v_schedule, psi, grid)
-        u0_eps = regularize_field(u0_raw, eps, cfg.u0_schedule, psi)
-        traj = step_implicit(CauchyProblem(op, v_eps, u0_eps, cfg.T, cfg.dt))
-        err = _l2_state_distance(traj, reference)
-        v_err = float(np.abs(v_eps.values - v_raw.values).max())
-        return w, err, (("v_error_linf", v_err),)
+    def measure_on(grid, op, u0_raw):
+        if cfg.potential.kind == "constant":
+            v_raw = Field(grid, np.full(grid.shape, cfg.potential.value))
+        else:
+            v_raw = cfg.potential.sample
+        reference = step_implicit(CauchyProblem(op, v_raw, u0_raw, cfg.T, cfg.dt))
 
-    outcomes, failure = _run_parallel(cfg, worker)
-    records = [SweepRecord(eps, out[0], out[1], fitted_flag=False, extras=out[2])
-               for eps, out in zip(cfg.epsilons, outcomes) if out is not None]
-    if failure is not None:
-        return _fail_report(cfg, records, failure[0], failure[1], t0)
+        def measure(eps, v_eps, u0_eps):
+            traj = step_implicit(CauchyProblem(op, v_eps, u0_eps, cfg.T, cfg.dt))
+            v_err = float(np.abs(v_eps.values - v_raw.values).max())
+            return _l2_state_distance(traj, reference), {"v_error_linf": v_err}
+        return measure
 
-    errors = [r.norm_sup_t for r in records]
-    pairs = [(r.omega, v) for r, v in zip(records, errors)]
-    fit = None
-    if len(pairs) >= 4 and all(v > 0 for _, v in pairs):
-        fit = fit_exponent(pairs)
-    strictly_decreasing = all(b < a for a, b in zip(errors, errors[1:]))
-    floor = CONSISTENCY_FLOOR_FACTOR * errors[0]
-    if not strictly_decreasing:
-        verdict = Verdict("Fail", reason="error net is not strictly decreasing")
-    elif errors[-1] >= floor:
-        verdict = Verdict("Fail",
-                          reason=f"final error {errors[-1]:.3g} is not below "
-                                 f"{CONSISTENCY_FLOOR_FACTOR} of the first ({errors[0]:.3g})")
-    else:
-        verdict = Verdict("Moderate",
-                          exponent=fit.exponent if fit is not None else 0.0)
-    records = [SweepRecord(r.epsilon, r.omega, r.norm_sup_t,
-                           fitted_flag=fit is not None, extras=r.extras)
-               for r in records]
-    extra_fits = _collect_extra_fits(records, ("v_error_linf",))
-    return SweepReport(config=cfg, records=tuple(records), fit=fit, verdict=verdict,
-                       extra_fits=extra_fits, wall_clock=time.perf_counter() - t0)
+    def judge(rows):
+        errors = [r.value for r in rows]
+        fit = None
+        if len(rows) >= 4 and all(v > 0 for v in errors):
+            fit = fit_exponent([(r.omega, r.value) for r in rows])
+        if not all(b < a for a, b in zip(errors, errors[1:])):
+            verdict = Verdict("Fail", reason="error net is not strictly decreasing")
+        elif errors[-1] >= CONSISTENCY_FLOOR_FACTOR * errors[0]:
+            verdict = Verdict("Fail",
+                              reason=f"final error {errors[-1]:.3g} is not below "
+                                     f"{CONSISTENCY_FLOOR_FACTOR} of the first ({errors[0]:.3g})")
+        else:
+            verdict = Verdict("Moderate",
+                              exponent=fit.exponent if fit is not None else 0.0)
+        return fit, verdict, _fitted_nets(
+            [("v_error_linf", [(r.omega, r.extras["v_error_linf"]) for r in rows])])
+
+    return _sweep(cfg, measure_on, judge)
 
 
 _EXPERIMENT_RUNNERS = {

@@ -99,12 +99,6 @@ class Mollifier:
         """psi at points given by |x/support_radius|^2."""
         return _bump(r2) / self.norm_const
 
-    def evaluate(self, points) -> np.ndarray:
-        """psi at explicit coordinate points (last axis = coordinates)."""
-        points = np.asarray(points, dtype=float)
-        r2 = np.sum((points / self.support_radius) ** 2, axis=-1)
-        return self.evaluate_r2(r2)
-
 
 @dataclass(frozen=True)
 class OmegaSchedule:

@@ -1,7 +1,9 @@
 """Sweep engine: exponent fits, verdict rules, the three experiments."""
 
+import importlib.util
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from gradedheat.harness import (
     run_experiment,
     uniqueness_experiment,
 )
-from gradedheat.mollify import EpsilonNet, OmegaSchedule, PotentialSpec, bump_field, omega
+from gradedheat.mollify import EpsilonNet, OmegaSchedule, PotentialSpec, bump_field
 from gradedheat.groups import euclidean, heisenberg1, make_grid
 
 POLY = OmegaSchedule.polynomial()
@@ -193,20 +195,6 @@ class TestExistence:
         h_fit = rep.extra_fit("sup_hnu2")
         assert check_moderate(h_fit, rep.config.n_max).kind == "Moderate"
 
-    def test_wrong_experiment_rejected(self):
-        cfg = make_config(experiment="uniqueness")
-        with pytest.raises(ValueError, match="existence"):
-            existence_experiment(cfg)
-
-    def test_worker_failure_becomes_fail_verdict(self):
-        # net reaches eps the 128-point grid cannot resolve
-        cfg = make_config(epsilons=EpsilonNet.dyadic(0.5, 7))
-        rep = existence_experiment(cfg)
-        assert rep.verdict.kind == "Fail"
-        assert "ResolutionError" in rep.verdict.reason
-        assert 0 < len(rep.records) < 7
-        assert not any(r.fitted_flag for r in rep.records)
-
 
 class TestUniqueness:
     def test_no_perturbation_is_negligible(self):
@@ -294,6 +282,79 @@ class TestConsistency:
                                     potential_token="constant:1")
         rep = consistency_experiment(cfg)
         assert rep.verdict.kind == "Moderate"
+
+
+class TestSweepDriver:
+    @pytest.mark.parametrize("run, other", [
+        (existence_experiment, "uniqueness"),
+        (uniqueness_experiment, "consistency"),
+        (consistency_experiment, "existence"),
+    ], ids=["existence", "uniqueness", "consistency"])
+    def test_wrong_experiment_rejected(self, run, other):
+        # the experiment check comes first, before consistency's potential check
+        name = run.__name__.removesuffix("_experiment")
+        with pytest.raises(ValueError, match=f"is for '{other}', not '{name}'"):
+            run(make_config(experiment=other))
+
+    @pytest.mark.parametrize("experiment", ["existence", "uniqueness"])
+    def test_worker_failure_becomes_fail_verdict(self, experiment):
+        # net reaches eps the 128-point grid cannot resolve
+        cfg = make_config(experiment=experiment, epsilons=EpsilonNet.dyadic(0.5, 7))
+        rep = run_experiment(cfg)
+        assert rep.verdict.kind == "Fail"
+        assert "ResolutionError" in rep.verdict.reason
+        assert 0 < len(rep.records) < 7
+        assert not any(r.fitted_flag for r in rep.records)
+        # the first eps missing from the records, in net order, names the failure
+        first_missing = cfg.epsilons.values[len(rep.records)]
+        assert [r.epsilon for r in rep.records] == list(cfg.epsilons.values[:len(rep.records)])
+        assert rep.verdict.reason.startswith(f"epsilon={first_missing:g}: ")
+        assert rep.fit is None and rep.extra_fits == ()
+
+    @pytest.mark.parametrize("kind", ["existence", "consistency", "uniqueness", "unperturbed"])
+    def test_fitted_flag_rule(self, kind):
+        # flagged iff the main fit exists and the row's value is positive
+        if kind == "existence":
+            rep = existence_experiment(make_config())
+            want = [True] * 5
+        elif kind == "consistency":
+            rep = consistency_experiment(bump_potential_config())
+            want = [True] * 5
+        else:
+            # the net of gate 08: the difference is exactly 0.0 at eps = 1/64
+            rep = uniqueness_experiment(make_config(
+                experiment="uniqueness", norm="l2", points=(256,),
+                epsilons=EpsilonNet.dyadic(0.5, 6),
+                perturbation="exp" if kind == "uniqueness" else "none",
+                potential=PotentialSpec.dirac_delta_squared(), potential_token="delta2"))
+            if kind == "uniqueness":
+                assert rep.records[-1].norm_sup_t == 0.0
+                want = [True] * 5 + [False]
+            else:
+                assert rep.fit is None
+                want = [False] * 6
+        assert [r.fitted_flag for r in rep.records] == want
+
+    def test_benchmark_tracer_sees_every_layer(self):
+        # perfbench/tracing.py wraps gradedheat.harness module globals and reads
+        # eps from positional argument 1 of the regularize_* calls; a layer
+        # called through a local name, or eps passed by keyword, blinds it
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        cfg = make_config(threads=2)
+        with tracing.Tracer() as tracer:
+            rep = existence_experiment(cfg)
+        assert rep.verdict.kind == "Moderate"
+        assert tracer.missing == []
+        layers = tracing.layer_metrics(tracer.spans, threads=cfg.threads)
+        assert layers["harness.eps_attempted"] == len(cfg.epsilons)
+        assert layers["harness.eps_failed"] == 0
+        for layer in ("mollify.potential", "mollify.convolve"):
+            seen = [s.eps for s in tracer.spans if s.name == layer]
+            assert len(seen) == len(cfg.epsilons) and set(seen) == set(cfg.epsilons), layer
+        assert layers["solve.steps"] == len(cfg.epsilons) * round(cfg.T / cfg.dt)
 
 
 class TestRunParallelDeterminism:
