@@ -28,7 +28,6 @@ if __name__ == "__main__":
     study(SweepConfig(
         group=euclidean(1), half_width=1.0, points=(128,),
         potential=PotentialSpec.sampled(bump_field(grid, 0.6, 0.8)),
-        potential_token="sampled:demo-bump",
         schedule=OmegaSchedule.polynomial(),
         epsilons=EpsilonNet.dyadic(1.0, 5),
         T=0.5, dt=1.0 / 64, experiment="consistency", norm="l2"),
@@ -40,7 +39,6 @@ if __name__ == "__main__":
     study(SweepConfig(
         group=heisenberg1(), half_width=1.5, points=(16, 16, 16),
         potential=PotentialSpec.sampled(bump_field(grid_h, 1.0, 0.8)),
-        potential_token="sampled:demo-bump-h1",
         schedule=OmegaSchedule.logarithmic(1),
         epsilons=EpsilonNet.dyadic(0.5, 5),
         T=0.5, dt=1.0 / 32, experiment="consistency", norm="l2",

@@ -15,7 +15,7 @@ from gradedheat.harness import existence_experiment
 def sweep(token, potential):
     cfg = SweepConfig(
         group=euclidean(1), half_width=2.0, points=(256,),
-        potential=potential, potential_token=token,
+        potential=potential,
         schedule=OmegaSchedule.polynomial(),
         epsilons=EpsilonNet.dyadic(0.5, 5),
         T=0.5, dt=1.0 / 64, experiment="existence", norm="hnu2",

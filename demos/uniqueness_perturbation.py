@@ -17,7 +17,7 @@ from gradedheat.harness import uniqueness_experiment
 def sweep(perturbation):
     cfg = SweepConfig(
         group=euclidean(1), half_width=1.0, points=(256,),
-        potential=PotentialSpec.dirac_delta_squared(), potential_token="delta2",
+        potential=PotentialSpec.dirac_delta_squared(),
         schedule=OmegaSchedule.polynomial(),
         epsilons=EpsilonNet.dyadic(0.5, 6),
         T=0.5, dt=1.0 / 64, experiment="uniqueness", norm="l2",

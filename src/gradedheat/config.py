@@ -48,7 +48,6 @@ class SweepConfig:
     half_width: float
     points: tuple[int, ...]
     potential: PotentialSpec
-    potential_token: str
     schedule: OmegaSchedule
     epsilons: EpsilonNet
     T: float
@@ -137,23 +136,14 @@ def _parse_potential_token(token: str, sign_class: str | None, grid,
                 multiplier = float(arg)
             except ValueError:
                 raise ConfigError(f"bad delta multiplier in {token!r}") from None
-        maker = PotentialSpec.dirac_delta if kind == "delta" else PotentialSpec.dirac_delta_squared
-        spec = maker(multiplier=multiplier)
-        if sign_class is not None and sign_class != spec.sign_class:
-            raise ConfigError(
-                f"potential {token!r} has sign class {spec.sign_class!r}, not {sign_class!r}")
-        return spec
+        name = "dirac_delta" if kind == "delta" else "dirac_delta_squared"
+        return PotentialSpec(name, value=multiplier, sign_class=sign_class)
     if kind == "constant":
         try:
             c = float(arg)
         except ValueError:
             raise ConfigError(f"bad constant in potential token {token!r}") from None
-        spec = PotentialSpec.constant(c)
-        if sign_class == "real" and spec.sign_class == "nonneg":
-            spec = PotentialSpec("constant", value=c, sign_class="real")
-        elif sign_class is not None and sign_class != spec.sign_class:
-            raise ConfigError(f"constant {c} cannot be declared {sign_class!r}")
-        return spec
+        return PotentialSpec("constant", value=c, sign_class=sign_class)
     if kind == "sampled":
         if not arg:
             raise ConfigError("sampled potential needs a path: sampled:<file.npy>")
@@ -167,14 +157,7 @@ def _parse_potential_token(token: str, sign_class: str | None, grid,
         if values.shape != grid.shape:
             raise ConfigError(
                 f"sampled potential shape {values.shape} does not match grid {grid.shape}")
-        sample = Field(grid, values)
-        spec = PotentialSpec.sampled(sample)
-        if sign_class == "real" and spec.sign_class == "nonneg":
-            spec = PotentialSpec("sampled", sample=sample, sign_class="real")
-        elif sign_class is not None and sign_class != spec.sign_class:
-            raise ConfigError(
-                f"sampled potential is {spec.sign_class!r}, cannot declare {sign_class!r}")
-        return spec
+        return PotentialSpec("sampled", sample=Field(grid, values), sign_class=sign_class)
     raise ConfigError(
         f"potential must be delta|delta2|constant:<c>|sampled:<path>, got {token!r}")
 
@@ -255,12 +238,9 @@ def parse_sweep_config(text: str, experiment: str | None = None,
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    sign_class = keys.get("sign_class")
-    if sign_class is not None and sign_class not in ("nonneg", "real"):
-        raise ConfigError(f"sign_class must be nonneg or real, got {sign_class!r}")
     try:
-        potential = _parse_potential_token(_require(keys, "potential"), sign_class,
-                                           grid, base_dir)
+        potential = _parse_potential_token(_require(keys, "potential"),
+                                           keys.get("sign_class"), grid, base_dir)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -296,7 +276,6 @@ def parse_sweep_config(text: str, experiment: str | None = None,
             half_width=half_width,
             points=grid.points,
             potential=potential,
-            potential_token=keys["potential"],
             schedule=schedule,
             epsilons=epsilons,
             T=_get_float(keys, "T"),

@@ -199,22 +199,6 @@ class Grid:
         return tuple(np.reshape(ax, (1,) * i + (-1,) + (1,) * (self.dim - i - 1))
                      for i, ax in enumerate(self.axes))
 
-    def node_coordinates(self) -> np.ndarray:
-        """All node coordinates, shape (size, dim).  C-order to match ravel."""
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-
-    @cached_property
-    def origin_index(self) -> tuple[int, ...] | None:
-        """Multi-index of the origin node, or None if 0 is not a node."""
-        idx = []
-        for ax in self.axes:
-            hits = np.flatnonzero(np.isclose(ax, 0.0, atol=1e-14))
-            if hits.size != 1:
-                return None
-            idx.append(int(hits[0]))
-        return tuple(idx)
-
 
 def make_grid(group: GroupInstance, half_widths, points) -> Grid:
     """Build a periodic grid; scalars broadcast over all axes."""

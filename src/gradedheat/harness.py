@@ -329,7 +329,8 @@ def uniqueness_experiment(cfg: SweepConfig) -> SweepReport:
     Solves the configured problem and its perturbed twin
     V_eps + sigma, u0_eps + sigma * (unit-L2 bump) with
     sigma = e^{-1/eps} (or omega(eps) for the negative control), and applies
-    check_negligible to the net sup_t ||u_eps - u~_eps||_{L2}.
+    check_negligible to the net sup_t ||u_eps - u~_eps||_{L2}.  With
+    sigma = 0 the twin is the problem itself and is not solved again.
     """
     if cfg.experiment != "uniqueness":
         raise ValueError(f"config is for {cfg.experiment!r}, not 'uniqueness'")
@@ -343,7 +344,10 @@ def uniqueness_experiment(cfg: SweepConfig) -> SweepReport:
             v_tilde = Field(grid, v_eps.values + sigma)
             u0_tilde = Field(grid, u0_eps.values + sigma * probe.values)
             base = step_implicit(CauchyProblem(op, v_eps, u0_eps, cfg.T, cfg.dt))
-            tilde = step_implicit(CauchyProblem(op, v_tilde, u0_tilde, cfg.T, cfg.dt))
+            if sigma == 0.0:
+                tilde = base
+            else:
+                tilde = step_implicit(CauchyProblem(op, v_tilde, u0_tilde, cfg.T, cfg.dt))
             return _l2_state_distance(base, tilde), {"perturbation_size": sigma}
         return measure
 

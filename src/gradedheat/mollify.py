@@ -295,59 +295,60 @@ class PotentialSpec:
     """Description of the potential V before regularisation.
 
     kind is one of "dirac_delta", "dirac_delta_squared", "sampled",
-    "constant".  For the delta kinds ``value`` is a signed multiplier
-    (default 1), so value * delta covers attractive wells as well;
-    sign_class records whether V is known nonnegative or genuinely real,
-    which selects the energy vs Gronwall analysis paths downstream.
+    "constant".  For the delta kinds ``value`` is a signed, nonzero
+    multiplier (default 1), so value * delta covers attractive wells as
+    well.  sign_class records whether V is known nonnegative or genuinely
+    real, which selects the energy vs Gronwall analysis paths downstream.
+    Left unset, it is derived from the multiplier, the constant or the
+    sample minimum: "nonneg" if that is >= 0, else "real".  A declared class
+    is checked against the same rule: a delta's class must match its
+    multiplier's sign, and any other V may be declared "real", but
+    "nonneg" only if it has no negative values.
     """
 
     kind: str
-    value: float = 0.0
+    value: float | None = None
     sample: Field | None = None
     center: tuple[float, ...] | None = None
-    sign_class: str = "nonneg"
+    sign_class: str | None = None
 
     def __post_init__(self):
         if self.kind not in ("dirac_delta", "dirac_delta_squared", "sampled", "constant"):
             raise ValueError(f"unknown potential kind {self.kind!r}")
-        if self.sign_class not in ("nonneg", "real"):
+        delta = self.kind in ("dirac_delta", "dirac_delta_squared")
+        if self.value is None:
+            object.__setattr__(self, "value", 1.0 if delta else 0.0)
+        if delta and self.value == 0.0:
+            raise ValueError(f"{self.kind} needs a nonzero multiplier")
+        if self.kind == "sampled" and self.sample is None:
+            raise ValueError("sampled potential needs a sample field")
+        lowest = float(self.sample.values.min()) if self.kind == "sampled" else self.value
+        derived = "nonneg" if lowest >= 0 else "real"
+        if self.sign_class is None:
+            object.__setattr__(self, "sign_class", derived)
+        elif self.sign_class not in ("nonneg", "real"):
             raise ValueError(f"sign_class must be 'nonneg' or 'real', got {self.sign_class!r}")
-        if self.kind in ("dirac_delta", "dirac_delta_squared"):
-            if self.value == 0.0:
-                object.__setattr__(self, "value", 1.0)
-            want = "nonneg" if self.value > 0 else "real"
-            if self.sign_class != want:
-                raise ValueError(
-                    f"{self.kind} with multiplier {self.value} must be declared {want!r}")
-        if self.kind == "constant" and self.value < 0 and self.sign_class == "nonneg":
-            raise ValueError(f"constant {self.value} declared nonneg")
-        if self.kind == "sampled":
-            if self.sample is None:
-                raise ValueError("sampled potential needs a sample field")
-            if self.sign_class == "nonneg" and float(self.sample.values.min()) < 0:
-                raise ValueError("sampled potential has negative values but is declared nonneg")
+        elif self.sign_class != derived and (delta or derived == "real"):
+            raise ValueError(f"{self.kind} potential is {derived!r}, "
+                             f"cannot be declared {self.sign_class!r}")
 
     @classmethod
     def dirac_delta(cls, center=None, multiplier: float = 1.0) -> "PotentialSpec":
-        sign = "nonneg" if multiplier > 0 else "real"
-        return cls("dirac_delta", value=float(multiplier), sign_class=sign,
+        return cls("dirac_delta", value=float(multiplier),
                    center=None if center is None else tuple(center))
 
     @classmethod
     def dirac_delta_squared(cls, center=None, multiplier: float = 1.0) -> "PotentialSpec":
-        sign = "nonneg" if multiplier > 0 else "real"
-        return cls("dirac_delta_squared", value=float(multiplier), sign_class=sign,
+        return cls("dirac_delta_squared", value=float(multiplier),
                    center=None if center is None else tuple(center))
 
     @classmethod
     def constant(cls, value: float) -> "PotentialSpec":
-        sign = "nonneg" if value >= 0 else "real"
-        return cls("constant", value=float(value), sign_class=sign)
+        return cls("constant", value=float(value))
 
     @classmethod
     def sampled(cls, sample: Field) -> "PotentialSpec":
-        sign = "nonneg" if float(sample.values.min()) >= 0 else "real"
-        return cls("sampled", sample=sample, sign_class=sign)
+        return cls("sampled", sample=sample)
 
 
 def _check_center(center, grid: Grid):
@@ -379,8 +380,7 @@ def unit_mass_kernel(psi: Mollifier, eps: float, schedule: OmegaSchedule,
 
 
 def regularize_potential(pot: PotentialSpec, eps: float, schedule: OmegaSchedule,
-                         psi: Mollifier, grid: Grid,
-                         min_cells: int | None = MIN_CELLS_PER_AXIS) -> Field:
+                         psi: Mollifier, grid: Grid) -> Field:
     """The regularised potential V_eps on the grid.
 
     delta -> psi_eps, delta^2 -> psi_eps^2 (direct sampling, resolution
@@ -391,10 +391,10 @@ def regularize_potential(pot: PotentialSpec, eps: float, schedule: OmegaSchedule
         return Field(grid, np.full(grid.shape, pot.value))
     _check_center(pot.center, grid)
     if pot.kind == "dirac_delta":
-        net = mollifier_net(psi, eps, schedule, grid, center=pot.center, min_cells=min_cells)
+        net = mollifier_net(psi, eps, schedule, grid, center=pot.center)
         return Field(grid, pot.value * net.values)
     if pot.kind == "dirac_delta_squared":
-        net = mollifier_net(psi, eps, schedule, grid, center=pot.center, min_cells=min_cells)
+        net = mollifier_net(psi, eps, schedule, grid, center=pot.center)
         return Field(grid, pot.value * net.values**2)
     if pot.sample.grid != grid:
         raise ValueError("sampled potential lives on a different grid")

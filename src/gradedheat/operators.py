@@ -61,6 +61,7 @@ __all__ = [
 
 # Dense eigendecompositions above this size are refused: per central-frequency
 # block in DiscreteRockland.eigensystem, the whole grid in solve.oracle_expm.
+# Both read it when called, so a change to it applies to the next call.
 SPECTRAL_DOF_LIMIT = 6000
 
 _EIG_CLAMP_REL = 1e-10
@@ -103,7 +104,7 @@ class DiscreteRockland:
         # exact value is >= 0; rounding may leave a tiny negative residue
         return max(q, 0.0)
 
-    def eigensystem(self, dof_limit: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Clamped eigenvalues and orthonormal eigenvectors, per central frequency.
 
         Returns w of shape (n_c // 2 + 1, m) and v of shape (n_c // 2 + 1, m, m),
@@ -111,14 +112,15 @@ class DiscreteRockland:
         v[k] diag(w[k]) v[k]^H.  Each frequency 0 < k < n_c / 2 stands for
         itself and n_c - k, so its eigenvalues occur twice in the spectrum
         of R.  The decomposition is computed once and cached; concurrent
-        callers share the cached copy.
+        callers share the cached copy.  Blocks larger than
+        ``SPECTRAL_DOF_LIMIT`` (read at call time) are refused with
+        ``CapabilityError`` before any block is built.
         """
-        limit = SPECTRAL_DOF_LIMIT if dof_limit is None else dof_limit
         block = self.grid.size // self.grid.points[-1]
-        if block > limit:
+        if block > SPECTRAL_DOF_LIMIT:
             raise CapabilityError(
                 f"spectral decomposition needs {block}-dof blocks but the limit is "
-                f"{limit}; use a smaller grid or raise dof_limit"
+                f"{SPECTRAL_DOF_LIMIT}; use a smaller grid"
             )
         with self._lock:
             if self._eigensystem is None:
@@ -304,26 +306,24 @@ def build_rockland(grid: Grid) -> DiscreteRockland:
     return build_heisenberg_sublaplacian(grid)
 
 
-def fractional_power(op: DiscreteRockland, s_over_nu: float, f: Field,
-                     dof_limit: int | None = None) -> Field:
+def fractional_power(op: DiscreteRockland, s_over_nu: float, f: Field) -> Field:
     """Apply R**(s/nu) spectrally.  Requires s/nu >= 0; 0**0 is taken as 1."""
     if s_over_nu < 0:
         raise ValueError(f"fractional exponent must be >= 0, got {s_over_nu}")
-    return _spectral_apply(op, lambda w: w**s_over_nu, f, dof_limit)
+    return _spectral_apply(op, lambda w: w**s_over_nu, f)
 
 
-def semigroup_apply(op: DiscreteRockland, t: float, f: Field,
-                    dof_limit: int | None = None) -> Field:
+def semigroup_apply(op: DiscreteRockland, t: float, f: Field) -> Field:
     """Apply the heat semigroup exp(-t R) spectrally.  Requires t >= 0."""
     if t < 0:
         raise ValueError(f"semigroup time must be >= 0, got {t}")
-    return _spectral_apply(op, lambda w: np.exp(-t * w), f, dof_limit)
+    return _spectral_apply(op, lambda w: np.exp(-t * w), f)
 
 
-def _spectral_apply(op: DiscreteRockland, g, f: Field, dof_limit: int | None) -> Field:
+def _spectral_apply(op: DiscreteRockland, g, f: Field) -> Field:
     """g(R) f for a function g of the eigenvalues."""
     op._check_field(f)
-    w, v = op.eigensystem(dof_limit)
+    w, v = op.eigensystem()
     n_c = op.grid.points[-1]
     coeff = _to_eigenbasis(v, f.values.reshape(1, -1, n_c))
     out = _from_eigenbasis(v, g(w)[:, :, None] * coeff, n_c)

@@ -26,15 +26,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from . import operators
 from .errors import CapabilityError, ConvergenceError, StabilityError
 from .groups import Field
 from .norms import lp_norm
-from .operators import (
-    SPECTRAL_DOF_LIMIT,
-    DiscreteRockland,
-    _from_eigenbasis,
-    _to_eigenbasis,
-)
+from .operators import DiscreteRockland, _from_eigenbasis, _to_eigenbasis
 
 PICARD_TOL = 1e-12
 CG_TOL = 1e-14
@@ -289,16 +285,18 @@ def solve_duhamel(p: CauchyProblem, n_picard: int = 8) -> Trajectory:
     return rec.build()
 
 
-def oracle_expm(p: CauchyProblem, dof_limit: int = SPECTRAL_DOF_LIMIT) -> Trajectory:
+def oracle_expm(p: CauchyProblem) -> Trajectory:
     """Exact flow e^{-t(R + V)}u0 by dense eigendecomposition.
 
     Brute force and independent of the steppers above, so it serves as the
-    convergence reference.  Only viable on small grids.
+    convergence reference.  Grids above ``SPECTRAL_DOF_LIMIT`` dof are
+    refused.
     """
     n = p.u0.values.size
-    if n > dof_limit:
+    limit = operators.SPECTRAL_DOF_LIMIT
+    if n > limit:
         raise CapabilityError(
-            f"dense oracle needs dof <= {dof_limit}, grid has {n}; use a smaller grid")
+            f"dense oracle needs dof <= {limit}, grid has {n}; use a smaller grid")
     ham = p.op.matrix.toarray() + np.diag(p.V.values.ravel())
     ham = 0.5 * (ham + ham.T)
     w, vecs = np.linalg.eigh(ham)

@@ -161,10 +161,10 @@ def test_06_mollifier_scaling():
            f"euclidean {n_e:.4f} (Q=1), heisenberg {n_h:.4f} (Q=4)")
 
 
-def existence_config(potential, token):
+def existence_config(potential):
     return SweepConfig(
         group=euclidean(1), half_width=2.0, points=(256,),
-        potential=potential, potential_token=token,
+        potential=potential,
         schedule=POLY, epsilons=EpsilonNet.dyadic(0.5, 5),
         T=0.5, dt=1.0 / 64, experiment="existence", norm="hnu2",
         mollifier_radius=1.5)
@@ -175,7 +175,7 @@ def test_07_existence_moderate():
     ok = True
     for token, pot in (("delta", PotentialSpec.dirac_delta()),
                        ("delta2", PotentialSpec.dirac_delta_squared())):
-        rep = existence_experiment(existence_config(pot, token))
+        rep = existence_experiment(existence_config(pot))
         majorant = rep.extra_fit("majorant").exponent
         good = (rep.verdict.kind == "Moderate"
                 and rep.fit.exponent <= 1.1 * majorant)
@@ -189,7 +189,7 @@ def test_07_existence_moderate():
 def uniqueness_config(perturbation):
     return SweepConfig(
         group=euclidean(1), half_width=1.0, points=(256,),
-        potential=PotentialSpec.dirac_delta_squared(), potential_token="delta2",
+        potential=PotentialSpec.dirac_delta_squared(),
         schedule=POLY, epsilons=EpsilonNet.dyadic(0.5, 6),
         T=0.5, dt=1.0 / 64, experiment="uniqueness", norm="l2",
         mollifier_radius=1.5, perturbation=perturbation)
@@ -218,7 +218,6 @@ def test_09_consistency_converges():
     cfg_e = SweepConfig(
         group=euclidean(1), half_width=1.0, points=(128,),
         potential=PotentialSpec.sampled(bump_field(grid_e, 0.6, 0.8)),
-        potential_token="sampled:bump-r1",
         schedule=POLY, epsilons=EpsilonNet.dyadic(1.0, 5),
         T=0.5, dt=1.0 / 64, experiment="consistency", norm="l2")
     grid_h = make_grid(heisenberg1(), 1.5, 16)
@@ -227,7 +226,6 @@ def test_09_consistency_converges():
     cfg_h = SweepConfig(
         group=heisenberg1(), half_width=1.5, points=(16, 16, 16),
         potential=PotentialSpec.sampled(bump_field(grid_h, 1.0, 0.8)),
-        potential_token="sampled:bump-h1",
         schedule=OmegaSchedule.logarithmic(1), epsilons=EpsilonNet.dyadic(0.5, 5),
         T=0.5, dt=1.0 / 32, experiment="consistency", norm="l2",
         mollifier_radius=0.7)
@@ -263,7 +261,7 @@ def test_10_fit_correctness():
 
 
 def test_11_determinism(tmp_path):
-    cfg = existence_config(PotentialSpec.dirac_delta(), "delta")
+    cfg = existence_config(PotentialSpec.dirac_delta())
     bodies = []
     for name, threads in (("a1", 1), ("b4", 4), ("c1", 1)):
         rep = existence_experiment(replace(cfg, threads=threads))

@@ -124,18 +124,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             make_grid(heisenberg1(), (1.0, 1.0), (8, 8, 8))
 
-    def test_origin_is_node_for_even_counts(self):
-        grid = make_grid(euclidean(2), 1.0, 8)
-        assert grid.origin_index == (4, 4)
-        odd = make_grid(euclidean(1), 1.0, 7)
-        assert odd.origin_index is None
-
     def test_node_coordinates_order_matches_ravel(self):
         grid = make_grid(heisenberg1(), 1.0, 4)
-        coords = grid.node_coordinates()
+        coords = [m.ravel() for m in np.meshgrid(*grid.axes, indexing="ij")]
         f = Field.from_function(grid, lambda a, b, c: a + 10 * b + 100 * c)
-        expected = coords[:, 0] + 10 * coords[:, 1] + 100 * coords[:, 2]
-        np.testing.assert_allclose(f.flat, expected)
+        np.testing.assert_allclose(f.flat, coords[0] + 10 * coords[1] + 100 * coords[2])
 
 
 class TestField:

@@ -13,6 +13,7 @@ from gradedheat.config import (
     config_hash,
     parse_sweep_config,
 )
+from gradedheat import harness
 from gradedheat.errors import ConfigError
 from gradedheat.harness import (
     FitResult,
@@ -133,7 +134,6 @@ def make_config(**overrides):
         half_width=1.0,
         points=(128,),
         potential=PotentialSpec.dirac_delta(),
-        potential_token="delta",
         schedule=POLY,
         epsilons=EpsilonNet.dyadic(0.5, 5),
         T=0.5,
@@ -148,8 +148,7 @@ def make_config(**overrides):
 
 class TestExistence:
     def test_zero_potential_is_flat(self):
-        cfg = make_config(potential=PotentialSpec.constant(0.0),
-                          potential_token="constant:0")
+        cfg = make_config(potential=PotentialSpec.constant(0.0))
         rep = existence_experiment(cfg)
         assert rep.verdict.kind == "Moderate"
         # only the datum is mollified; the solution net barely moves
@@ -174,7 +173,6 @@ class TestExistence:
         # negative delta well measured under log omega, fitted under poly:
         # the potential net is log-moderate while the solution stays bounded
         cfg = make_config(potential=PotentialSpec.dirac_delta(multiplier=-1.0),
-                          potential_token="delta:-1",
                           schedule_v=OmegaSchedule.logarithmic(1),
                           norm="l2", epsilons=self.LOG_NET)
         rep = existence_experiment(cfg)
@@ -188,7 +186,6 @@ class TestExistence:
 
     def test_real_potential_h_norm_still_moderate(self):
         cfg = make_config(potential=PotentialSpec.dirac_delta(multiplier=-1.0),
-                          potential_token="delta:-1",
                           schedule_v=OmegaSchedule.logarithmic(1),
                           norm="l2", epsilons=self.LOG_NET)
         rep = existence_experiment(cfg)
@@ -199,16 +196,23 @@ class TestExistence:
 class TestUniqueness:
     def test_no_perturbation_is_negligible(self):
         cfg = make_config(experiment="uniqueness", perturbation="none", norm="l2",
-                          potential=PotentialSpec.dirac_delta_squared(),
-                          potential_token="delta2")
+                          potential=PotentialSpec.dirac_delta_squared())
         rep = uniqueness_experiment(cfg)
         assert rep.verdict.kind == "Negligible"
         assert all(r.norm_sup_t == 0.0 for r in rep.records)
 
+    def test_no_perturbation_solves_once_per_eps(self, monkeypatch):
+        calls = []
+        real_step = harness.step_implicit
+        monkeypatch.setattr(harness, "step_implicit",
+                            lambda problem: calls.append(problem) or real_step(problem))
+        cfg = make_config(experiment="uniqueness", perturbation="none")
+        uniqueness_experiment(cfg)
+        assert len(calls) == len(cfg.epsilons)
+
     def test_exponential_perturbation_negligible(self):
         cfg = make_config(experiment="uniqueness", norm="l2",
-                          potential=PotentialSpec.dirac_delta_squared(),
-                          potential_token="delta2")
+                          potential=PotentialSpec.dirac_delta_squared())
         rep = uniqueness_experiment(cfg)
         assert rep.verdict.kind == "Negligible"
         # differences track the perturbation size order of magnitude
@@ -220,7 +224,6 @@ class TestUniqueness:
     def test_exponential_perturbation_heisenberg(self):
         cfg = make_config(group=heisenberg1(), half_width=1.5, points=(8, 8, 8),
                           potential=PotentialSpec.constant(1.0),
-                          potential_token="constant:1",
                           experiment="uniqueness", norm="l2", dt=1.0 / 32)
         rep = uniqueness_experiment(cfg)
         assert rep.verdict.kind == "Negligible"
@@ -229,8 +232,7 @@ class TestUniqueness:
         # the negative control: an omega(eps)-sized perturbation only decays
         # at first order, far from the k_max = 10 requirement
         cfg = make_config(experiment="uniqueness", perturbation="omega1", norm="l2",
-                          potential=PotentialSpec.dirac_delta_squared(),
-                          potential_token="delta2")
+                          potential=PotentialSpec.dirac_delta_squared())
         rep = uniqueness_experiment(cfg)
         assert rep.verdict.kind == "Fail"
         assert rep.fit.exponent == pytest.approx(-1.0, abs=0.3)
@@ -244,7 +246,6 @@ def bump_potential_config(**overrides):
         half_width=1.0,
         points=(128,),
         potential=PotentialSpec.sampled(v),
-        potential_token="sampled:test-bump",
         schedule=POLY,
         epsilons=EpsilonNet((1.0, 0.5, 0.25, 0.125, 0.0625)),
         T=0.5,
@@ -278,8 +279,7 @@ class TestConsistency:
             consistency_experiment(cfg)
 
     def test_constant_potential_converges_via_datum(self):
-        cfg = bump_potential_config(potential=PotentialSpec.constant(1.0),
-                                    potential_token="constant:1")
+        cfg = bump_potential_config(potential=PotentialSpec.constant(1.0))
         rep = consistency_experiment(cfg)
         assert rep.verdict.kind == "Moderate"
 
@@ -326,7 +326,7 @@ class TestSweepDriver:
                 experiment="uniqueness", norm="l2", points=(256,),
                 epsilons=EpsilonNet.dyadic(0.5, 6),
                 perturbation="exp" if kind == "uniqueness" else "none",
-                potential=PotentialSpec.dirac_delta_squared(), potential_token="delta2"))
+                potential=PotentialSpec.dirac_delta_squared()))
             if kind == "uniqueness":
                 assert rep.records[-1].norm_sup_t == 0.0
                 want = [True] * 5 + [False]
@@ -388,8 +388,7 @@ class TestRunParallelDeterminism:
         # the attractive well makes the L2 norm grow, so each sup is attained
         # after t = 0 and the report depends on every CG step
         cfg = make_config(group=euclidean(2), half_width=2.0, points=(48, 48),
-                          potential=PotentialSpec.dirac_delta(multiplier=-5.0),
-                          potential_token="delta:-5", norm="l2",
+                          potential=PotentialSpec.dirac_delta(multiplier=-5.0), norm="l2",
                           epsilons=EpsilonNet((0.5, 0.35, 0.25, 0.18)), T=0.25, dt=1.0 / 64)
         bodies = []
         for threads in (1, 2):
@@ -516,3 +515,36 @@ class TestConfigRoundTrip:
         cfg = parse_sweep_config(text)
         assert cfg.potential.sign_class == "real"
         assert cfg.norm == "l2"
+
+    # the sign class each token gets with sign_class unset, nonneg or real;
+    # None is a ConfigError, and so is every undeclarable class such as maybe
+    SIGN_CLASSES = {
+        "delta": ("nonneg", "nonneg", None),
+        "delta:-2": ("real", None, "real"),
+        "delta:0": (None, None, None),
+        "delta2:-1": ("real", None, "real"),
+        "constant:0": ("nonneg", "nonneg", "real"),
+        "constant:1": ("nonneg", "nonneg", "real"),
+        "constant:-1": ("real", None, "real"),
+        "sampled:pos.npy": ("nonneg", "nonneg", "real"),
+        "sampled:mixed.npy": ("real", None, "real"),
+    }
+
+    @pytest.mark.parametrize("declared", [None, "nonneg", "real", "maybe"])
+    @pytest.mark.parametrize("token", list(SIGN_CLASSES))
+    def test_sign_class_rule(self, tmp_path, token, declared):
+        bump = bump_field(make_grid(euclidean(1), 1.0, 128), 0.6).values
+        np.save(tmp_path / "pos.npy", bump)
+        np.save(tmp_path / "mixed.npy", bump - 0.5)
+        text = CONFIG_TEXT.replace("potential = delta", f"potential = {token}")
+        if declared is not None:
+            text += f"sign_class = {declared}\n"
+        outcomes = self.SIGN_CLASSES[token]
+        want = outcomes[(None, "nonneg", "real").index(declared)] if declared != "maybe" else None
+        if want is None:
+            with pytest.raises(ConfigError):
+                parse_sweep_config(text, base_dir=tmp_path)
+            return
+        cfg = parse_sweep_config(text, base_dir=tmp_path)
+        assert cfg.potential.sign_class == want
+        assert cfg.norm == ("hnu2" if want == "nonneg" else "l2")

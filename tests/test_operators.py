@@ -273,10 +273,11 @@ class TestSpectralLimit:
             raise AssertionError("blocks were built before the limit was checked")
         monkeypatch.setattr(operators, "_central_blocks", refuse)
 
-    def test_dof_limit_enforced(self, no_blocks):
+    def test_dof_limit_enforced(self, no_blocks, monkeypatch):
         R = build_rockland(make_grid(heisenberg1(), 1.5, 8))  # 64-dof blocks
+        monkeypatch.setattr(operators, "SPECTRAL_DOF_LIMIT", 32)
         with pytest.raises(CapabilityError, match="smaller grid"):
-            R.eigensystem(dof_limit=32)
+            R.eigensystem()
 
     def test_default_limit_refuses_large_grids(self, no_blocks):
         grid = make_grid(euclidean(2), 1.0, (6004, 4))  # 6004-dof blocks > 6000

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from gradedheat import operators
 from gradedheat import solve as solve_module
 from gradedheat.errors import CapabilityError, ConvergenceError, StabilityError
 from gradedheat.groups import Field, euclidean, heisenberg1, make_grid
@@ -374,11 +375,14 @@ class TestOracle:
             traj = oracle_expm(p)
             assert np.all(np.diff(traj.l2) <= 1e-12 * traj.l2[0])
 
-    def test_dof_limit(self, lap32):
+    def test_dof_limit(self, lap32, monkeypatch):
+        # the limit is read at call time and checked before R is densified
         g = lap32.grid
         p = CauchyProblem(lap32, Field.zeros(g), bump_field(g, 1.0), T=0.1, dt=0.1)
-        with pytest.raises(CapabilityError):
-            oracle_expm(p, dof_limit=16)
+        monkeypatch.setattr(operators, "SPECTRAL_DOF_LIMIT", 16)
+        monkeypatch.setattr(lap32, "matrix", None)
+        with pytest.raises(CapabilityError, match="dof <= 16"):
+            oracle_expm(p)
 
 
 class TestConvergence:
