@@ -201,11 +201,6 @@ def _l2_state_distance(a: Trajectory, b: Trajectory) -> float:
     return worst
 
 
-def _h_nu2_of(field: Field, op) -> float:
-    # L2 + homogeneous seminorm via the quadratic form; no eigensystem needed
-    return lp_norm(field, 2) + math.sqrt(op.quad_form(field))
-
-
 class _Row(NamedTuple):
     """One measured eps, before the fit decides its fitted_flag."""
 
@@ -287,7 +282,7 @@ def existence_experiment(cfg: SweepConfig) -> SweepReport:
         def measure(eps, v_eps, u0_eps):
             traj = step_implicit(CauchyProblem(op, v_eps, u0_eps, cfg.T, cfg.dt))
             v_linf = float(np.abs(v_eps.values).max())
-            u0_h = _h_nu2_of(u0_eps, op)
+            u0_h = float(traj.h_nu2[0])
             extras = {
                 "sup_l2": float(np.max(traj.l2)),
                 "sup_hnu2": float(np.max(traj.h_nu2)),

@@ -100,7 +100,9 @@ class DiscreteRockland:
         """<R f, f> in l2 weighted by the cell volume; clamped at zero."""
         self._check_field(f)
         v = f.flat
-        q = float(v @ (self.matrix @ v)) * self.grid.cell_volume
+        # np.sum (fixed pairwise order) as in the solvers' norm series, so the
+        # value matches their t = 0 record bit for bit
+        q = float(np.sum(v * (self.matrix @ v))) * self.grid.cell_volume
         # exact value is >= 0; rounding may leave a tiny negative residue
         return max(q, 0.0)
 

@@ -4,7 +4,11 @@ Three routes to the same trajectory: a backward-Euler stepper (the
 workhorse), a spectral Duhamel/Picard solver on the operator's
 central-frequency eigensystem, and a dense eigendecomposition oracle for
 cross-checks on small grids.  All of them record L2, homogeneous
-order-nu/2 Sobolev and (for nonnegative V) energy series at every step.
+order-nu/2 Sobolev and (for nonnegative V) energy series at every step,
+through one recorder that buffers the states and reduces them a block at a
+time (at most RECORD_BLOCK_BYTES of states per block).  The block sums are
+row-wise reductions of C-contiguous arrays, so each value is bit-equal to
+the one-state-at-a-time reduction.
 
 Backward Euler solves I + dt(R + V) once per step.  On R a sparse LU,
 factorised once per problem, does that cheaply: the periodic tridiagonal
@@ -35,6 +39,7 @@ from .operators import DiscreteRockland, _from_eigenbasis, _to_eigenbasis
 PICARD_TOL = 1e-12
 CG_TOL = 1e-14
 STATE_THIN_TARGET = 64
+RECORD_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -85,13 +90,18 @@ class Trajectory:
     def __post_init__(self):
         if self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0):
             raise ValueError("times must increase strictly from 0")
-        for name in ("l2", "sobolev_nu2"):
-            series = getattr(self, name)
-            if not np.all(np.isfinite(series)) or np.any(series < 0):
-                raise ValueError(f"{name} series must be finite and nonnegative")
+        series = {"l2": self.l2, "sobolev_nu2": self.sobolev_nu2}
         if self.energy is not None:
-            if not np.all(np.isfinite(self.energy)) or np.any(self.energy < 0):
-                raise ValueError("energy series must be finite and nonnegative")
+            series["energy"] = self.energy
+        for name, values in series.items():
+            if len(values) != len(self.times):
+                raise ValueError(
+                    f"{name} has {len(values)} values for {len(self.times)} times")
+            if not np.all(np.isfinite(values)) or np.any(values < 0):
+                raise ValueError(f"{name} series must be finite and nonnegative")
+        if len(self.states) != len(self.state_times):
+            raise ValueError(
+                f"{len(self.states)} states for {len(self.state_times)} state times")
 
     @property
     def h_nu2(self) -> np.ndarray:
@@ -104,38 +114,60 @@ class Trajectory:
 
 
 class _Recorder:
-    # norm reductions use np.sum (fixed pairwise order) rather than BLAS dot
-    # products so that concurrent sweeps are bit-stable across thread counts
+    # States are copied into a (rows, N) block that is reduced once full.
+    # Norms use np.sum (fixed pairwise order), not BLAS dots, so concurrent
+    # sweeps are bit-stable across thread counts; each reduced operand must be
+    # C-contiguous (K, N), which numpy sums row by row in the order of a 1-D
+    # np.sum, so the series equal the one-state-at-a-time values bit for bit.
     def __init__(self, problem: CauchyProblem):
         grid = problem.u0.grid
         self.grid = grid
         self.vol = grid.cell_volume
         self.mat = problem.op.matrix
         self.v_flat = problem.V.values.ravel()
-        self.track_energy = bool(self.v_flat.min() >= 0.0)
         self.steps = problem.steps
         self.thin = max(1, problem.steps // STATE_THIN_TARGET)
-        self.times, self.l2, self.sob, self.e = [], [], [], []
+        rows = min(max(RECORD_BLOCK_BYTES // (8 * grid.size), 1),
+                   STATE_THIN_TARGET, self.steps + 1)
+        self.block = np.empty((rows, grid.size))
+        self.k = 0
+        self.filled = 0
+        self.times = np.arange(self.steps + 1) * problem.dt_effective
+        self.l2 = np.empty(self.steps + 1)
+        self.sob = np.empty(self.steps + 1)
+        self.e = np.empty(self.steps + 1) if self.v_flat.min() >= 0.0 else None
         self.state_times, self.states = [], []
 
-    def push(self, k: int, t: float, u: np.ndarray):
-        l2 = math.sqrt(max(float(np.sum(u * u)) * self.vol, 0.0))
-        quad = max(float(np.sum(u * (self.mat @ u))) * self.vol, 0.0)
-        self.times.append(t)
-        self.l2.append(l2)
-        self.sob.append(math.sqrt(quad))
-        if self.track_energy:
-            self.e.append(quad + float(np.sum(self.v_flat * u * u)) * self.vol)
+    def push(self, u: np.ndarray):
+        """Record u as the state at step self.k (time k * dt_effective)."""
+        k = self.k
+        self.block[self.filled] = u
+        self.filled += 1
         if k % self.thin == 0 or k == self.steps:
-            self.state_times.append(t)
+            self.state_times.append(self.times[k])
             self.states.append(Field(self.grid, u.reshape(self.grid.shape)))
+        self.k += 1
+        if self.filled == len(self.block) or k == self.steps:
+            self._flush()
+
+    def _flush(self):
+        u = self.block[:self.filled]
+        span = slice(self.k - self.filled, self.k)
+        self.filled = 0
+        self.l2[span] = np.sqrt(np.sum(u * u, axis=1) * self.vol)
+        ru = np.ascontiguousarray((self.mat @ u.T).T)
+        quad = np.sum(u * ru, axis=1) * self.vol
+        quad[quad < 0.0] = 0.0  # rounding may leave a tiny negative residue
+        self.sob[span] = np.sqrt(quad)
+        if self.e is not None:
+            self.e[span] = quad + np.sum(self.v_flat * u * u, axis=1) * self.vol
 
     def build(self) -> Trajectory:
         return Trajectory(
-            times=np.array(self.times),
-            l2=np.array(self.l2),
-            sobolev_nu2=np.array(self.sob),
-            energy=np.array(self.e) if self.track_energy else None,
+            times=self.times,
+            l2=self.l2,
+            sobolev_nu2=self.sob,
+            energy=self.e,
             state_times=np.array(self.state_times),
             states=tuple(self.states),
         )
@@ -162,10 +194,10 @@ def step_implicit(p: CauchyProblem) -> Trajectory:
         solve = _cg_solver(p, dt, v_flat, v_minus)
     rec = _Recorder(p)
     u = p.u0.values.ravel().astype(float)
-    rec.push(0, 0.0, u)
+    rec.push(u)
     for k in range(1, p.steps + 1):
         u = solve(u, k)
-        rec.push(k, k * dt, u)
+        rec.push(u)
     return rec.build()
 
 
@@ -281,7 +313,7 @@ def solve_duhamel(p: CauchyProblem, n_picard: int = 8) -> Trajectory:
     phys = _from_eigenbasis(vecs, coeff, n_c)
     rec = _Recorder(p)
     for k in range(steps + 1):
-        rec.push(k, k * dt, phys[k].ravel())
+        rec.push(phys[k].ravel())
     return rec.build()
 
 
@@ -304,7 +336,7 @@ def oracle_expm(p: CauchyProblem) -> Trajectory:
     dt = p.dt_effective
     rec = _Recorder(p)
     for k in range(p.steps + 1):
-        rec.push(k, k * dt, vecs @ (np.exp(-k * dt * w) * c0))
+        rec.push(vecs @ (np.exp(-k * dt * w) * c0))
     return rec.build()
 
 

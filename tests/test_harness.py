@@ -147,6 +147,24 @@ def make_config(**overrides):
 
 
 class TestExistence:
+    def test_u0_norm_is_trajectory_t0_record(self, monkeypatch):
+        # the u0 extra is the trajectory's own t = 0 value; on 1024 points a
+        # BLAS dot for the quadratic form differed from it in the last bit
+        trajectories = []
+        solve = harness.step_implicit
+
+        def spy(problem):
+            trajectories.append(solve(problem))
+            return trajectories[-1]
+
+        monkeypatch.setattr(harness, "step_implicit", spy)
+        rep = existence_experiment(make_config(points=(1024,)))
+        assert len(trajectories) == len(rep.records)
+        for rec, traj in zip(rep.records, trajectories):
+            extras = dict(rec.extras)
+            assert extras["u0_hnu2"] == traj.h_nu2[0]
+            assert extras["majorant"] == (1.0 + extras["v_linf"]) * traj.h_nu2[0]
+
     def test_zero_potential_is_flat(self):
         cfg = make_config(potential=PotentialSpec.constant(0.0))
         rep = existence_experiment(cfg)

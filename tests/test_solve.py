@@ -529,3 +529,132 @@ class TestTrajectoryValidation:
         with pytest.raises(ValueError):
             Trajectory(times=np.array([0.0, 0.1]), l2=bad, sobolev_nu2=ones,
                        energy=None, state_times=np.array([0.0]), states=(f,))
+
+    @pytest.mark.parametrize("lengths", [
+        dict(l2=3, sobolev_nu2=2, energy=None),
+        dict(l2=2, sobolev_nu2=1, energy=None),
+        dict(l2=2, sobolev_nu2=2, energy=5),
+        dict(l2=3, sobolev_nu2=1, energy=5),
+    ], ids=["l2", "sobolev", "energy", "all"])
+    def test_series_lengths_must_match_times(self, lap32, lengths):
+        f = Field.zeros(lap32.grid)
+        series = {name: None if n is None else np.ones(n) for name, n in lengths.items()}
+        with pytest.raises(ValueError, match="values for 2 times"):
+            Trajectory(times=np.array([0.0, 0.1]), state_times=np.array([0.0]),
+                       states=(f,), **series)
+
+    def test_states_must_match_state_times(self, lap32):
+        f = Field.zeros(lap32.grid)
+        ones = np.ones(2)
+        with pytest.raises(ValueError, match="2 states for 1 state times"):
+            Trajectory(times=np.array([0.0, 0.1]), l2=ones, sobolev_nu2=ones,
+                       energy=None, state_times=np.array([0.0]), states=(f, f))
+
+
+def record_every_state(monkeypatch):
+    """Copies of every state handed to the recorder, in order."""
+    seen = []
+    push = solve_module._Recorder.push
+
+    def spy(self, u):
+        seen.append(np.array(u, copy=True))
+        push(self, u)
+
+    monkeypatch.setattr(solve_module._Recorder, "push", spy)
+    return seen
+
+
+def assert_series_per_state(p, traj, seen):
+    """The series equal the one-state-at-a-time reductions bit for bit."""
+    vol = p.u0.grid.cell_volume
+    mat = p.op.matrix
+    v = p.V.values.ravel()
+    l2, sob, en = [], [], []
+    for u in seen:
+        quad = max(float(np.sum(u * (mat @ u))) * vol, 0.0)
+        l2.append(math.sqrt(max(float(np.sum(u * u)) * vol, 0.0)))
+        sob.append(math.sqrt(quad))
+        en.append(quad + float(np.sum(v * u * u)) * vol)
+    dt = p.dt_effective
+    assert len(seen) == p.steps + 1
+    assert np.array_equal(traj.times, np.array([k * dt for k in range(p.steps + 1)]))
+    assert np.array_equal(traj.l2, np.array(l2))
+    assert np.array_equal(traj.sobolev_nu2, np.array(sob))
+    if v.min() >= 0.0:
+        assert np.array_equal(traj.energy, np.array(en))
+    else:
+        assert traj.energy is None
+    thin = max(1, p.steps // solve_module.STATE_THIN_TARGET)
+    kept = [k for k in range(p.steps + 1) if k % thin == 0 or k == p.steps]
+    assert np.array_equal(traj.state_times, np.array([k * dt for k in kept]))
+    assert len(traj.states) == len(kept)
+    for k, f in zip(kept, traj.states):
+        assert np.array_equal(f.values.ravel(), seen[k])
+
+
+def block_rows(p):
+    return solve_module._Recorder(p).block.shape[0]
+
+
+class TestRecorder:
+    def random_problem(self, op, T, dt, seed, shift=0.0):
+        g = op.grid
+        rng = np.random.default_rng(seed)
+        V = Field(g, 3.0 * rng.random(g.shape) - shift)
+        return CauchyProblem(op, V, Field(g, rng.standard_normal(g.shape)), T=T, dt=dt)
+
+    def test_partial_last_block(self, monkeypatch):
+        op = build_rockland(make_grid(euclidean(1), 1.0, 256))
+        p = self.random_problem(op, T=1.0, dt=1.0 / 150, seed=1)
+        rows = block_rows(p)
+        assert rows == 64 and (p.steps + 1) % rows != 0
+        seen = record_every_state(monkeypatch)
+        assert_series_per_state(p, step_implicit(p), seen)
+
+    def test_one_row_blocks(self, monkeypatch):
+        op = build_rockland(make_grid(euclidean(1), 1.0, 256))
+        p = self.random_problem(op, T=1.0, dt=1.0 / 100, seed=2)
+        monkeypatch.setattr(solve_module, "RECORD_BLOCK_BYTES", 8)
+        assert block_rows(p) == 1
+        seen = record_every_state(monkeypatch)
+        assert_series_per_state(p, step_implicit(p), seen)
+
+    def test_byte_cap_sizes_blocks(self):
+        def rows(group, half_width, points, steps):
+            op = build_rockland(make_grid(group, half_width, points))
+            return block_rows(CauchyProblem(op, Field.zeros(op.grid), Field.zeros(op.grid),
+                                            T=1.0, dt=1.0 / steps))
+        assert rows(euclidean(1), 1.0, 256, 1000) == 64
+        assert rows(euclidean(1), 1.0, 256, 10) == 11
+        assert rows(heisenberg1(), 1.5, (16, 16, 32), 100) == 4
+        assert rows(euclidean(2), 1.0, 256, 10) == 1
+
+    def test_heisenberg(self, sub8, monkeypatch):
+        p = self.random_problem(sub8, T=0.5, dt=1.0 / 40, seed=3)
+        seen = record_every_state(monkeypatch)
+        assert_series_per_state(p, step_implicit(p), seen)
+
+    def test_sign_changing_potential(self, lap32, monkeypatch):
+        p = self.random_problem(lap32, T=0.5, dt=1.0 / 90, seed=4, shift=1.5)
+        seen = record_every_state(monkeypatch)
+        traj = step_implicit(p)
+        assert traj.energy is None
+        assert_series_per_state(p, traj, seen)
+
+    @pytest.mark.parametrize("solver", [solve_duhamel, oracle_expm])
+    def test_spectral_solvers(self, lap32, solver, monkeypatch):
+        p = self.random_problem(lap32, T=0.5, dt=1.0 / 100, seed=5)
+        seen = record_every_state(monkeypatch)
+        assert_series_per_state(p, solver(p), seen)
+
+    @pytest.mark.parametrize("group, half_width, points", [
+        (euclidean(1), 1.0, 256),
+        (heisenberg1(), 1.5, 12),
+    ], ids=["e1-256", "h1-12^3"])
+    def test_quad_form_matches_t0_record(self, group, half_width, points):
+        op = build_rockland(make_grid(group, half_width, points))
+        u0 = bump_field(op.grid, 0.8)
+        V = bump_field(op.grid, 1.0)
+        traj = step_implicit(CauchyProblem(op, V, u0, T=0.1, dt=0.1))
+        assert math.sqrt(op.quad_form(u0)) == traj.sobolev_nu2[0]
+        assert energy(u0, V, op) == traj.energy[0]
