@@ -13,11 +13,12 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from .config import (
+    _get_float,
+    _get_int,
     parse_config_text,
     parse_sweep_config,
     parse_sweep_config_file,
@@ -34,9 +35,14 @@ from .errors import (
 
 _NUMERICAL_ERRORS = (CapabilityError, StabilityError, ConvergenceError,
                      SupportError, ResolutionError, DegenerateFieldError)
-from .groups import Field
 from .harness import fit_exponent, persist_report, run_experiment
-from .mollify import Mollifier, bump_field, regularize_field, regularize_potential
+from .mollify import (
+    Mollifier,
+    bump_field,
+    classical_potential,
+    regularize_field,
+    regularize_potential,
+)
 from .operators import build_rockland
 from .solve import CauchyProblem, oracle_expm, solve_duhamel, step_implicit
 
@@ -85,42 +91,43 @@ def _write_trajectory(traj, out_dir: Path) -> Path:
 
 
 def _solve_config(path: str):
-    # solve ignores the experiment dimension; tolerate configs without the key
+    """Read one solve's config as (cfg, epsilon or None, integrator).
+
+    The only reader of epsilon, method and picard_depth; sweeps ignore them.
+    """
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    supplied = None if "experiment" in parse_config_text(text) else "existence"
-    return parse_sweep_config(text, experiment=supplied, base_dir=Path(path).parent)
+    keys = parse_config_text(text)
+    # solve ignores the experiment dimension; tolerate configs without the key
+    supplied = None if "experiment" in keys else "existence"
+    cfg = parse_sweep_config(text, experiment=supplied, base_dir=Path(path).parent)
+    epsilon = _get_float(keys, "epsilon") if "epsilon" in keys else None
+    picard_depth = _get_int(keys, "picard_depth", 8)
+    if picard_depth < 1:
+        raise ConfigError(f"picard_depth must be a positive integer, got {picard_depth}")
+    integrators = {"implicit": step_implicit,
+                   "duhamel": partial(solve_duhamel, n_picard=picard_depth),
+                   "oracle": oracle_expm}
+    method = keys.get("method", "implicit")
+    if method not in integrators:
+        raise ConfigError(f"method must be implicit, duhamel or oracle, got {method!r}")
+    return cfg, epsilon, integrators[method]
 
 
 def cmd_solve(args) -> int:
-    cfg = _solve_config(args.config)
+    cfg, epsilon, integrate = _solve_config(args.config)
     grid = cfg.make_grid()
     op = build_rockland(grid)
     u0 = bump_field(grid, cfg.u0_width, cfg.u0_amplitude)
-    pot = cfg.potential
-    if cfg.epsilon is None:
-        if pot.kind in ("dirac_delta", "dirac_delta_squared"):
-            raise ConfigError(
-                "delta-type potentials only exist through regularisation; "
-                "set the epsilon key")
-        if pot.kind == "constant":
-            v = Field(grid, np.full(grid.shape, pot.value))
-        else:
-            v = pot.sample
+    if epsilon is None:
+        v = classical_potential(cfg.potential, grid)
     else:
         psi = Mollifier(grid.dim, cfg.mollifier_radius)
-        v = regularize_potential(pot, cfg.epsilon, cfg.v_schedule, psi, grid)
-        u0 = regularize_field(u0, cfg.epsilon, cfg.u0_schedule, psi)
-
-    problem = CauchyProblem(op, v, u0, cfg.T, cfg.dt)
-    if cfg.method == "implicit":
-        traj = step_implicit(problem)
-    elif cfg.method == "duhamel":
-        traj = solve_duhamel(problem, n_picard=cfg.picard_depth)
-    else:
-        traj = oracle_expm(problem)
+        v = regularize_potential(cfg.potential, epsilon, cfg.v_schedule, psi, grid)
+        u0 = regularize_field(u0, epsilon, cfg.u0_schedule, psi)
+    traj = integrate(CauchyProblem(op, v, u0, cfg.T, cfg.dt))
     path = _write_trajectory(traj, Path(args.out))
     print(f"wrote {path}")
     print(f"final t = {traj.times[-1]:.6g}, l2 = {traj.l2[-1]:.6g}")

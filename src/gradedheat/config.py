@@ -12,6 +12,7 @@ configs hash the same as their file twins.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,11 +33,12 @@ _PERTURBATIONS = ("exp", "omega1", "none")
 
 _KNOWN_KEYS = frozenset({
     "group", "half_width", "points", "potential", "sign_class", "schedule",
-    "epsilons", "T", "dt", "norm", "k_max", "N_max", "picard_depth",
-    "threads", "experiment",
+    "epsilons", "T", "dt", "norm", "k_max", "N_max", "threads", "experiment",
     # extensions beyond the core key set (see the decisions notes):
     "perturbation", "u0_width", "u0_amplitude", "mollifier_radius",
-    "schedule_v", "schedule_u0", "epsilon", "method",
+    "schedule_v", "schedule_u0",
+    # read only by `gradedheat solve`; listed so one file serves both commands:
+    "epsilon", "method", "picard_depth",
 })
 
 
@@ -56,7 +58,6 @@ class SweepConfig:
     norm: str
     k_max: int = 10
     n_max: int = 10
-    picard_depth: int = 8
     threads: int = 1
     perturbation: str = "exp"
     u0_width: float = 0.0  # 0 means: default to 0.75 * half_width
@@ -64,8 +65,6 @@ class SweepConfig:
     mollifier_radius: float = 1.0
     schedule_v: OmegaSchedule | None = None
     schedule_u0: OmegaSchedule | None = None
-    epsilon: float | None = None  # single-solve regularisation parameter
-    method: str = "implicit"
 
     def __post_init__(self):
         if self.experiment not in _EXPERIMENTS:
@@ -73,14 +72,12 @@ class SweepConfig:
         if self.perturbation not in _PERTURBATIONS:
             raise ConfigError(
                 f"perturbation must be one of {_PERTURBATIONS}, got {self.perturbation!r}")
-        if self.method not in ("implicit", "duhamel", "oracle"):
-            raise ConfigError(f"method must be implicit, duhamel or oracle, got {self.method!r}")
-        if self.T <= 0 or self.dt <= 0 or self.dt > self.T:
-            raise ConfigError(f"need 0 < dt <= T, got dt = {self.dt}, T = {self.T}")
+        if not 0 < self.dt <= self.T < math.inf:
+            raise ConfigError(f"need 0 < dt <= T < inf, got dt = {self.dt}, T = {self.T}")
         parse_norm_token(self.norm)
         if self.u0_width == 0.0:
             object.__setattr__(self, "u0_width", 0.75 * self.half_width)
-        for name in ("k_max", "n_max", "picard_depth", "threads"):
+        for name in ("k_max", "n_max", "threads"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive integer")
 
@@ -101,10 +98,7 @@ def parse_norm_token(token: str):
     if token in ("l2", "hnu2", "linf"):
         return token, None
     if token.startswith("lp:"):
-        try:
-            p = float(token[3:])
-        except ValueError:
-            raise ConfigError(f"bad lp exponent in norm token {token!r}") from None
+        p = _finite(token[3:], f"lp exponent in norm token {token!r}")
         if p < 1.0:
             raise ConfigError(f"lp norm needs p >= 1, got {p}")
         return "lp", p
@@ -130,19 +124,11 @@ def _parse_potential_token(token: str, sign_class: str | None, grid,
                            base_dir: Path) -> PotentialSpec:
     kind, _, arg = token.partition(":")
     if kind in ("delta", "delta2"):
-        multiplier = 1.0
-        if arg:
-            try:
-                multiplier = float(arg)
-            except ValueError:
-                raise ConfigError(f"bad delta multiplier in {token!r}") from None
+        multiplier = _finite(arg, f"delta multiplier in {token!r}") if arg else 1.0
         name = "dirac_delta" if kind == "delta" else "dirac_delta_squared"
         return PotentialSpec(name, value=multiplier, sign_class=sign_class)
     if kind == "constant":
-        try:
-            c = float(arg)
-        except ValueError:
-            raise ConfigError(f"bad constant in potential token {token!r}") from None
+        c = _finite(arg, f"constant in potential token {token!r}")
         return PotentialSpec("constant", value=c, sign_class=sign_class)
     if kind == "sampled":
         if not arg:
@@ -190,15 +176,23 @@ def _require(keys: dict[str, str], name: str) -> str:
     return keys[name]
 
 
+def _finite(text: str, what: str) -> float:
+    """text as a finite float; nan and inf are a ConfigError like any non-number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"{what}: not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{what}: must be finite, got {text!r}")
+    return value
+
+
 def _get_float(keys, name, default=None) -> float:
     if name not in keys:
         if default is None:
             raise ConfigError(f"missing required key {name!r}")
         return default
-    try:
-        return float(keys[name])
-    except ValueError:
-        raise ConfigError(f"key {name!r}: not a number: {keys[name]!r}") from None
+    return _finite(keys[name], f"key {name!r}")
 
 
 def _get_int(keys, name, default) -> int:
@@ -247,8 +241,7 @@ def parse_sweep_config(text: str, experiment: str | None = None,
     schedule = _parse_schedule_token(_require(keys, "schedule"))
     eps_token = _require(keys, "epsilons")
     try:
-        eps_values = tuple(float(e) for e in eps_token.split(","))
-        epsilons = EpsilonNet(eps_values)
+        epsilons = EpsilonNet(tuple(_finite(e, "epsilon") for e in eps_token.split(",")))
     except ValueError as exc:
         raise ConfigError(f"key 'epsilons': {exc}") from None
 
@@ -269,7 +262,6 @@ def parse_sweep_config(text: str, experiment: str | None = None,
 
     sched_v = keys.get("schedule_v")
     sched_u0 = keys.get("schedule_u0")
-    epsilon = _get_float(keys, "epsilon") if "epsilon" in keys else None
     try:
         return SweepConfig(
             group=group,
@@ -284,7 +276,6 @@ def parse_sweep_config(text: str, experiment: str | None = None,
             norm=norm,
             k_max=_get_int(keys, "k_max", 10),
             n_max=_get_int(keys, "N_max", 10),
-            picard_depth=_get_int(keys, "picard_depth", 8),
             threads=_get_int(keys, "threads", 1),
             perturbation=keys.get("perturbation", "exp"),
             u0_width=_get_float(keys, "u0_width", default=0.0),
@@ -292,8 +283,6 @@ def parse_sweep_config(text: str, experiment: str | None = None,
             mollifier_radius=_get_float(keys, "mollifier_radius", default=1.0),
             schedule_v=None if sched_v is None else _parse_schedule_token(sched_v),
             schedule_u0=None if sched_u0 is None else _parse_schedule_token(sched_u0),
-            epsilon=epsilon,
-            method=keys.get("method", "implicit"),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -328,18 +317,14 @@ def canonical_text(cfg: SweepConfig) -> str:
         "norm": cfg.norm,
         "k_max": str(cfg.k_max),
         "N_max": str(cfg.n_max),
-        "picard_depth": str(cfg.picard_depth),
         "perturbation": cfg.perturbation,
         "u0_width": repr(cfg.u0_width),
         "u0_amplitude": repr(cfg.u0_amplitude),
         "mollifier_radius": repr(cfg.mollifier_radius),
         "schedule_v": str(cfg.v_schedule),
         "schedule_u0": str(cfg.u0_schedule),
-        "method": cfg.method,
     }
     # threads deliberately omitted: it must not change any result
-    if cfg.epsilon is not None:
-        items["epsilon"] = repr(cfg.epsilon)
     return "".join(f"{k} = {items[k]}\n" for k in sorted(items))
 
 

@@ -44,6 +44,7 @@ from .groups import Field
 from .mollify import (
     Mollifier,
     bump_field,
+    classical_potential,
     omega,
     regularize_field,
     regularize_potential,
@@ -287,7 +288,6 @@ def existence_experiment(cfg: SweepConfig) -> SweepReport:
                 "sup_l2": float(np.max(traj.l2)),
                 "sup_hnu2": float(np.max(traj.h_nu2)),
                 "v_linf": v_linf,
-                "v_linf_vs_v_schedule": v_linf,  # fitted against the V-schedule's omega
                 "u0_hnu2": u0_h,
                 "majorant": (1.0 + v_linf) * u0_h,
             }
@@ -301,8 +301,7 @@ def existence_experiment(cfg: SweepConfig) -> SweepReport:
                 for name in ("sup_l2", "sup_hnu2", "v_linf", "u0_hnu2", "majorant")]
         try:
             nets.append(("v_linf_vs_v_schedule",
-                         [(omega(cfg.v_schedule, r.epsilon), r.extras["v_linf_vs_v_schedule"])
-                          for r in rows]))
+                         [(omega(cfg.v_schedule, r.epsilon), r.extras["v_linf"]) for r in rows]))
         except ValueError:
             pass  # a constant V is never regularised, so its schedule may not reach every eps
         return fit, verdict, _fitted_nets(nets)
@@ -368,17 +367,9 @@ def consistency_experiment(cfg: SweepConfig) -> SweepReport:
     """
     if cfg.experiment != "consistency":
         raise ValueError(f"config is for {cfg.experiment!r}, not 'consistency'")
-    if cfg.potential.kind not in ("sampled", "constant"):
-        raise ValueError(
-            "consistency needs a continuous potential (classical solutions are "
-            "defined against C_0 data); delta-type potentials have no classical "
-            "reference")
 
     def measure_on(grid, op, u0_raw):
-        if cfg.potential.kind == "constant":
-            v_raw = Field(grid, np.full(grid.shape, cfg.potential.value))
-        else:
-            v_raw = cfg.potential.sample
+        v_raw = classical_potential(cfg.potential, grid)
         reference = step_implicit(CauchyProblem(op, v_raw, u0_raw, cfg.T, cfg.dt))
 
         def measure(eps, v_eps, u0_eps):

@@ -46,6 +46,7 @@ __all__ = [
     "omega",
     "mollifier_net",
     "PotentialSpec",
+    "classical_potential",
     "regularize_potential",
     "regularize_field",
     "convolve",
@@ -379,6 +380,19 @@ def unit_mass_kernel(psi: Mollifier, eps: float, schedule: OmegaSchedule,
     return Field(grid, raw.values / mass)
 
 
+def classical_potential(pot: PotentialSpec, grid: Grid) -> Field:
+    """V itself on the grid: the epsilon-free field of a constant or sampled V.
+
+    Delta kinds have no such field; they exist only through regularisation.
+    """
+    if pot.kind == "constant":
+        return Field(grid, np.full(grid.shape, pot.value))
+    if pot.kind == "sampled":
+        return pot.sample
+    raise ValueError(f"{pot.kind} has no classical (epsilon-free) form: a delta-type "
+                     "potential exists only through its regularisation at some epsilon")
+
+
 def regularize_potential(pot: PotentialSpec, eps: float, schedule: OmegaSchedule,
                          psi: Mollifier, grid: Grid) -> Field:
     """The regularised potential V_eps on the grid.
@@ -388,7 +402,7 @@ def regularize_potential(pot: PotentialSpec, eps: float, schedule: OmegaSchedule
     constants pass through unchanged.
     """
     if pot.kind == "constant":
-        return Field(grid, np.full(grid.shape, pot.value))
+        return classical_potential(pot, grid)
     _check_center(pot.center, grid)
     if pot.kind == "dirac_delta":
         net = mollifier_net(psi, eps, schedule, grid, center=pot.center)

@@ -86,6 +86,21 @@ class TestSolve:
         cfg = write(tmp_path, "run.cfg", SOLVE_CFG + "sign_class = maybe\n")
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("line", ["method = bogus", "picard_depth = 0"])
+    def test_bad_solve_only_key_rejected(self, tmp_path, capsys, line):
+        cfg = write(tmp_path, "run.cfg", SOLVE_CFG + line + "\n")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert line.split(" = ")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epsilon", ["", "epsilon = 0.25\n"], ids=["classical", "mollified"])
+    def test_sampled_potential(self, tmp_path, epsilon):
+        grid = make_grid(euclidean(1), 1.0, 64)
+        np.save(tmp_path / "v.npy", bump_field(grid, 0.6, 0.8).values)
+        text = SOLVE_CFG.replace("constant:1", "sampled:v.npy") + epsilon
+        cfg = write(tmp_path, "run.cfg", text)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "trajectory.csv").exists()
+
 
 class TestSweep:
     def test_existence_pass(self, tmp_path, capsys):
@@ -141,6 +156,31 @@ class TestSweep:
         cfg = write(tmp_path, "run.cfg", SWEEP_CFG + "experiment = existence\n")
         assert main(["sweep", "--experiment", "uniqueness",
                      "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+
+
+class TestNonFiniteNumbers:
+    # float() accepts nan and inf, and nan passes every range check because
+    # each comparison with it is false
+    @pytest.mark.parametrize("command, line", [
+        ("solve", "T = inf"),
+        ("sweep", "T = nan"),
+        ("sweep", "dt = nan"),
+        ("sweep", "norm = lp:nan"),
+        ("sweep", "norm = lp:inf"),
+        ("solve", "mollifier_radius = nan"),
+        ("solve", "u0_width = nan"),
+        ("sweep", "potential = delta:nan"),
+        ("sweep", "potential = constant:nan"),
+    ])
+    def test_rejected_as_config_error(self, tmp_path, capsys, command, line):
+        key = line.split(" = ")[0]
+        kept = [row for row in SOLVE_CFG.splitlines() if not row.startswith(key + " ")]
+        cfg = write(tmp_path, "run.cfg", "\n".join(kept + [line]) + "\n")
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+        if command == "sweep":
+            argv[1:1] = ["--experiment", "existence"]
+        assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 class TestFit:

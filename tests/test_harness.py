@@ -2,7 +2,7 @@
 
 import importlib.util
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +29,16 @@ from gradedheat.harness import (
     run_experiment,
     uniqueness_experiment,
 )
-from gradedheat.mollify import EpsilonNet, OmegaSchedule, PotentialSpec, bump_field
+from gradedheat.mollify import (
+    EpsilonNet,
+    Mollifier,
+    OmegaSchedule,
+    PotentialSpec,
+    bump_field,
+    regularize_field,
+)
 from gradedheat.groups import euclidean, heisenberg1, make_grid
+from gradedheat.norms import lp_norm
 
 POLY = OmegaSchedule.polynomial()
 
@@ -202,6 +210,18 @@ class TestExistence:
         assert against_v.exponent == pytest.approx(1.0, abs=0.05)
         assert against_fit.exponent < 0.5
 
+    @pytest.mark.parametrize("norm, p", [("linf", math.inf), ("lp:3", 3.0)])
+    def test_state_norm_sup_is_the_datum_norm(self, norm, p):
+        # V >= 0 makes each backward Euler step an L^p contraction for every
+        # p, so the sup over the stored states is the mollified datum's norm
+        cfg = make_config(norm=norm)
+        rep = existence_experiment(cfg)
+        u0 = bump_field(cfg.make_grid(), cfg.u0_width, cfg.u0_amplitude)
+        psi = Mollifier(1, cfg.mollifier_radius)
+        for r in rep.records:
+            u0_eps = regularize_field(u0, r.epsilon, cfg.u0_schedule, psi)
+            assert r.norm_sup_t == pytest.approx(lp_norm(u0_eps, p), rel=1e-12)
+
     def test_real_potential_h_norm_still_moderate(self):
         cfg = make_config(potential=PotentialSpec.dirac_delta(multiplier=-1.0),
                           schedule_v=OmegaSchedule.logarithmic(1),
@@ -300,6 +320,24 @@ class TestConsistency:
         cfg = bump_potential_config(potential=PotentialSpec.constant(1.0))
         rep = consistency_experiment(cfg)
         assert rep.verdict.kind == "Moderate"
+
+    def test_stalled_net_fails(self):
+        # below the grid scale the unit-mass kernel is the discrete delta, so
+        # the last two errors are the same rounding residue
+        cfg = bump_potential_config(epsilons=EpsilonNet((1.0, 0.5, 0.25, 0.005, 0.004)))
+        rep = consistency_experiment(cfg)
+        assert rep.records[-1].norm_sup_t == rep.records[-2].norm_sup_t
+        assert rep.verdict.kind == "Fail"
+        assert rep.verdict.reason == "error net is not strictly decreasing"
+
+    def test_short_net_fails_the_floor(self):
+        # strictly decreasing, but eps = 1/2 leaves the error at 0.39 of the first
+        cfg = bump_potential_config(epsilons=EpsilonNet((1.0, 0.8, 0.6, 0.5)))
+        rep = consistency_experiment(cfg)
+        errors = [r.norm_sup_t for r in rep.records]
+        assert all(b < a for a, b in zip(errors, errors[1:]))
+        assert rep.verdict.kind == "Fail"
+        assert rep.verdict.reason.startswith("final error 0.134 is not below 0.1 of the first")
 
 
 class TestSweepDriver:
@@ -490,10 +528,41 @@ class TestConfigRoundTrip:
         cfg = parse_sweep_config(CONFIG_TEXT)
         assert config_hash(replace(cfg, threads=8)) == config_hash(cfg)
 
+    def test_hash_ignores_solve_only_keys(self):
+        # only `gradedheat solve` reads these, so a sweep's provenance omits them
+        solve_keys = {"epsilon", "method", "picard_depth"}
+        assert not solve_keys & {f.name for f in fields(SweepConfig)}
+        text = CONFIG_TEXT + "epsilon = 0.25\nmethod = duhamel\npicard_depth = 3\n"
+        assert config_hash(parse_sweep_config(text)) == config_hash(
+            parse_sweep_config(CONFIG_TEXT))
+
     def test_hash_changes_with_potential(self):
         other = CONFIG_TEXT.replace("potential = delta", "potential = delta2")
         assert config_hash(parse_sweep_config(other)) != config_hash(
             parse_sweep_config(CONFIG_TEXT))
+
+    @pytest.mark.parametrize("token, want", [
+        ("poly", OmegaSchedule.polynomial()),
+        ("log:2", OmegaSchedule.logarithmic(2)),
+        ("log:x", "bad n0"),
+        ("log:", "bad n0"),
+        ("log:0", "n0 >= 1"),
+        ("cubic", "poly or log"),
+    ])
+    def test_schedule_token(self, token, want):
+        text = CONFIG_TEXT.replace("schedule = poly", f"schedule = {token}")
+        if isinstance(want, str):
+            with pytest.raises(ConfigError, match=want):
+                parse_sweep_config(text)
+            return
+        cfg = parse_sweep_config(text)
+        assert cfg.schedule == want and str(cfg.schedule) == token
+
+    def test_readme_config_example_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("A typical config:", 1)[1].split("```")[1]
+        cfg = parse_sweep_config(block, experiment="existence")
+        assert cfg.points == (256,) and cfg.norm == "hnu2" and cfg.threads == 4
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
