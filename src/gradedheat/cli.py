@@ -17,11 +17,13 @@ from functools import partial
 from pathlib import Path
 
 from .config import (
+    _EXPERIMENTS,
     _get_float,
     _get_int,
     parse_config_text,
     parse_sweep_config,
     parse_sweep_config_file,
+    read_config_file,
 )
 from .errors import (
     CapabilityError,
@@ -64,8 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--out", required=True, help="output directory")
 
     p_sweep = sub.add_parser("sweep", help="epsilon sweep with verdict")
-    p_sweep.add_argument("--experiment", required=True,
-                         choices=("existence", "uniqueness", "consistency"))
+    p_sweep.add_argument("--experiment", required=True, choices=_EXPERIMENTS)
     p_sweep.add_argument("--config", required=True, help="flat key = value file")
     p_sweep.add_argument("--out", required=True, help="output directory")
 
@@ -95,10 +96,7 @@ def _solve_config(path: str):
 
     The only reader of epsilon, method and picard_depth; sweeps ignore them.
     """
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    text = read_config_file(path)
     keys = parse_config_text(text)
     # solve ignores the experiment dimension; tolerate configs without the key
     supplied = None if "experiment" in keys else "existence"

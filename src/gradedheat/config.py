@@ -34,7 +34,7 @@ _PERTURBATIONS = ("exp", "omega1", "none")
 _KNOWN_KEYS = frozenset({
     "group", "half_width", "points", "potential", "sign_class", "schedule",
     "epsilons", "T", "dt", "norm", "k_max", "N_max", "threads", "experiment",
-    # extensions beyond the core key set (see the decisions notes):
+    # optional keys beyond the core set; each default keeps a core file's meaning:
     "perturbation", "u0_width", "u0_amplitude", "mollifier_radius",
     "schedule_v", "schedule_u0",
     # read only by `gradedheat solve`; listed so one file serves both commands:
@@ -75,6 +75,9 @@ class SweepConfig:
         if not 0 < self.dt <= self.T < math.inf:
             raise ConfigError(f"need 0 < dt <= T < inf, got dt = {self.dt}, T = {self.T}")
         parse_norm_token(self.norm)
+        for name in ("u0_width", "u0_amplitude", "mollifier_radius"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.u0_width == 0.0:
             object.__setattr__(self, "u0_width", 0.75 * self.half_width)
         for name in ("k_max", "n_max", "threads"):
@@ -188,11 +191,9 @@ def _finite(text: str, what: str) -> float:
 
 
 def _get_float(keys, name, default=None) -> float:
-    if name not in keys:
-        if default is None:
-            raise ConfigError(f"missing required key {name!r}")
+    if name not in keys and default is not None:
         return default
-    return _finite(keys[name], f"key {name!r}")
+    return _finite(_require(keys, name), f"key {name!r}")
 
 
 def _get_int(keys, name, default) -> int:
@@ -288,13 +289,17 @@ def parse_sweep_config(text: str, experiment: str | None = None,
         raise ConfigError(str(exc)) from None
 
 
-def parse_sweep_config_file(path: str | Path, experiment: str | None = None) -> SweepConfig:
-    path = Path(path)
+def read_config_file(path: str | Path) -> str:
+    """The text of a config file; an unreadable file is a ConfigError."""
     try:
-        text = path.read_text()
+        return Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_sweep_config(text, experiment=experiment, base_dir=path.parent)
+
+
+def parse_sweep_config_file(path: str | Path, experiment: str | None = None) -> SweepConfig:
+    return parse_sweep_config(read_config_file(path), experiment=experiment,
+                              base_dir=Path(path).parent)
 
 
 def canonical_text(cfg: SweepConfig) -> str:

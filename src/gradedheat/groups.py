@@ -18,6 +18,7 @@ same interfaces but are not wired up here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -160,8 +161,8 @@ class Grid:
                 f"{len(self.half_widths)} and {len(self.points)}"
             )
         for L in self.half_widths:
-            if not (L > 0):
-                raise ValueError(f"half_widths must be positive, got {self.half_widths}")
+            if not 0 < L < math.inf:
+                raise ValueError(f"half_widths must be in (0, inf), got {self.half_widths}")
         for n in self.points:
             if n < 4:
                 raise ValueError(f"need at least 4 points per axis, got {self.points}")

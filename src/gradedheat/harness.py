@@ -12,15 +12,17 @@ into verdicts:
     consistency  mollified problems must converge to the classical solution,
                  strictly monotonically and below a floor
 
-All three run through one driver, _sweep.  It builds the grid, the operator,
-the mollifier and the bump datum, regularises V and u0 for each eps on a
-thread pool, merges the rows in net order and builds each SweepRecord once.
-An experiment supplies only two pieces: measure(eps, v_eps, u0_eps) ->
-(value, extras), run per eps on the pool, and judge(rows) -> (fit, verdict,
-extra_fits), run once on the merged rows.  The first failing eps in net
-order turns the report into Fail and keeps the rows that succeeded; a
-record's fitted_flag is set iff the main fit exists and its value is
-positive.  The per-eps solves are independent and the report is a
+All three run through one driver, _sweep.  It refuses a config written
+for another experiment, builds the grid, the operator, the mollifier and the
+bump datum, regularises V and u0 for each eps on a thread pool and keeps one
+SweepRecord per measured eps, merged in net order.  An experiment supplies
+only two pieces: measure(eps, v_eps, u0_eps) -> (value, extras), run per eps
+on the pool, and judge(records) -> (fit, verdict, extra_fits), run once on
+the merged records.  The first failing eps in net order turns the report
+into Fail and keeps the records that succeeded; after the judge, a record's
+fitted_flag is set iff the main fit exists and its value is positive.
+Every state and V norm is norms.lp_norm or a series the trajectory
+recorded.  The per-eps solves are independent and the report is a
 deterministic ordered reduction, so CSV output is byte-identical for any
 thread count.  A passing consistency run reports Moderate carrying the
 fitted slope of the error net (negative; its magnitude is the empirical
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -185,38 +187,24 @@ def _sup_norm(traj: Trajectory, norm_token: str) -> float:
         return float(np.max(traj.l2))
     if kind == "hnu2":
         return float(np.max(traj.h_nu2))
-    if kind == "linf":
-        return max(float(np.abs(s.values).max()) for s in traj.states)
-    return max(lp_norm(s, p) for s in traj.states)
+    return max(lp_norm(s, math.inf if kind == "linf" else p) for s in traj.states)
 
 
 def _l2_state_distance(a: Trajectory, b: Trajectory) -> float:
     """Sup over the common stored times of ||a(t) - b(t)||_{L2}."""
     if len(a.states) != len(b.states):
         raise ValueError("trajectories store different numbers of states")
-    vol = a.states[0].grid.cell_volume
-    worst = 0.0
-    for fa, fb in zip(a.states, b.states):
-        d = fa.values - fb.values
-        worst = max(worst, math.sqrt(float(np.sum(d * d)) * vol))
-    return worst
+    return max(lp_norm(fa - fb, 2) for fa, fb in zip(a.states, b.states))
 
 
-class _Row(NamedTuple):
-    """One measured eps, before the fit decides its fitted_flag."""
-
-    epsilon: float
-    omega: float
-    value: float
-    extras: dict[str, float]
-
-
-def _sweep(cfg: SweepConfig, measure_on, judge) -> SweepReport:
+def _sweep(cfg: SweepConfig, experiment: str, measure_on, judge) -> SweepReport:
     """Run one experiment over the eps-net of cfg (see the module docstring).
 
     measure_on(grid, op, u0_raw) does the experiment's own setup and returns
     its measure; judge is not called on a failed sweep.
     """
+    if cfg.experiment != experiment:
+        raise ValueError(f"config is for {cfg.experiment!r}, not {experiment!r}")
     t0 = time.perf_counter()
     grid = cfg.make_grid()
     op = build_rockland(grid)
@@ -228,7 +216,8 @@ def _sweep(cfg: SweepConfig, measure_on, judge) -> SweepReport:
         w = omega(cfg.schedule, eps)
         v_eps = regularize_potential(cfg.potential, eps, cfg.v_schedule, psi, grid)
         u0_eps = regularize_field(u0_raw, eps, cfg.u0_schedule, psi)
-        return _Row(eps, w, *measure(eps, v_eps, u0_eps))
+        value, extras = measure(eps, v_eps, u0_eps)
+        return SweepRecord(eps, w, value, fitted_flag=False, extras=tuple(extras.items()))
 
     rows, failure = [], None
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
@@ -242,9 +231,7 @@ def _sweep(cfg: SweepConfig, measure_on, judge) -> SweepReport:
         fit, verdict, extra_fits = judge(rows)
     else:
         fit, verdict, extra_fits = None, Verdict("Fail", reason=failure), ()
-    records = tuple(SweepRecord(r.epsilon, r.omega, r.value,
-                                fitted_flag=fit is not None and r.value > 0.0,
-                                extras=tuple(r.extras.items()))
+    records = tuple(replace(r, fitted_flag=fit is not None and r.norm_sup_t > 0.0)
                     for r in rows)
     return SweepReport(config=cfg, records=records, fit=fit, verdict=verdict,
                        extra_fits=extra_fits, wall_clock=time.perf_counter() - t0)
@@ -276,13 +263,10 @@ def existence_experiment(cfg: SweepConfig) -> SweepReport:
     (1 + ||V_eps||_inf) ||u0_eps||_{H^{nu/2}}) are fitted alongside and
     reported in extra_fits.
     """
-    if cfg.experiment != "existence":
-        raise ValueError(f"config is for {cfg.experiment!r}, not 'existence'")
-
     def measure_on(grid, op, u0_raw):
         def measure(eps, v_eps, u0_eps):
             traj = step_implicit(CauchyProblem(op, v_eps, u0_eps, cfg.T, cfg.dt))
-            v_linf = float(np.abs(v_eps.values).max())
+            v_linf = lp_norm(v_eps, math.inf)
             u0_h = float(traj.h_nu2[0])
             extras = {
                 "sup_l2": float(np.max(traj.l2)),
@@ -295,18 +279,18 @@ def existence_experiment(cfg: SweepConfig) -> SweepReport:
         return measure
 
     def judge(rows):
-        fit = fit_exponent([(r.omega, r.value) for r in rows])
+        fit = fit_exponent([(r.omega, r.norm_sup_t) for r in rows])
         verdict = check_moderate(fit, cfg.n_max)
-        nets = [(name, [(r.omega, r.extras[name]) for r in rows])
+        nets = [(name, [(r.omega, dict(r.extras)[name]) for r in rows])
                 for name in ("sup_l2", "sup_hnu2", "v_linf", "u0_hnu2", "majorant")]
         try:
-            nets.append(("v_linf_vs_v_schedule",
-                         [(omega(cfg.v_schedule, r.epsilon), r.extras["v_linf"]) for r in rows]))
+            nets.append(("v_linf_vs_v_schedule", [(omega(cfg.v_schedule, r.epsilon),
+                                                   dict(r.extras)["v_linf"]) for r in rows]))
         except ValueError:
             pass  # a constant V is never regularised, so its schedule may not reach every eps
         return fit, verdict, _fitted_nets(nets)
 
-    return _sweep(cfg, measure_on, judge)
+    return _sweep(cfg, "existence", measure_on, judge)
 
 
 def _perturbation_size(cfg: SweepConfig, eps: float) -> float:
@@ -326,33 +310,29 @@ def uniqueness_experiment(cfg: SweepConfig) -> SweepReport:
     check_negligible to the net sup_t ||u_eps - u~_eps||_{L2}.  With
     sigma = 0 the twin is the problem itself and is not solved again.
     """
-    if cfg.experiment != "uniqueness":
-        raise ValueError(f"config is for {cfg.experiment!r}, not 'uniqueness'")
-
     def measure_on(grid, op, u0_raw):
         probe = bump_field(grid, cfg.u0_width)
         probe = Field(grid, probe.values / lp_norm(probe, 2))
 
         def measure(eps, v_eps, u0_eps):
             sigma = _perturbation_size(cfg, eps)
-            v_tilde = Field(grid, v_eps.values + sigma)
-            u0_tilde = Field(grid, u0_eps.values + sigma * probe.values)
             base = step_implicit(CauchyProblem(op, v_eps, u0_eps, cfg.T, cfg.dt))
             if sigma == 0.0:
                 tilde = base
             else:
-                tilde = step_implicit(CauchyProblem(op, v_tilde, u0_tilde, cfg.T, cfg.dt))
+                tilde = step_implicit(CauchyProblem(op, v_eps + sigma, u0_eps + sigma * probe,
+                                                    cfg.T, cfg.dt))
             return _l2_state_distance(base, tilde), {"perturbation_size": sigma}
         return measure
 
     def judge(rows):
-        pairs = [(r.omega, r.value) for r in rows]
+        pairs = [(r.omega, r.norm_sup_t) for r in rows]
         verdict = check_negligible(pairs, cfg.k_max)
         positive = [(w, v) for w, v in pairs if v > 0.0]
         fit = fit_exponent(positive) if len(positive) >= 4 else None
         return fit, verdict, ()
 
-    return _sweep(cfg, measure_on, judge)
+    return _sweep(cfg, "uniqueness", measure_on, judge)
 
 
 def consistency_experiment(cfg: SweepConfig) -> SweepReport:
@@ -365,24 +345,21 @@ def consistency_experiment(cfg: SweepConfig) -> SweepReport:
     e(eps) = sup_t ||u_eps - u||_{L2} to decrease strictly and to end below
     CONSISTENCY_FLOOR_FACTOR times its first value.
     """
-    if cfg.experiment != "consistency":
-        raise ValueError(f"config is for {cfg.experiment!r}, not 'consistency'")
-
     def measure_on(grid, op, u0_raw):
         v_raw = classical_potential(cfg.potential, grid)
         reference = step_implicit(CauchyProblem(op, v_raw, u0_raw, cfg.T, cfg.dt))
 
         def measure(eps, v_eps, u0_eps):
             traj = step_implicit(CauchyProblem(op, v_eps, u0_eps, cfg.T, cfg.dt))
-            v_err = float(np.abs(v_eps.values - v_raw.values).max())
+            v_err = lp_norm(v_eps - v_raw, math.inf)
             return _l2_state_distance(traj, reference), {"v_error_linf": v_err}
         return measure
 
     def judge(rows):
-        errors = [r.value for r in rows]
+        errors = [r.norm_sup_t for r in rows]
         fit = None
         if len(rows) >= 4 and all(v > 0 for v in errors):
-            fit = fit_exponent([(r.omega, r.value) for r in rows])
+            fit = fit_exponent([(r.omega, r.norm_sup_t) for r in rows])
         if not all(b < a for a, b in zip(errors, errors[1:])):
             verdict = Verdict("Fail", reason="error net is not strictly decreasing")
         elif errors[-1] >= CONSISTENCY_FLOOR_FACTOR * errors[0]:
@@ -393,9 +370,9 @@ def consistency_experiment(cfg: SweepConfig) -> SweepReport:
             verdict = Verdict("Moderate",
                               exponent=fit.exponent if fit is not None else 0.0)
         return fit, verdict, _fitted_nets(
-            [("v_error_linf", [(r.omega, r.extras["v_error_linf"]) for r in rows])])
+            [("v_error_linf", [(r.omega, dict(r.extras)["v_error_linf"]) for r in rows])])
 
-    return _sweep(cfg, measure_on, judge)
+    return _sweep(cfg, "consistency", measure_on, judge)
 
 
 _EXPERIMENT_RUNNERS = {

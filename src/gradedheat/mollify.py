@@ -24,7 +24,9 @@ fewer than ``MIN_CELLS_PER_AXIS`` grid cells along any axis, since aliased
 samples corrupt the scaling-exponent fits downstream.  Convolution kernels
 are instead renormalised to unit *discrete* mass, so an under-resolved kernel
 degrades gracefully towards the discrete identity rather than towards garbage
-mass; see the decisions notes for the trade-off.
+mass.  The price is that a convolution never refuses an eps: once the
+kernel drops below the grid scale it stops smoothing, and f * psi_eps
+tends to f itself where a delta recipe would raise ResolutionError.
 """
 
 from __future__ import annotations
@@ -86,8 +88,8 @@ class Mollifier:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dim}")
-        if self.support_radius <= 0:
-            raise ValueError(f"support radius must be positive, got {self.support_radius}")
+        if not 0 < self.support_radius < math.inf:
+            raise ValueError(f"support radius must be in (0, inf), got {self.support_radius}")
         const = self.support_radius**self.dim * _unit_ball_bump_integral(self.dim)
         object.__setattr__(self, "norm_const", const)
 
@@ -299,7 +301,9 @@ class PotentialSpec:
     "constant".  For the delta kinds ``value`` is a signed, nonzero
     multiplier (default 1), so value * delta covers attractive wells as
     well.  sign_class records whether V is known nonnegative or genuinely
-    real, which selects the energy vs Gronwall analysis paths downstream.
+    real.  It picks only the default norm of a config file (hnu2 for
+    "nonneg", l2 for "real") and enters the config hash; whether a solve
+    records the energy is decided from the minimum of the V it is given.
     Left unset, it is derived from the multiplier, the constant or the
     sample minimum: "nonneg" if that is >= 0, else "real".  A declared class
     is checked against the same rule: a delta's class must match its
@@ -319,6 +323,8 @@ class PotentialSpec:
         delta = self.kind in ("dirac_delta", "dirac_delta_squared")
         if self.value is None:
             object.__setattr__(self, "value", 1.0 if delta else 0.0)
+        if not math.isfinite(self.value):
+            raise ValueError(f"{self.kind} potential needs a finite value, got {self.value}")
         if delta and self.value == 0.0:
             raise ValueError(f"{self.kind} needs a nonzero multiplier")
         if self.kind == "sampled" and self.sample is None:
@@ -412,7 +418,7 @@ def regularize_potential(pot: PotentialSpec, eps: float, schedule: OmegaSchedule
         return Field(grid, pot.value * net.values**2)
     if pot.sample.grid != grid:
         raise ValueError("sampled potential lives on a different grid")
-    return convolve(pot.sample, unit_mass_kernel(psi, eps, schedule, grid))
+    return regularize_field(pot.sample, eps, schedule, psi)
 
 
 def regularize_field(f: Field, eps: float, schedule: OmegaSchedule,
@@ -433,7 +439,7 @@ def bump_field(grid: Grid, width, amplitude: float = 1.0, center=None) -> Field:
         center = (0.0,) * grid.dim
     _check_center(center, grid)
     for wd, L in zip(width, grid.half_widths):
-        if wd <= 0:
+        if not wd > 0:
             raise ValueError(f"width must be positive, got {width}")
         if wd > L:
             raise SupportError(f"bump width {wd} exceeds box half-width {L}")

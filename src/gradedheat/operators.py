@@ -226,10 +226,8 @@ def _central_blocks(matrix, n_c: int) -> np.ndarray:
 
 def _apply_central_blocks(blocks: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Apply per-frequency blocks to values shaped (n_a n_b, n_c)."""
-    n_c = values.shape[1]
-    spectrum = np.fft.rfft(values, axis=1)
-    spectrum = np.matmul(blocks, spectrum.T[:, :, None])[:, :, 0]
-    return np.fft.irfft(spectrum.T, n=n_c, axis=1).ravel()
+    spectrum = np.fft.rfft(values, axis=1).T[:, :, None]
+    return _from_eigenbasis(blocks, spectrum, values.shape[1]).ravel()
 
 
 def _apply_multiplier(multiplier: np.ndarray, values, shape: tuple[int, ...]) -> np.ndarray:
@@ -343,5 +341,5 @@ def _to_eigenbasis(v: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _from_eigenbasis(v: np.ndarray, coeff: np.ndarray, n_c: int) -> np.ndarray:
-    """Inverse of ``_to_eigenbasis``: real fields (S, m, n_c) from coefficients."""
+    """Real fields (S, m, n_c) from the blocks v[k] @ coeff[k]; inverts ``_to_eigenbasis``."""
     return np.fft.irfft(np.matmul(v, coeff).transpose(2, 1, 0), n=n_c, axis=-1)

@@ -183,6 +183,65 @@ class TestNonFiniteNumbers:
         assert "config error" in capsys.readouterr().err
 
 
+class TestConfigErrors:
+    # one case per input check of the config reader: drop the line of key
+    # from SWEEP_CFG (if any), add line (if any), expect want in the message
+    @pytest.mark.parametrize("command, key, line, want", [
+        pytest.param("sweep", "perturbation", "perturbation = gaussian",
+                     "perturbation must be one of", id="perturbation"),
+        pytest.param("sweep", "dt", "dt = 1.0", "need 0 < dt <= T", id="dt-above-T"),
+        pytest.param("sweep", "k_max", "k_max = 0", "k_max must be a positive",
+                     id="k_max-zero"),
+        pytest.param("sweep", "norm", "norm = lp:0.5", "p >= 1", id="lp-below-one"),
+        pytest.param("sweep", "norm", "norm = l3", "norm must be", id="norm-token"),
+        pytest.param("sweep", "potential", "potential = gaussian", "potential must be",
+                     id="potential-token"),
+        pytest.param("sweep", "potential", "potential = sampled:", "needs a path",
+                     id="sampled-no-path"),
+        pytest.param("sweep", "potential", "potential = sampled:short.npy",
+                     "does not match grid", id="sampled-shape"),
+        pytest.param("sweep", "potential", "potential = sampled:missing.npy",
+                     "cannot read sampled potential", id="sampled-unreadable"),
+        pytest.param("sweep", None, "points 128", "expected key = value", id="no-equals"),
+        pytest.param("sweep", "T", "T =", "empty value", id="empty-value"),
+        pytest.param("sweep", "group", None, "missing required key 'group'",
+                     id="missing-key"),
+        pytest.param("sweep", "T", None, "missing required key 'T'", id="missing-number"),
+        pytest.param("sweep", "half_width", "half_width = wide", "not a number",
+                     id="not-a-number"),
+        pytest.param("sweep", "threads", "threads = two", "not an integer",
+                     id="not-an-integer"),
+        pytest.param("sweep", "points", "points = 12.5", "expected integers",
+                     id="points-not-integers"),
+        pytest.param("sweep", "group", "group = engel", "group must be one of",
+                     id="unknown-group"),
+        pytest.param("sweep", "points", "points = 2", "at least 4 points",
+                     id="too-few-points"),
+        pytest.param("sweep", "epsilons", "epsilons = 0.25,0.5,0.125,0.0625",
+                     "strictly decreasing", id="epsilons-not-decreasing"),
+        # sweep's --experiment choices reject this before the file is read
+        pytest.param("solve", "experiment", "experiment = bogus",
+                     "experiment must be one of", id="unknown-experiment"),
+    ])
+    def test_exits_two(self, tmp_path, capsys, command, key, line, want):
+        np.save(tmp_path / "short.npy", np.zeros(7))
+        kept = [row for row in SWEEP_CFG.splitlines()
+                if key is None or not row.startswith(key + " ")]
+        cfg = write(tmp_path, "run.cfg", "\n".join(kept + [line or ""]) + "\n")
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+        if command == "sweep":
+            argv[1:1] = ["--experiment", "existence"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and want in err
+
+    def test_unreadable_sweep_config(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        assert main(["sweep", "--experiment", "existence", "--config", str(missing),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: cannot read config {missing}" in capsys.readouterr().err
+
+
 class TestFit:
     def test_fit_from_report(self, tmp_path, capsys):
         cfg = write(tmp_path, "run.cfg", SWEEP_CFG)

@@ -6,6 +6,7 @@ import pytest
 from gradedheat.groups import (
     DilationWeights,
     Field,
+    Grid,
     dilate,
     euclidean,
     group_inverse,
@@ -123,6 +124,10 @@ class TestGrid:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             make_grid(heisenberg1(), (1.0, 1.0), (8, 8, 8))
+
+    def test_infinite_half_width_rejected(self):
+        with pytest.raises(ValueError, match="half_widths"):
+            Grid(euclidean(1), (np.inf,), (16,))
 
     def test_node_coordinates_order_matches_ravel(self):
         grid = make_grid(heisenberg1(), 1.0, 4)

@@ -10,6 +10,7 @@ import pytest
 
 from gradedheat.config import (
     SweepConfig,
+    canonical_text,
     config_hash,
     parse_sweep_config,
 )
@@ -209,6 +210,19 @@ class TestExistence:
         # log-flat against the polynomial one
         assert against_v.exponent == pytest.approx(1.0, abs=0.05)
         assert against_fit.exponent < 0.5
+
+    def test_constant_potential_skips_unreachable_v_schedule_fit(self):
+        # a constant V is never regularised, so a log V-schedule need not reach
+        # eps = 1: the sweep is judged and only that one extra fit is missing
+        cfg = make_config(potential=PotentialSpec.constant(0.5),
+                          schedule_v=OmegaSchedule.logarithmic(1), mollifier_radius=1.0,
+                          epsilons=EpsilonNet((1.0, 0.5, 0.25, 0.125, 0.0625)))
+        rep = existence_experiment(cfg)
+        assert rep.verdict.kind == "Moderate"
+        assert [name for name, _ in rep.extra_fits] == [
+            "sup_l2", "sup_hnu2", "v_linf", "u0_hnu2", "majorant"]
+        with pytest.raises(KeyError):
+            rep.extra_fit("v_linf_vs_v_schedule")
 
     @pytest.mark.parametrize("norm, p", [("linf", math.inf), ("lp:3", 3.0)])
     def test_state_norm_sup_is_the_datum_norm(self, norm, p):
@@ -488,6 +502,23 @@ class TestPersistReport:
         assert "VERDICT: Moderate(N=0.3)" in manifest
         assert "scope_note" in manifest
 
+    def test_unwritable_directory_is_named(self, tmp_path):
+        out = tmp_path / "out"
+        (out / "report.csv").mkdir(parents=True)
+        report = SweepReport(config=make_config(), records=(SweepRecord(0.5, 0.5, 1.0, True),),
+                             fit=None, verdict=Verdict("Negligible"))
+        with pytest.raises(OSError, match="cannot write report under") as info:
+            persist_report(report, out)
+        assert str(out) in str(info.value)
+
+    def test_unknown_extra_fit_is_key_error(self):
+        report = SweepReport(config=make_config(), records=(), fit=None,
+                             verdict=Verdict("Negligible"),
+                             extra_fits=(("sup_l2", FitResult(0.1, 0.01)),))
+        assert report.extra_fit("sup_l2") == FitResult(0.1, 0.01)
+        with pytest.raises(KeyError, match="majorant"):
+            report.extra_fit("majorant")
+
     def test_manifest_carries_extra_fits(self, tmp_path):
         rep = consistency_experiment(bump_potential_config())
         _, manifest_path = persist_report(rep, tmp_path)
@@ -541,6 +572,14 @@ class TestConfigRoundTrip:
         assert config_hash(parse_sweep_config(other)) != config_hash(
             parse_sweep_config(CONFIG_TEXT))
 
+    def test_constant_potential_hash_pins_its_value(self):
+        def cfg(token):
+            return parse_sweep_config(CONFIG_TEXT.replace("potential = delta",
+                                                          f"potential = {token}"))
+        assert "potential = constant:0.5\n" in canonical_text(cfg("constant:0.5"))
+        assert config_hash(cfg("constant:0.5")) == config_hash(cfg("constant:5e-1"))
+        assert config_hash(cfg("constant:0.5")) != config_hash(cfg("constant:0.25"))
+
     @pytest.mark.parametrize("token, want", [
         ("poly", OmegaSchedule.polynomial()),
         ("log:2", OmegaSchedule.logarithmic(2)),
@@ -575,6 +614,17 @@ class TestConfigRoundTrip:
     def test_experiment_conflict_rejected(self):
         with pytest.raises(ConfigError, match="experiment"):
             parse_sweep_config(CONFIG_TEXT, experiment="uniqueness")
+
+    def test_missing_experiment_rejected(self):
+        text = CONFIG_TEXT.replace("experiment = existence\n", "")
+        with pytest.raises(ConfigError, match="missing required key 'experiment'"):
+            parse_sweep_config(text)
+
+    @pytest.mark.parametrize("name", ["u0_width", "u0_amplitude", "mollifier_radius"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nonfinite_sweep_number_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            make_config(**{name: value})
 
     def test_experiment_flag_supplies_missing_key(self):
         text = CONFIG_TEXT.replace("experiment = existence\n", "")

@@ -188,6 +188,19 @@ class TestMollifierNet:
         with pytest.raises(ValueError):
             mollifier_net(Mollifier(1, 1.0), 0.5, POLY, grid)
 
+    def test_off_center_euclidean_net_is_a_translate(self):
+        # 0.25 is 8 nodes of the 1/32 spacing, so every shifted node is exact
+        grid = make_grid(euclidean(1), 1.0, 64)
+        psi = Mollifier(1, 1.0)
+        centred = mollifier_net(psi, 0.5, POLY, grid)
+        shifted = mollifier_net(psi, 0.5, POLY, grid, center=(0.25,))
+        np.testing.assert_array_equal(shifted.values, np.roll(centred.values, 8))
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_nonfinite_support_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="support radius"):
+            Mollifier(1, radius)
+
     def test_off_center_net_keeps_mass(self):
         grid = make_grid(heisenberg1(), 1.5, (32, 32, 64))
         psi = Mollifier(3, 1.0)
@@ -311,6 +324,16 @@ class TestRegularize:
             PotentialSpec("constant", value=-1.0, sign_class="nonneg")
         assert PotentialSpec.constant(-1.0).sign_class == "real"
 
+    @pytest.mark.parametrize("pot", [
+        lambda: PotentialSpec.constant(math.nan),
+        lambda: PotentialSpec.constant(math.inf),
+        lambda: PotentialSpec.dirac_delta(multiplier=math.inf),
+        lambda: PotentialSpec.dirac_delta_squared(multiplier=math.nan),
+    ], ids=["constant-nan", "constant-inf", "delta-inf", "delta2-nan"])
+    def test_nonfinite_value_rejected(self, pot):
+        with pytest.raises(ValueError, match="finite"):
+            pot()
+
     def test_center_outside_box_rejected(self):
         grid = make_grid(euclidean(1), 1.0, 64)
         pot = PotentialSpec.dirac_delta(center=(1.5,))
@@ -330,6 +353,11 @@ class TestBumpField:
         assert f.values.max() == pytest.approx(2.0, rel=1e-13)
         x = grid.axes[0]
         assert np.all(f.values[np.abs(x) >= 1.0] == 0.0)
+
+    def test_nan_width_rejected(self):
+        grid = make_grid(euclidean(1), 1.0, 16)
+        with pytest.raises(ValueError, match="width must be positive"):
+            bump_field(grid, math.nan)
 
     def test_width_exceeding_box_rejected(self):
         grid = make_grid(euclidean(1), 1.0, 16)
