@@ -16,15 +16,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from .config import (
-    _EXPERIMENTS,
-    _get_float,
-    _get_int,
-    parse_config_text,
-    parse_sweep_config,
-    parse_sweep_config_file,
-    read_config_file,
-)
+from .config import EXPERIMENTS, parse_solve_config_file, parse_sweep_config_file
 from .errors import (
     CapabilityError,
     ConfigError,
@@ -66,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--out", required=True, help="output directory")
 
     p_sweep = sub.add_parser("sweep", help="epsilon sweep with verdict")
-    p_sweep.add_argument("--experiment", required=True, choices=_EXPERIMENTS)
+    p_sweep.add_argument("--experiment", required=True, choices=EXPERIMENTS)
     p_sweep.add_argument("--config", required=True, help="flat key = value file")
     p_sweep.add_argument("--out", required=True, help="output directory")
 
@@ -91,40 +83,20 @@ def _write_trajectory(traj, out_dir: Path) -> Path:
     return path
 
 
-def _solve_config(path: str):
-    """Read one solve's config as (cfg, epsilon or None, integrator).
-
-    The only reader of epsilon, method and picard_depth; sweeps ignore them.
-    """
-    text = read_config_file(path)
-    keys = parse_config_text(text)
-    # solve ignores the experiment dimension; tolerate configs without the key
-    supplied = None if "experiment" in keys else "existence"
-    cfg = parse_sweep_config(text, experiment=supplied, base_dir=Path(path).parent)
-    epsilon = _get_float(keys, "epsilon") if "epsilon" in keys else None
-    picard_depth = _get_int(keys, "picard_depth", 8)
-    if picard_depth < 1:
-        raise ConfigError(f"picard_depth must be a positive integer, got {picard_depth}")
-    integrators = {"implicit": step_implicit,
-                   "duhamel": partial(solve_duhamel, n_picard=picard_depth),
-                   "oracle": oracle_expm}
-    method = keys.get("method", "implicit")
-    if method not in integrators:
-        raise ConfigError(f"method must be implicit, duhamel or oracle, got {method!r}")
-    return cfg, epsilon, integrators[method]
-
-
 def cmd_solve(args) -> int:
-    cfg, epsilon, integrate = _solve_config(args.config)
+    cfg, opts = parse_solve_config_file(args.config)
+    integrate = {"implicit": step_implicit,
+                 "duhamel": partial(solve_duhamel, n_picard=opts.picard_depth),
+                 "oracle": oracle_expm}[opts.method]
     grid = cfg.make_grid()
     op = build_rockland(grid)
     u0 = bump_field(grid, cfg.u0_width, cfg.u0_amplitude)
-    if epsilon is None:
+    if opts.epsilon is None:
         v = classical_potential(cfg.potential, grid)
     else:
         psi = Mollifier(grid.dim, cfg.mollifier_radius)
-        v = regularize_potential(cfg.potential, epsilon, cfg.v_schedule, psi, grid)
-        u0 = regularize_field(u0, epsilon, cfg.u0_schedule, psi)
+        v = regularize_potential(cfg.potential, opts.epsilon, cfg.schedule_v, psi, grid)
+        u0 = regularize_field(u0, opts.epsilon, cfg.schedule_u0, psi)
     traj = integrate(CauchyProblem(op, v, u0, cfg.T, cfg.dt))
     path = _write_trajectory(traj, Path(args.out))
     print(f"wrote {path}")

@@ -1,19 +1,27 @@
 """Flat key = value experiment configuration.
 
 The file format is one `key = value` pair per line; blank lines and lines
-starting with # are skipped.  parse_sweep_config turns the text into an
-immutable SweepConfig; canonical_text renders the effective configuration
-back in a normalised form (sorted keys, repr-formatted numbers) whose SHA-256
-is the provenance hash written to report manifests.  Two files that differ
-only in formatting therefore hash identically, and programmatically built
-configs hash the same as their file twins.
+starting with # are skipped.  _KEYS is the one table of file keys: each names
+the field it fills, its token parser and its rendering in the hash.  The
+field is on SweepConfig, or on SolveOptions for the keys only `gradedheat
+solve` reads.  A key missing from the file is missing from the constructor
+call, so each dataclass default is the only default, and value checks live
+in __post_init__; the parsers only turn tokens into values.  The sign class
+of V (nonneg or real) is derived by PotentialSpec, never declared.
+
+canonical_text renders the effective configuration back in a normalised form
+(sorted keys, repr-formatted numbers) whose SHA-256 is the provenance hash
+written to report manifests.  Two files that differ only in formatting
+therefore hash identically, and programmatically built configs hash the same
+as their file twins.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,23 +36,19 @@ _GROUP_TOKENS = {
     "heisenberg1": heisenberg1,
 }
 
-_EXPERIMENTS = ("existence", "uniqueness", "consistency")
+EXPERIMENTS = ("existence", "uniqueness", "consistency")
+METHODS = ("implicit", "duhamel", "oracle")
 _PERTURBATIONS = ("exp", "omega1", "none")
-
-_KNOWN_KEYS = frozenset({
-    "group", "half_width", "points", "potential", "sign_class", "schedule",
-    "epsilons", "T", "dt", "norm", "k_max", "N_max", "threads", "experiment",
-    # optional keys beyond the core set; each default keeps a core file's meaning:
-    "perturbation", "u0_width", "u0_amplitude", "mollifier_radius",
-    "schedule_v", "schedule_u0",
-    # read only by `gradedheat solve`; listed so one file serves both commands:
-    "epsilon", "method", "picard_depth",
-})
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Everything one experiment needs, immutable once built."""
+    """Everything one experiment needs, immutable once built.
+
+    Left as None, norm (hnu2 for a nonneg V, l2 for a real one), u0_width
+    (0.75 * half_width) and the per-net schedules (the main one) resolve
+    here from the other fields.
+    """
 
     group: GroupInstance
     half_width: float
@@ -55,20 +59,30 @@ class SweepConfig:
     T: float
     dt: float
     experiment: str
-    norm: str
+    norm: str | None = None
     k_max: int = 10
     n_max: int = 10
     threads: int = 1
     perturbation: str = "exp"
-    u0_width: float = 0.0  # 0 means: default to 0.75 * half_width
+    u0_width: float | None = None
     u0_amplitude: float = 1.0
     mollifier_radius: float = 1.0
     schedule_v: OmegaSchedule | None = None
     schedule_u0: OmegaSchedule | None = None
 
     def __post_init__(self):
-        if self.experiment not in _EXPERIMENTS:
-            raise ConfigError(f"experiment must be one of {_EXPERIMENTS}, got {self.experiment!r}")
+        derived = {
+            # the positive-potential theory is phrased in H^{nu/2}, the real one in L2
+            "norm": "hnu2" if self.potential.sign_class == "nonneg" else "l2",
+            "u0_width": 0.75 * self.half_width,
+            "schedule_v": self.schedule,
+            "schedule_u0": self.schedule,
+        }
+        for name, value in derived.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
+        if self.experiment not in EXPERIMENTS:
+            raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
         if self.perturbation not in _PERTURBATIONS:
             raise ConfigError(
                 f"perturbation must be one of {_PERTURBATIONS}, got {self.perturbation!r}")
@@ -78,8 +92,9 @@ class SweepConfig:
         for name in ("u0_width", "u0_amplitude", "mollifier_radius"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.u0_width == 0.0:
-            object.__setattr__(self, "u0_width", 0.75 * self.half_width)
+        for name in ("u0_width", "mollifier_radius"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("k_max", "n_max", "threads"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive integer")
@@ -87,13 +102,23 @@ class SweepConfig:
     def make_grid(self):
         return make_grid(self.group, self.half_width, self.points)
 
-    @property
-    def v_schedule(self) -> OmegaSchedule:
-        return self.schedule_v if self.schedule_v is not None else self.schedule
 
-    @property
-    def u0_schedule(self) -> OmegaSchedule:
-        return self.schedule_u0 if self.schedule_u0 is not None else self.schedule
+@dataclass(frozen=True)
+class SolveOptions:
+    """The keys only `gradedheat solve` reads; sweeps ignore them.
+
+    epsilon None solves with V as it is, which needs a constant or sampled V.
+    """
+
+    epsilon: float | None = None
+    method: str = "implicit"
+    picard_depth: int = 8
+
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
+        if self.picard_depth < 1:
+            raise ConfigError(f"picard_depth must be a positive integer, got {self.picard_depth}")
 
 
 def parse_norm_token(token: str):
@@ -101,14 +126,58 @@ def parse_norm_token(token: str):
     if token in ("l2", "hnu2", "linf"):
         return token, None
     if token.startswith("lp:"):
-        p = _finite(token[3:], f"lp exponent in norm token {token!r}")
-        if p < 1.0:
-            raise ConfigError(f"lp norm needs p >= 1, got {p}")
+        try:
+            p = float(token[3:])
+        except ValueError:
+            p = math.nan
+        if not 1.0 <= p < math.inf:
+            raise ConfigError(f"lp norm needs a finite p >= 1, got {token!r}")
         return "lp", p
     raise ConfigError(f"norm must be l2|hnu2|linf|lp:<p>, got {token!r}")
 
 
-def _parse_schedule_token(token: str) -> OmegaSchedule:
+@contextmanager
+def _config_error(prefix: str = ""):
+    """Re-raise a ValueError as a ConfigError whose message follows prefix."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(prefix + str(exc)) from None
+
+
+def _finite(text: str) -> float:
+    """text as a finite float; nan and inf are a ConfigError like any non-number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"must be finite, got {text!r}")
+    return value
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"not an integer: {text!r}") from None
+
+
+def _points(token: str):
+    try:
+        points = tuple(int(p) for p in token.split(","))
+    except ValueError:
+        raise ConfigError(f"expected integers, got {token!r}") from None
+    return points[0] if len(points) == 1 else points
+
+
+def _group(token: str) -> GroupInstance:
+    if token not in _GROUP_TOKENS:
+        raise ConfigError(f"group must be one of {sorted(_GROUP_TOKENS)}, got {token!r}")
+    return _GROUP_TOKENS[token]()
+
+
+def _schedule(token: str) -> OmegaSchedule:
     if token == "poly":
         return OmegaSchedule.polynomial()
     if token.startswith("log:"):
@@ -116,39 +185,79 @@ def _parse_schedule_token(token: str) -> OmegaSchedule:
             n0 = int(token[4:])
         except ValueError:
             raise ConfigError(f"bad n0 in schedule token {token!r}") from None
-        try:
-            return OmegaSchedule.logarithmic(n0)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        return OmegaSchedule.logarithmic(n0)
     raise ConfigError(f"schedule must be poly or log:<n0>, got {token!r}")
 
 
-def _parse_potential_token(token: str, sign_class: str | None, grid,
-                           base_dir: Path) -> PotentialSpec:
+def _epsilons(token: str) -> EpsilonNet:
+    return EpsilonNet(tuple(_finite(e) for e in token.split(",")))
+
+
+def _potential(token: str, grid, base_dir: Path) -> PotentialSpec:
     kind, _, arg = token.partition(":")
     if kind in ("delta", "delta2"):
-        multiplier = _finite(arg, f"delta multiplier in {token!r}") if arg else 1.0
         name = "dirac_delta" if kind == "delta" else "dirac_delta_squared"
-        return PotentialSpec(name, value=multiplier, sign_class=sign_class)
+        return PotentialSpec(name, value=_finite(arg) if arg else 1.0)
     if kind == "constant":
-        c = _finite(arg, f"constant in potential token {token!r}")
-        return PotentialSpec("constant", value=c, sign_class=sign_class)
+        return PotentialSpec("constant", value=_finite(arg))
     if kind == "sampled":
         if not arg:
             raise ConfigError("sampled potential needs a path: sampled:<file.npy>")
-        path = Path(arg)
-        if not path.is_absolute():
-            path = base_dir / path
+        path = base_dir / arg  # an absolute arg replaces base_dir
         try:
             values = np.load(path)
         except OSError as exc:
             raise ConfigError(f"cannot read sampled potential {path}: {exc}") from exc
-        if values.shape != grid.shape:
-            raise ConfigError(
-                f"sampled potential shape {values.shape} does not match grid {grid.shape}")
-        return PotentialSpec("sampled", sample=Field(grid, values), sign_class=sign_class)
+        return PotentialSpec("sampled", sample=Field(grid, values))
     raise ConfigError(
         f"potential must be delta|delta2|constant:<c>|sampled:<path>, got {token!r}")
+
+
+def _potential_fingerprint(pot: PotentialSpec) -> str:
+    """V as hashed: a sampled V contributes a digest of its raw bytes, so the
+    hash pins the data actually used and not just a file name."""
+    if pot.kind == "sampled":
+        digest = hashlib.sha256(np.ascontiguousarray(pot.sample.values).tobytes())
+        return f"sampled:sha256:{digest.hexdigest()}"
+    if pot.kind == "constant":
+        return f"constant:{pot.value!r}"
+    base = "delta" if pot.kind == "dirac_delta" else "delta2"
+    return f"{base}:{pot.value!r}"
+
+
+def _joined(render):
+    return lambda values: ",".join(render(v) for v in values)
+
+
+# file key -> (field, token parser, hash rendering or None for an unhashed key)
+_KEYS = {
+    "group": ("group", _group, str),
+    "half_width": ("half_width", _finite, repr),
+    "points": ("points", _points, _joined(str)),
+    # kept as its token until the grid exists (see _build_sweep_config)
+    "potential": ("potential", str, _potential_fingerprint),
+    "schedule": ("schedule", _schedule, str),
+    "epsilons": ("epsilons", _epsilons, _joined(repr)),
+    "T": ("T", _finite, repr),
+    "dt": ("dt", _finite, repr),
+    "experiment": ("experiment", str, str),
+    "norm": ("norm", str, str),
+    "k_max": ("k_max", _integer, str),
+    "N_max": ("n_max", _integer, str),
+    "threads": ("threads", _integer, None),  # must not change any result
+    "perturbation": ("perturbation", str, str),
+    "u0_width": ("u0_width", _finite, repr),
+    "u0_amplitude": ("u0_amplitude", _finite, repr),
+    "mollifier_radius": ("mollifier_radius", _finite, repr),
+    "schedule_v": ("schedule_v", _schedule, str),
+    "schedule_u0": ("schedule_u0", _schedule, str),
+    # SolveOptions fields: listed so one file serves both commands
+    "epsilon": ("epsilon", _finite, None),
+    "method": ("method", str, None),
+    "picard_depth": ("picard_depth", _integer, None),
+}
+_SOLVE_FIELDS = frozenset(f.name for f in fields(SolveOptions))
+_REQUIRED_FIELDS = frozenset(f.name for f in fields(SweepConfig) if f.default is MISSING)
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -163,7 +272,7 @@ def parse_config_text(text: str) -> dict[str, str]:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
         key = key.strip()
         value = value.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -173,36 +282,27 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def _require(keys: dict[str, str], name: str) -> str:
-    if name not in keys:
-        raise ConfigError(f"missing required key {name!r}")
-    return keys[name]
+def _parse_fields(text: str) -> tuple[dict, dict]:
+    """The keys in text as typed values by field name: (sweep, solve)."""
+    sweep, solve = {}, {}
+    for key, token in parse_config_text(text).items():
+        name, parse, _ = _KEYS[key]
+        with _config_error(f"key {key!r}: "):
+            value = parse(token)
+        (solve if name in _SOLVE_FIELDS else sweep)[name] = value
+    return sweep, solve
 
 
-def _finite(text: str, what: str) -> float:
-    """text as a finite float; nan and inf are a ConfigError like any non-number."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise ConfigError(f"{what}: not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{what}: must be finite, got {text!r}")
-    return value
-
-
-def _get_float(keys, name, default=None) -> float:
-    if name not in keys and default is not None:
-        return default
-    return _finite(_require(keys, name), f"key {name!r}")
-
-
-def _get_int(keys, name, default) -> int:
-    if name not in keys:
-        return default
-    try:
-        return int(keys[name])
-    except ValueError:
-        raise ConfigError(f"key {name!r}: not an integer: {keys[name]!r}") from None
+def _build_sweep_config(values: dict, base_dir: Path) -> SweepConfig:
+    for key, (name, _, _) in _KEYS.items():
+        if name in _REQUIRED_FIELDS and name not in values:
+            hint = " (or pass --experiment)" if name == "experiment" else ""
+            raise ConfigError(f"missing required key {key!r}{hint}")
+    with _config_error():
+        grid = make_grid(values["group"], values["half_width"], values["points"])
+    with _config_error("key 'potential': "):
+        potential = _potential(values["potential"], grid, base_dir)
+    return SweepConfig(**{**values, "points": grid.points, "potential": potential})
 
 
 def parse_sweep_config(text: str, experiment: str | None = None,
@@ -213,80 +313,14 @@ def parse_sweep_config(text: str, experiment: str | None = None,
     conflicting explicit key is an error.  base_dir anchors relative
     sampled-potential paths, normally the config file's directory.
     """
-    keys = parse_config_text(text)
-    base_dir = Path(base_dir)
-
-    token = _require(keys, "group")
-    if token not in _GROUP_TOKENS:
-        raise ConfigError(f"group must be one of {sorted(_GROUP_TOKENS)}, got {token!r}")
-    group = _GROUP_TOKENS[token]()
-
-    half_width = _get_float(keys, "half_width")
-    points_token = _require(keys, "points")
-    try:
-        points_list = tuple(int(p) for p in points_token.split(","))
-    except ValueError:
-        raise ConfigError(f"key 'points': expected integers, got {points_token!r}") from None
-    points = points_list[0] if len(points_list) == 1 else points_list
-    try:
-        grid = make_grid(group, half_width, points)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    try:
-        potential = _parse_potential_token(_require(keys, "potential"),
-                                           keys.get("sign_class"), grid, base_dir)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    schedule = _parse_schedule_token(_require(keys, "schedule"))
-    eps_token = _require(keys, "epsilons")
-    try:
-        epsilons = EpsilonNet(tuple(_finite(e, "epsilon") for e in eps_token.split(",")))
-    except ValueError as exc:
-        raise ConfigError(f"key 'epsilons': {exc}") from None
-
-    exp_key = keys.get("experiment")
+    values, _ = _parse_fields(text)
     if experiment is not None:
-        if exp_key is not None and exp_key != experiment:
+        if values.get("experiment", experiment) != experiment:
             raise ConfigError(
-                f"config says experiment = {exp_key!r} but the command line says "
-                f"{experiment!r}")
-        exp_key = experiment
-    if exp_key is None:
-        raise ConfigError("missing required key 'experiment' (or pass --experiment)")
-
-    norm = keys.get("norm")
-    if norm is None:
-        # the positive-potential theory is phrased in H^{nu/2}, the real one in L2
-        norm = "hnu2" if potential.sign_class == "nonneg" else "l2"
-
-    sched_v = keys.get("schedule_v")
-    sched_u0 = keys.get("schedule_u0")
-    try:
-        return SweepConfig(
-            group=group,
-            half_width=half_width,
-            points=grid.points,
-            potential=potential,
-            schedule=schedule,
-            epsilons=epsilons,
-            T=_get_float(keys, "T"),
-            dt=_get_float(keys, "dt"),
-            experiment=exp_key,
-            norm=norm,
-            k_max=_get_int(keys, "k_max", 10),
-            n_max=_get_int(keys, "N_max", 10),
-            threads=_get_int(keys, "threads", 1),
-            perturbation=keys.get("perturbation", "exp"),
-            u0_width=_get_float(keys, "u0_width", default=0.0),
-            u0_amplitude=_get_float(keys, "u0_amplitude", default=1.0),
-            mollifier_radius=_get_float(keys, "mollifier_radius", default=1.0),
-            schedule_v=None if sched_v is None else _parse_schedule_token(sched_v),
-            schedule_u0=None if sched_u0 is None else _parse_schedule_token(sched_u0),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+                f"config says experiment = {values['experiment']!r} but the command line "
+                f"says {experiment!r}")
+        values["experiment"] = experiment
+    return _build_sweep_config(values, Path(base_dir))
 
 
 def read_config_file(path: str | Path) -> str:
@@ -302,46 +336,24 @@ def parse_sweep_config_file(path: str | Path, experiment: str | None = None) -> 
                               base_dir=Path(path).parent)
 
 
-def canonical_text(cfg: SweepConfig) -> str:
-    """Normalised rendering of the effective config, for hashing.
+def parse_solve_config_file(path: str | Path) -> tuple[SweepConfig, SolveOptions]:
+    """The config of one `gradedheat solve`: its SweepConfig and SolveOptions.
 
-    Sampled potentials contribute a digest of their raw bytes, so the hash
-    pins the data actually used and not just a file name.
+    solve ignores the experiment dimension, so a file without the key reads
+    as an existence config.
     """
-    items = {
-        "group": str(cfg.group),
-        "half_width": repr(cfg.half_width),
-        "points": ",".join(str(p) for p in cfg.points),
-        "potential": _potential_fingerprint(cfg),
-        "sign_class": cfg.potential.sign_class,
-        "schedule": str(cfg.schedule),
-        "epsilons": ",".join(repr(e) for e in cfg.epsilons),
-        "T": repr(cfg.T),
-        "dt": repr(cfg.dt),
-        "experiment": cfg.experiment,
-        "norm": cfg.norm,
-        "k_max": str(cfg.k_max),
-        "N_max": str(cfg.n_max),
-        "perturbation": cfg.perturbation,
-        "u0_width": repr(cfg.u0_width),
-        "u0_amplitude": repr(cfg.u0_amplitude),
-        "mollifier_radius": repr(cfg.mollifier_radius),
-        "schedule_v": str(cfg.v_schedule),
-        "schedule_u0": str(cfg.u0_schedule),
-    }
-    # threads deliberately omitted: it must not change any result
+    values, solve = _parse_fields(read_config_file(path))
+    values.setdefault("experiment", "existence")
+    return _build_sweep_config(values, Path(path).parent), SolveOptions(**solve)
+
+
+def canonical_text(cfg: SweepConfig) -> str:
+    """Normalised rendering of the effective config, for hashing."""
+    items = {key: render(getattr(cfg, name))
+             for key, (name, _, render) in _KEYS.items() if render is not None}
+    # no longer a key, but still hashed so that no config hash moved with it
+    items["sign_class"] = cfg.potential.sign_class
     return "".join(f"{k} = {items[k]}\n" for k in sorted(items))
-
-
-def _potential_fingerprint(cfg: SweepConfig) -> str:
-    pot = cfg.potential
-    if pot.kind == "sampled":
-        digest = hashlib.sha256(np.ascontiguousarray(pot.sample.values).tobytes())
-        return f"sampled:sha256:{digest.hexdigest()}"
-    if pot.kind == "constant":
-        return f"constant:{pot.value!r}"
-    base = "delta" if pot.kind == "dirac_delta" else "delta2"
-    return f"{base}:{pot.value!r}"
 
 
 def config_hash(cfg: SweepConfig) -> str:

@@ -125,14 +125,14 @@ def check_moderate(fit: FitResult, n_max: int) -> Verdict:
                           f"N_max = {n_max} + 3*stderr ({fit.stderr:.3g})")
 
 
-def check_negligible(pairs, k_max: int) -> Verdict:
-    """Negligible iff the net decays at order k_max or faster.
+def check_negligible(pairs, k_max: int) -> tuple[Verdict, FitResult | None]:
+    """Negligible iff the net decays at order k_max or faster; also the fit.
 
     Zero values are admitted: they mean the difference fell below the
     floating-point floor, which is stronger than any polynomial decay.  An
     all-zero net is Negligible outright; scattered zeros are dropped from
     the fit, and if fewer than 4 positive points remain the zeros carry the
-    verdict.
+    verdict, and the fit is None.
     """
     pairs = list(pairs)
     if len(pairs) < 4:
@@ -141,14 +141,14 @@ def check_negligible(pairs, k_max: int) -> Verdict:
     if any(v < 0.0 for _, v in pairs):
         raise ValueError("difference norms cannot be negative")
     if len(positive) < 4:
-        return Verdict("Negligible")
+        return Verdict("Negligible"), None
     fit = fit_exponent(positive)
     if fit.exponent <= -float(k_max):
-        return Verdict("Negligible", exponent=fit.exponent)
+        return Verdict("Negligible", exponent=fit.exponent), fit
     return Verdict("Fail",
                    exponent=fit.exponent,
                    reason=f"difference net decays at order {-fit.exponent:.6g} "
-                          f"< k_max = {k_max}")
+                          f"< k_max = {k_max}"), fit
 
 
 @dataclass(frozen=True)
@@ -214,8 +214,8 @@ def _sweep(cfg: SweepConfig, experiment: str, measure_on, judge) -> SweepReport:
 
     def solve(eps):
         w = omega(cfg.schedule, eps)
-        v_eps = regularize_potential(cfg.potential, eps, cfg.v_schedule, psi, grid)
-        u0_eps = regularize_field(u0_raw, eps, cfg.u0_schedule, psi)
+        v_eps = regularize_potential(cfg.potential, eps, cfg.schedule_v, psi, grid)
+        u0_eps = regularize_field(u0_raw, eps, cfg.schedule_u0, psi)
         value, extras = measure(eps, v_eps, u0_eps)
         return SweepRecord(eps, w, value, fitted_flag=False, extras=tuple(extras.items()))
 
@@ -284,7 +284,7 @@ def existence_experiment(cfg: SweepConfig) -> SweepReport:
         nets = [(name, [(r.omega, dict(r.extras)[name]) for r in rows])
                 for name in ("sup_l2", "sup_hnu2", "v_linf", "u0_hnu2", "majorant")]
         try:
-            nets.append(("v_linf_vs_v_schedule", [(omega(cfg.v_schedule, r.epsilon),
+            nets.append(("v_linf_vs_v_schedule", [(omega(cfg.schedule_v, r.epsilon),
                                                    dict(r.extras)["v_linf"]) for r in rows]))
         except ValueError:
             pass  # a constant V is never regularised, so its schedule may not reach every eps
@@ -326,10 +326,7 @@ def uniqueness_experiment(cfg: SweepConfig) -> SweepReport:
         return measure
 
     def judge(rows):
-        pairs = [(r.omega, r.norm_sup_t) for r in rows]
-        verdict = check_negligible(pairs, cfg.k_max)
-        positive = [(w, v) for w, v in pairs if v > 0.0]
-        fit = fit_exponent(positive) if len(positive) >= 4 else None
+        verdict, fit = check_negligible([(r.omega, r.norm_sup_t) for r in rows], cfg.k_max)
         return fit, verdict, ()
 
     return _sweep(cfg, "uniqueness", measure_on, judge)

@@ -38,7 +38,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from gradedheat.errors import ResolutionError, SupportError
-from gradedheat.groups import Field, Grid, group_inverse
+from gradedheat.groups import Field, Grid, group_inverse, group_product
 
 __all__ = [
     "MIN_CELLS_PER_AXIS",
@@ -165,64 +165,54 @@ class EpsilonNet:
         return len(self.values)
 
 
-def _scaled_extents(psi: Mollifier, w: float, grid: Grid) -> tuple[float, ...]:
-    weights = grid.group.weights.weights
-    return tuple(psi.support_radius * w**nu for nu in weights)
+def _support_extents(psi: Mollifier, eps: float, schedule: OmegaSchedule,
+                     grid: Grid) -> tuple[float, tuple[float, ...]]:
+    """omega(eps) and the per-axis extents of the scaled support.
 
-
-def _check_support(extents, grid: Grid):
+    Raises SupportError if the support does not fit in the box.
+    """
+    if psi.dim != grid.dim:
+        raise ValueError(f"mollifier dimension {psi.dim} does not match grid dimension {grid.dim}")
+    w = omega(schedule, eps)
+    extents = tuple(psi.support_radius * w**nu for nu in grid.group.weights.weights)
     for ext, L in zip(extents, grid.half_widths):
         if ext > L:
             raise SupportError(
                 f"scaled mollifier support {ext:.4g} exceeds the box half-width {L:.4g}; "
                 "it would overlap itself through the periodic boundary"
             )
+    return w, extents
 
 
-def _check_resolution(extents, grid: Grid, min_cells: int):
-    for ext, h in zip(extents, grid.spacings):
-        cells = 2.0 * ext / h
-        if cells < min_cells:
-            raise ResolutionError(
-                f"scaled mollifier support covers {cells:.2f} cells on an axis but "
-                f"{min_cells} are required; refine the grid or stop the net earlier"
-            )
-
-
-def _squared_scaled_radius(grid: Grid, extents, center) -> np.ndarray:
-    """|D_{1/omega}(c^{-1} x)|^2 / rho^2 on the grid, broadcast-friendly."""
+def _sample_net(psi: Mollifier, w: float, extents, grid: Grid, center=None) -> Field:
+    """omega^{-Q} psi(D_{1/omega}(c^{-1} x)) on the grid."""
     axes = grid.broadcast_axes()
-    if center is None:
-        return sum((ax / ext) ** 2 for ax, ext in zip(axes, extents))
-    center = np.asarray(center, dtype=float)
-    if grid.group.is_abelian:
-        return sum(((ax - c) / ext) ** 2 for ax, c, ext in zip(axes, center, extents))
-    # Heisenberg: translate by the group law, z = center^{-1} * x
-    inv = group_inverse(center, grid.group)
-    za = axes[0] + inv[0]
-    zb = axes[1] + inv[1]
-    zc = axes[2] + inv[2] + 0.5 * (inv[0] * axes[1] - inv[1] * axes[0])
-    return (za / extents[0]) ** 2 + (zb / extents[1]) ** 2 + (zc / extents[2]) ** 2
+    if center is not None:
+        x = np.stack(np.broadcast_arrays(*axes), axis=-1)
+        z = group_product(group_inverse(center, grid.group), x, grid.group)
+        axes = np.moveaxis(z, -1, 0)
+    r2 = sum((ax / ext) ** 2 for ax, ext in zip(axes, extents))
+    values = w ** (-grid.group.Q) * psi.evaluate_r2(r2)
+    return Field(grid, np.broadcast_to(values, grid.shape))
 
 
 def mollifier_net(psi: Mollifier, eps: float, schedule: OmegaSchedule, grid: Grid,
-                  center=None, min_cells: int | None = MIN_CELLS_PER_AXIS) -> Field:
+                  center=None) -> Field:
     """Sample psi_eps = omega^{-Q} psi(D_{1/omega} x) on the grid.
 
     Raises SupportError if the scaled support does not fit in the box and
-    ResolutionError if it covers fewer than min_cells cells along some axis
-    (pass min_cells=None to skip the resolution guard).
+    ResolutionError if it covers fewer than MIN_CELLS_PER_AXIS cells along
+    some axis.
     """
-    if psi.dim != grid.dim:
-        raise ValueError(f"mollifier dimension {psi.dim} does not match grid dimension {grid.dim}")
-    w = omega(schedule, eps)
-    extents = _scaled_extents(psi, w, grid)
-    _check_support(extents, grid)
-    if min_cells is not None:
-        _check_resolution(extents, grid, min_cells)
-    r2 = _squared_scaled_radius(grid, extents, center)
-    values = w ** (-grid.group.Q) * psi.evaluate_r2(r2)
-    return Field(grid, np.broadcast_to(values, grid.shape))
+    w, extents = _support_extents(psi, eps, schedule, grid)
+    for ext, h in zip(extents, grid.spacings):
+        cells = 2.0 * ext / h
+        if cells < MIN_CELLS_PER_AXIS:
+            raise ResolutionError(
+                f"scaled mollifier support covers {cells:.2f} cells on an axis but "
+                f"{MIN_CELLS_PER_AXIS} are required; refine the grid or stop the net earlier"
+            )
+    return _sample_net(psi, w, extents, grid, center)
 
 
 def discrete_integral(f: Field) -> float:
@@ -300,22 +290,17 @@ class PotentialSpec:
     kind is one of "dirac_delta", "dirac_delta_squared", "sampled",
     "constant".  For the delta kinds ``value`` is a signed, nonzero
     multiplier (default 1), so value * delta covers attractive wells as
-    well.  sign_class records whether V is known nonnegative or genuinely
-    real.  It picks only the default norm of a config file (hnu2 for
-    "nonneg", l2 for "real") and enters the config hash; whether a solve
-    records the energy is decided from the minimum of the V it is given.
-    Left unset, it is derived from the multiplier, the constant or the
-    sample minimum: "nonneg" if that is >= 0, else "real".  A declared class
-    is checked against the same rule: a delta's class must match its
-    multiplier's sign, and any other V may be declared "real", but
-    "nonneg" only if it has no negative values.
+    well.  sign_class is derived, never declared: "nonneg" if the
+    multiplier, the constant or the sample minimum is >= 0, else "real".  It
+    picks only the default norm of a config (hnu2 for "nonneg", l2 for
+    "real") and enters the config hash; whether a solve records the energy
+    is decided from the minimum of the V it is given.
     """
 
     kind: str
     value: float | None = None
     sample: Field | None = None
     center: tuple[float, ...] | None = None
-    sign_class: str | None = None
 
     def __post_init__(self):
         if self.kind not in ("dirac_delta", "dirac_delta_squared", "sampled", "constant"):
@@ -329,15 +314,11 @@ class PotentialSpec:
             raise ValueError(f"{self.kind} needs a nonzero multiplier")
         if self.kind == "sampled" and self.sample is None:
             raise ValueError("sampled potential needs a sample field")
+
+    @property
+    def sign_class(self) -> str:
         lowest = float(self.sample.values.min()) if self.kind == "sampled" else self.value
-        derived = "nonneg" if lowest >= 0 else "real"
-        if self.sign_class is None:
-            object.__setattr__(self, "sign_class", derived)
-        elif self.sign_class not in ("nonneg", "real"):
-            raise ValueError(f"sign_class must be 'nonneg' or 'real', got {self.sign_class!r}")
-        elif self.sign_class != derived and (delta or derived == "real"):
-            raise ValueError(f"{self.kind} potential is {derived!r}, "
-                             f"cannot be declared {self.sign_class!r}")
+        return "nonneg" if lowest >= 0 else "real"
 
     @classmethod
     def dirac_delta(cls, center=None, multiplier: float = 1.0) -> "PotentialSpec":
@@ -376,7 +357,7 @@ def unit_mass_kernel(psi: Mollifier, eps: float, schedule: OmegaSchedule,
     renormalised kernel tends to the discrete delta, i.e. convolution with it
     tends to the identity, which is the correct fixed-grid limit.
     """
-    raw = mollifier_net(psi, eps, schedule, grid, min_cells=None)
+    raw = _sample_net(psi, *_support_extents(psi, eps, schedule, grid), grid)
     mass = discrete_integral(raw)
     if mass <= 0.0:
         raise ResolutionError(

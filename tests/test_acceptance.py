@@ -253,7 +253,7 @@ def test_10_fit_correctness():
                               for k in range(8))]
         noisy_ok = noisy_ok and abs(fit_exponent(pairs).exponent - slope) <= 0.05 * slope
     eps_net = [2.0**-k for k in range(2, 8)]
-    verdict = check_negligible([(e, math.exp(-1.0 / e)) for e in eps_net], k_max=10)
+    verdict, _ = check_negligible([(e, math.exp(-1.0 / e)) for e in eps_net], k_max=10)
     ok = exact_ok and noisy_ok and verdict.kind == "Negligible"
     report(10, ok,
            f"planted slopes 0..6 exact={exact_ok}, 1% noise within 5%={noisy_ok}, "

@@ -219,6 +219,12 @@ class TestConfigErrors:
                      id="too-few-points"),
         pytest.param("sweep", "epsilons", "epsilons = 0.25,0.5,0.125,0.0625",
                      "strictly decreasing", id="epsilons-not-decreasing"),
+        pytest.param("sweep", "mollifier_radius", "mollifier_radius = -1",
+                     "mollifier_radius must be positive", id="negative-mollifier-radius"),
+        pytest.param("sweep", "u0_width", "u0_width = -0.5", "u0_width must be positive",
+                     id="negative-u0-width"),
+        pytest.param("sweep", None, "sign_class = real", "unknown key 'sign_class'",
+                     id="declared-sign-class"),
         # sweep's --experiment choices reject this before the file is read
         pytest.param("solve", "experiment", "experiment = bogus",
                      "experiment must be one of", id="unknown-experiment"),

@@ -2,16 +2,18 @@
 
 import importlib.util
 import math
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gradedheat.config import (
+    SolveOptions,
     SweepConfig,
     canonical_text,
     config_hash,
+    parse_solve_config_file,
     parse_sweep_config,
 )
 from gradedheat import harness
@@ -106,23 +108,24 @@ class TestVerdicts:
 
     def test_negligible_all_zero(self):
         pairs = [(0.5 * 2.0**-k, 0.0) for k in range(5)]
-        assert check_negligible(pairs, k_max=10).kind == "Negligible"
+        assert check_negligible(pairs, k_max=10) == (Verdict("Negligible"), None)
 
     def test_negligible_scattered_zeros(self):
         # under 4 positive points the zero rows carry the verdict
         pairs = [(0.5, 1e-3), (0.25, 0.0), (0.125, 1e-9), (0.0625, 0.0), (0.03125, 0.0)]
-        assert check_negligible(pairs, k_max=10).kind == "Negligible"
+        assert check_negligible(pairs, k_max=10)[0].kind == "Negligible"
 
     def test_negligible_exponential(self):
         eps = [2.0**-k for k in range(2, 8)]
         pairs = [(e, math.exp(-1.0 / e)) for e in eps]
-        v = check_negligible(pairs, k_max=10)
+        v, fit = check_negligible(pairs, k_max=10)
         assert v.kind == "Negligible"
         assert v.exponent < -20.0
+        assert fit == fit_exponent(pairs)
 
     def test_slow_decay_fails(self):
         pairs = planted_pairs(-1.0)  # value ~ omega^1
-        v = check_negligible(pairs, k_max=10)
+        v, _ = check_negligible(pairs, k_max=10)
         assert v.kind == "Fail"
         assert "k_max" in str(v)
 
@@ -233,7 +236,7 @@ class TestExistence:
         u0 = bump_field(cfg.make_grid(), cfg.u0_width, cfg.u0_amplitude)
         psi = Mollifier(1, cfg.mollifier_radius)
         for r in rep.records:
-            u0_eps = regularize_field(u0, r.epsilon, cfg.u0_schedule, psi)
+            u0_eps = regularize_field(u0, r.epsilon, cfg.schedule_u0, psi)
             assert r.norm_sup_t == pytest.approx(lp_norm(u0_eps, p), rel=1e-12)
 
     def test_real_potential_h_norm_still_moderate(self):
@@ -279,6 +282,18 @@ class TestUniqueness:
                           experiment="uniqueness", norm="l2", dt=1.0 / 32)
         rep = uniqueness_experiment(cfg)
         assert rep.verdict.kind == "Negligible"
+
+    def test_judge_fits_once(self, monkeypatch):
+        # check_negligible hands back its fit, so the report's fit is not refitted
+        calls = []
+        real_fit = harness.fit_exponent
+        monkeypatch.setattr(harness, "fit_exponent",
+                            lambda pairs: calls.append(len(pairs)) or real_fit(pairs))
+        cfg = make_config(experiment="uniqueness", perturbation="omega1", norm="l2",
+                          potential=PotentialSpec.dirac_delta_squared())
+        rep = uniqueness_experiment(cfg)
+        assert calls == [5]
+        assert rep.verdict.exponent == rep.fit.exponent
 
     def test_omega_perturbation_is_not_negligible(self):
         # the negative control: an omega(eps)-sized perturbation only decays
@@ -603,6 +618,57 @@ class TestConfigRoundTrip:
         cfg = parse_sweep_config(block, experiment="existence")
         assert cfg.points == (256,) and cfg.norm == "hnu2" and cfg.threads == 4
 
+    # every optional and solve-only key, each set away from its default
+    ALL_KEYS_TEXT = """\
+group = heisenberg1
+half_width = 1.5
+points = 8,8,16
+potential = delta2:-0.5
+schedule = log:2
+epsilons = 0.25,0.125,0.0625,0.03125
+T = 0.25
+dt = 0.0625
+experiment = uniqueness
+norm = lp:3
+k_max = 7
+N_max = 4
+threads = 3
+perturbation = omega1
+u0_width = 0.8
+u0_amplitude = 2.5
+mollifier_radius = 1.25
+schedule_v = poly
+schedule_u0 = log:3
+epsilon = 0.125
+method = duhamel
+picard_depth = 5
+"""
+
+    def test_config_hashes_are_pinned(self):
+        # a drifted default or hash rendering moves these; the sign class is
+        # derived from V but still rendered, so no hash moved when the key went
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("A typical config:", 1)[1].split("```")[1]
+        assert config_hash(parse_sweep_config(block, experiment="existence")) == (
+            "df6fb8aaee0f0285dc42c9b17211c13c20731bb3269a890fb9804525606580e7")
+        assert config_hash(parse_sweep_config(self.ALL_KEYS_TEXT)) == (
+            "c56c373de24c52430ac746946013b32b9336ab44da2ee6ba960b19b62bcb3604")
+
+    def test_all_keys_config_leaves_no_default(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(self.ALL_KEYS_TEXT)
+        cfg, opts = parse_solve_config_file(path)
+        assert cfg == parse_sweep_config(self.ALL_KEYS_TEXT)
+        assert opts == SolveOptions(epsilon=0.125, method="duhamel", picard_depth=5)
+        required = {f.name: getattr(cfg, f.name) for f in fields(SweepConfig)
+                    if f.default is MISSING}
+        defaults = SweepConfig(**required)
+        for f in fields(SweepConfig):
+            if f.name not in required:
+                assert getattr(cfg, f.name) != getattr(defaults, f.name), f.name
+        for f in fields(SolveOptions):
+            assert getattr(opts, f.name) != f.default, f.name
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_sweep_config(CONFIG_TEXT + "\nwibble = 3\n")
@@ -653,18 +719,18 @@ class TestConfigRoundTrip:
         assert cfg.potential.sign_class == "real"
         assert cfg.norm == "l2"
 
-    # the sign class each token gets with sign_class unset, nonneg or real;
-    # None is a ConfigError, and so is every undeclarable class such as maybe
+    # the sign class each token derives, None for a ConfigError; a declared
+    # class (nonneg, real or anything else) is an unknown key
     SIGN_CLASSES = {
-        "delta": ("nonneg", "nonneg", None),
-        "delta:-2": ("real", None, "real"),
-        "delta:0": (None, None, None),
-        "delta2:-1": ("real", None, "real"),
-        "constant:0": ("nonneg", "nonneg", "real"),
-        "constant:1": ("nonneg", "nonneg", "real"),
-        "constant:-1": ("real", None, "real"),
-        "sampled:pos.npy": ("nonneg", "nonneg", "real"),
-        "sampled:mixed.npy": ("real", None, "real"),
+        "delta": "nonneg",
+        "delta:-2": "real",
+        "delta:0": None,
+        "delta2:-1": "real",
+        "constant:0": "nonneg",
+        "constant:1": "nonneg",
+        "constant:-1": "real",
+        "sampled:pos.npy": "nonneg",
+        "sampled:mixed.npy": "real",
     }
 
     @pytest.mark.parametrize("declared", [None, "nonneg", "real", "maybe"])
@@ -674,10 +740,11 @@ class TestConfigRoundTrip:
         np.save(tmp_path / "pos.npy", bump)
         np.save(tmp_path / "mixed.npy", bump - 0.5)
         text = CONFIG_TEXT.replace("potential = delta", f"potential = {token}")
+        want = self.SIGN_CLASSES[token]
         if declared is not None:
-            text += f"sign_class = {declared}\n"
-        outcomes = self.SIGN_CLASSES[token]
-        want = outcomes[(None, "nonneg", "real").index(declared)] if declared != "maybe" else None
+            with pytest.raises(ConfigError, match="unknown key 'sign_class'"):
+                parse_sweep_config(text + f"sign_class = {declared}\n", base_dir=tmp_path)
+            return
         if want is None:
             with pytest.raises(ConfigError):
                 parse_sweep_config(text, base_dir=tmp_path)
@@ -685,3 +752,4 @@ class TestConfigRoundTrip:
         cfg = parse_sweep_config(text, base_dir=tmp_path)
         assert cfg.potential.sign_class == want
         assert cfg.norm == ("hnu2" if want == "nonneg" else "l2")
+        assert f"sign_class = {want}\n" in canonical_text(cfg)

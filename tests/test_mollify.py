@@ -173,8 +173,8 @@ class TestMollifierNet:
         psi = Mollifier(1, 1.0)
         with pytest.raises(ResolutionError):
             mollifier_net(psi, 0.25, POLY, grid)  # 4 cells < 6
-        # explicit opt-out samples anyway
-        f = mollifier_net(psi, 0.25, POLY, grid, min_cells=None)
+        # the convolution kernel has no resolution guard and samples anyway
+        f = unit_mass_kernel(psi, 0.25, POLY, grid)
         assert f.values.max() > 0
 
     def test_support_guard(self):
@@ -316,13 +316,15 @@ class TestRegularize:
         np.testing.assert_allclose(out.values, f.values, atol=1e-12)
 
     def test_delta_sign_class_forced(self):
-        with pytest.raises(ValueError):
+        # the class follows the multiplier's sign and cannot be declared
+        assert PotentialSpec.dirac_delta().sign_class == "nonneg"
+        assert PotentialSpec.dirac_delta_squared(multiplier=-1.0).sign_class == "real"
+        with pytest.raises(TypeError):
             PotentialSpec("dirac_delta", sign_class="real")
 
     def test_negative_constant_must_be_real(self):
-        with pytest.raises(ValueError):
-            PotentialSpec("constant", value=-1.0, sign_class="nonneg")
         assert PotentialSpec.constant(-1.0).sign_class == "real"
+        assert PotentialSpec.constant(0.0).sign_class == "nonneg"
 
     @pytest.mark.parametrize("pot", [
         lambda: PotentialSpec.constant(math.nan),
