@@ -89,12 +89,18 @@ class SweepConfig:
         if not 0 < self.dt <= self.T < math.inf:
             raise ConfigError(f"need 0 < dt <= T < inf, got dt = {self.dt}, T = {self.T}")
         parse_norm_token(self.norm)
+        with _config_error():
+            half_width = min(self.make_grid().half_widths)
         for name in ("u0_width", "u0_amplitude", "mollifier_radius"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("u0_width", "mollifier_radius"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.u0_width > half_width:
+            # the bump datum and the uniqueness probe must fit inside the box
+            raise ConfigError(
+                f"u0_width {self.u0_width} exceeds the box half-width {half_width}")
         for name in ("k_max", "n_max", "threads"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive integer")

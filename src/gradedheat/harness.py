@@ -27,13 +27,32 @@ deterministic ordered reduction, so CSV output is byte-identical for any
 thread count.  A passing consistency run reports Moderate carrying the
 fitted slope of the error net (negative; its magnitude is the empirical
 convergence order).
+
+threads sets the pool size, capped at the number of eps.  The cores this
+process may run on are split between the pool workers and BLAS: while the
+pool runs, each OpenBLAS mapped into the process is held at cores // workers
+threads (at least 1, and never above the count it had), so workers x BLAS
+threads <= cores and the CG preconditioner's BLAS calls do not
+oversubscribe the machine.  The pthreads OpenBLAS that numpy and scipy
+bundle keeps one thread count for the whole process, so other threads share
+the cap while the pool runs and the count is put back when the pool exits.
+Each pool is sized to all the cores, so the pools of concurrent sweeps in one
+process take turns.  Every path outside a sweep, and a single-worker sweep,
+keeps its BLAS threads.  Where no mapped library
+exports openblas_set_num_threads_local (MKL, Accelerate, OpenBLAS before
+0.3.27, no /proc), nothing is capped.  The manifest records the split.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -168,6 +187,8 @@ class SweepReport:
     verdict: Verdict
     extra_fits: tuple[tuple[str, FitResult], ...] = ()
     wall_clock: float = 0.0
+    workers: int = 1
+    blas_threads: int | None = None  # per worker; None where no setter was found
 
     def extra_fit(self, name: str) -> FitResult:
         for key, fit in self.extra_fits:
@@ -197,6 +218,67 @@ def _l2_state_distance(a: Trajectory, b: Trajectory) -> float:
     return max(lp_norm(fa - fb, 2) for fa, fb in zip(a.states, b.states))
 
 
+@functools.cache
+def _blas_thread_setters() -> tuple:
+    """openblas_set_num_threads_local of each OpenBLAS mapped into the process.
+
+    numpy and scipy each bundle one.  The setter returns the count it
+    replaces.  It sets openblas_set_num_threads' count, which is the calling
+    thread's in an OpenMP build but the whole process's in the pthreads
+    builds that numpy and scipy ship.
+    """
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return ()
+    rows = (line.split(maxsplit=5) for line in maps.splitlines())
+    paths = {row[5] for row in rows if len(row) == 6 and "openblas" in Path(row[5]).name}
+    setters = []
+    for path in sorted(paths):
+        try:
+            setter = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = ctypes.c_int
+        setters.append(setter)
+    return tuple(setters)
+
+
+# where the BLAS count a pool caps is the process's, two pools at once would
+# restore each other's counts out of order
+_POOL_LOCK = threading.Lock()
+
+
+@contextmanager
+def _capped_pool(workers: int):
+    """A thread pool whose workers split the cores with BLAS (module docstring).
+
+    Each OpenBLAS is lowered, never raised, to cores // workers threads (at
+    least 1) in the calling thread and, by the pool initializer, in each
+    worker, and gets its count back when the pool has exited.  Yields the
+    pool and the BLAS threads per worker, None where no setter was found.
+    """
+    setters = _blas_thread_setters()
+    # sched_getaffinity exists wherever the /proc/self/maps the setters come from does
+    share = max(1, len(os.sched_getaffinity(0)) // workers) if setters else 1
+    with _POOL_LOCK:
+        before = [setter(1) for setter in setters]  # the setter is the only getter
+        caps = [min(count, share) for count in before]
+
+        def cap_this_thread():
+            for setter, cap in zip(setters, caps):
+                setter(cap)
+
+        cap_this_thread()
+        try:
+            with ThreadPoolExecutor(max_workers=workers, initializer=cap_this_thread) as pool:
+                yield pool, max(caps, default=None)
+        finally:
+            for setter, count in zip(setters, before):
+                setter(count)
+
+
 def _sweep(cfg: SweepConfig, experiment: str, measure_on, judge) -> SweepReport:
     """Run one experiment over the eps-net of cfg (see the module docstring).
 
@@ -219,8 +301,9 @@ def _sweep(cfg: SweepConfig, experiment: str, measure_on, judge) -> SweepReport:
         value, extras = measure(eps, v_eps, u0_eps)
         return SweepRecord(eps, w, value, fitted_flag=False, extras=tuple(extras.items()))
 
+    workers = min(cfg.threads, len(cfg.epsilons))
     rows, failure = [], None
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+    with _capped_pool(workers) as (pool, blas_threads):
         futures = [pool.submit(solve, eps) for eps in cfg.epsilons]
         for eps, fut in zip(cfg.epsilons, futures):
             try:
@@ -234,7 +317,8 @@ def _sweep(cfg: SweepConfig, experiment: str, measure_on, judge) -> SweepReport:
     records = tuple(replace(r, fitted_flag=fit is not None and r.norm_sup_t > 0.0)
                     for r in rows)
     return SweepReport(config=cfg, records=records, fit=fit, verdict=verdict,
-                       extra_fits=extra_fits, wall_clock=time.perf_counter() - t0)
+                       extra_fits=extra_fits, wall_clock=time.perf_counter() - t0,
+                       workers=workers, blas_threads=blas_threads)
 
 
 def _fitted_nets(nets) -> tuple[tuple[str, FitResult], ...]:
@@ -411,6 +495,13 @@ def persist_report(report: SweepReport, out_dir: str | Path) -> tuple[Path, Path
     return csv_path, manifest_path
 
 
+def _pool_text(workers: int, blas_threads: int | None) -> str:
+    def count(n, noun):
+        return f"{n} {noun}" + ("" if n == 1 else "s")
+    blas = "BLAS threads unchanged" if blas_threads is None else count(blas_threads, "BLAS thread")
+    return f"{count(workers, 'worker')} x {blas}"
+
+
 def _manifest_text(report: SweepReport) -> str:
     fit = report.fit
     lines = [
@@ -421,6 +512,7 @@ def _manifest_text(report: SweepReport) -> str:
         f"norm: {report.config.norm}",
         f"records: {len(report.records)}",
         f"wall_clock_seconds: {report.wall_clock:.3f}",
+        f"pool: {_pool_text(report.workers, report.blas_threads)}",
         f"fitted_exponent: {fit.exponent:.17g}" if fit else "fitted_exponent: n/a",
         f"fit_stderr: {fit.stderr:.17g}" if fit else "fit_stderr: n/a",
     ]

@@ -223,6 +223,8 @@ class TestConfigErrors:
                      "mollifier_radius must be positive", id="negative-mollifier-radius"),
         pytest.param("sweep", "u0_width", "u0_width = -0.5", "u0_width must be positive",
                      id="negative-u0-width"),
+        pytest.param("sweep", "u0_width", "u0_width = 1.5", "exceeds the box half-width 1.0",
+                     id="u0-wider-than-box"),
         pytest.param("sweep", None, "sign_class = real", "unknown key 'sign_class'",
                      id="declared-sign-class"),
         # sweep's --experiment choices reject this before the file is read

@@ -2,6 +2,10 @@
 
 import importlib.util
 import math
+import os
+import sys
+import threading
+import time
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
@@ -39,11 +43,22 @@ from gradedheat.mollify import (
     PotentialSpec,
     bump_field,
     regularize_field,
+    regularize_potential,
 )
 from gradedheat.groups import euclidean, heisenberg1, make_grid
 from gradedheat.norms import lp_norm
 
 POLY = OmegaSchedule.polynomial()
+
+
+def load_perfbench(name):
+    """A module of the benchmark under perfbench/, which is not a package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def planted_pairs(slope, count=6, scale=3.0):
@@ -424,10 +439,7 @@ class TestSweepDriver:
         # perfbench/tracing.py wraps gradedheat.harness module globals and reads
         # eps from positional argument 1 of the regularize_* calls; a layer
         # called through a local name, or eps passed by keyword, blinds it
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
+        tracing = load_perfbench("tracing")
         cfg = make_config(threads=2)
         with tracing.Tracer() as tracer:
             rep = existence_experiment(cfg)
@@ -454,19 +466,35 @@ class TestRunParallelDeterminism:
         assert csv1.read_bytes() == csv4.read_bytes()
         assert config_hash(rep1.config) == config_hash(rep4.config)
 
-    def test_heisenberg_thread_count_does_not_change_report(self, tmp_path):
-        # the pool's workers share the operator's cached resolvent blocks
-        cfg = make_config(group=heisenberg1(), half_width=1.5, points=(8, 8, 16),
-                          schedule=OmegaSchedule.logarithmic(1),
-                          epsilons=EpsilonNet((0.25, 0.22, 0.19, 0.17)),
-                          mollifier_radius=2.0, T=0.25, dt=1.0 / 32)
+    @staticmethod
+    def reports_at_threads_1_and_2(cfg, tmp_path):
         bodies = []
         for threads in (1, 2):
             rep = run_experiment(replace(cfg, threads=threads))
             assert rep.verdict.kind == "Moderate"
             csv_path, _ = persist_report(rep, tmp_path / f"t{threads}")
             bodies.append(csv_path.read_bytes())
-        assert bodies[0] == bodies[1]
+        return bodies
+
+    def test_heisenberg_thread_count_does_not_change_report(self, tmp_path):
+        # the pool's workers share the operator's cached resolvent blocks
+        cfg = make_config(group=heisenberg1(), half_width=1.5, points=(8, 8, 16),
+                          schedule=OmegaSchedule.logarithmic(1),
+                          epsilons=EpsilonNet((0.25, 0.22, 0.19, 0.17)),
+                          mollifier_radius=2.0, T=0.25, dt=1.0 / 32)
+        one, two = self.reports_at_threads_1_and_2(cfg, tmp_path)
+        assert one == two
+
+    def test_heisenberg_benchmark_grid_blas_split_does_not_change_report(self, tmp_path):
+        # on the h1_existence grid the 256-dof blocks are large enough for
+        # OpenBLAS to thread the preconditioner: one worker runs it on every
+        # core, two workers on their share of the cores
+        cfg = make_config(group=heisenberg1(), half_width=1.5, points=(16, 16, 32),
+                          schedule=OmegaSchedule.logarithmic(1),
+                          epsilons=EpsilonNet((0.25, 0.2, 0.15, 0.11)),
+                          mollifier_radius=1.4, T=1.0 / 16, dt=1.0 / 32)
+        one, two = self.reports_at_threads_1_and_2(cfg, tmp_path)
+        assert one == two
 
     def test_euclidean2_thread_count_does_not_change_report(self, tmp_path):
         # the pool's workers share the operator's cached Fourier multiplier;
@@ -475,19 +503,83 @@ class TestRunParallelDeterminism:
         cfg = make_config(group=euclidean(2), half_width=2.0, points=(48, 48),
                           potential=PotentialSpec.dirac_delta(multiplier=-5.0), norm="l2",
                           epsilons=EpsilonNet((0.5, 0.35, 0.25, 0.18)), T=0.25, dt=1.0 / 64)
-        bodies = []
-        for threads in (1, 2):
-            rep = run_experiment(replace(cfg, threads=threads))
-            assert rep.verdict.kind == "Moderate"
-            csv_path, _ = persist_report(rep, tmp_path / f"t{threads}")
-            bodies.append(csv_path.read_bytes())
-        assert bodies[0] == bodies[1]
+        one, two = self.reports_at_threads_1_and_2(cfg, tmp_path)
+        assert one == two
 
     def test_dispatch_table(self):
         cfg = make_config()
         rep = run_experiment(cfg)
         assert rep.config.experiment == "existence"
         assert rep.verdict.kind == "Moderate"
+
+
+class TestBlasThreadCap:
+    @pytest.fixture
+    def setters(self):
+        setters = harness._blas_thread_setters()
+        if not setters:
+            pytest.skip("no mapped OpenBLAS exports openblas_set_num_threads_local")
+        return setters
+
+    @staticmethod
+    def counts(setters):
+        """This thread's count in each OpenBLAS, read through the setter and restored."""
+        out = []
+        for setter in setters:
+            count = setter(1)
+            setter(count)
+            out.append(count)
+        return out
+
+    def test_workers_get_their_share_and_the_caller_keeps_its_count(
+            self, setters, monkeypatch, tmp_path):
+        seen, reading = [], threading.Lock()
+
+        def spy(*args):
+            # where the count is the process's, a read sets it for a moment
+            with reading:
+                seen.append(self.counts(setters))
+            return regularize_potential(*args)
+
+        monkeypatch.setattr(harness, "regularize_potential", spy)
+        before = self.counts(setters)
+        rep = run_experiment(make_config(threads=2))
+        assert self.counts(setters) == before
+        share = max(1, len(os.sched_getaffinity(0)) // 2)
+        want = [min(share, count) for count in before]
+        assert seen == [want] * 5
+        assert (rep.workers, rep.blas_threads) == (2, max(want))
+        _, manifest = persist_report(rep, tmp_path)
+        plural = "" if max(want) == 1 else "s"
+        assert f"pool: 2 workers x {max(want)} BLAS thread{plural}\n" in manifest.read_text()
+
+    def test_pools_of_concurrent_sweeps_take_turns(self, setters, monkeypatch):
+        # each pool restores the count it found, which is only right if no
+        # other pool changed it in between
+        spans = []
+
+        def spy(*args):
+            start = time.perf_counter()
+            out = regularize_potential(*args)
+            pool = threading.current_thread().name.rpartition("_")[0]
+            spans.append((pool, start, time.perf_counter()))
+            return out
+
+        monkeypatch.setattr(harness, "regularize_potential", spy)
+        before = self.counts(setters)
+        sweeps = [threading.Thread(target=run_experiment, args=(make_config(threads=n),))
+                  for n in (2, 1)]
+        for sweep in sweeps:
+            sweep.start()
+        for sweep in sweeps:
+            sweep.join(timeout=60)
+            assert not sweep.is_alive()
+        assert self.counts(setters) == before
+        pools = sorted({pool for pool, _, _ in spans})
+        assert len(pools) == 2 and len(spans) == 10
+        first, second = ([(a, b) for p, a, b in spans if p == pool] for pool in pools)
+        assert (max(b for _, b in first) <= min(a for a, _ in second)
+                or max(b for _, b in second) <= min(a for a, _ in first))
 
 
 class TestPersistReport:
@@ -516,6 +608,9 @@ class TestPersistReport:
         assert f"config_hash: {config_hash(cfg)}" in manifest
         assert "VERDICT: Moderate(N=0.3)" in manifest
         assert "scope_note" in manifest
+        assert "pool: 1 worker x BLAS threads unchanged\n" in manifest
+        # the benchmark checks every sweep's exponent through this reader
+        assert load_perfbench("workloads").manifest_exponent(manifest_path) == 0.3
 
     def test_unwritable_directory_is_named(self, tmp_path):
         out = tmp_path / "out"
@@ -685,6 +780,16 @@ picard_depth = 5
         text = CONFIG_TEXT.replace("experiment = existence\n", "")
         with pytest.raises(ConfigError, match="missing required key 'experiment'"):
             parse_sweep_config(text)
+
+    @pytest.mark.parametrize("overrides, want", [
+        ({"points": (3,)}, "at least 4 points per axis"),
+        ({"half_width": math.nan}, "half_widths must be in"),
+        ({"u0_width": 1.5}, "u0_width 1.5 exceeds the box half-width 1.0"),
+    ])
+    def test_grid_and_datum_checked_when_built(self, overrides, want):
+        # the sweep would otherwise refuse them only once it builds the grid or the bump
+        with pytest.raises(ConfigError, match=want):
+            make_config(**overrides)
 
     @pytest.mark.parametrize("name", ["u0_width", "u0_amplitude", "mollifier_radius"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
