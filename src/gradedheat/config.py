@@ -39,6 +39,7 @@ _GROUP_TOKENS = {
 EXPERIMENTS = ("existence", "uniqueness", "consistency")
 METHODS = ("implicit", "duhamel", "oracle")
 _PERTURBATIONS = ("exp", "omega1", "none")
+MIN_FIT_POINTS = 4  # the shortest net an exponent fit accepts
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,9 @@ class SweepConfig:
         if self.perturbation not in _PERTURBATIONS:
             raise ConfigError(
                 f"perturbation must be one of {_PERTURBATIONS}, got {self.perturbation!r}")
+        if self.experiment != "consistency" and len(self.epsilons) < MIN_FIT_POINTS:
+            raise ConfigError(f"{self.experiment} fits an exponent over the epsilon net, which "
+                              f"needs at least {MIN_FIT_POINTS} values, got {len(self.epsilons)}")
         if not 0 < self.dt <= self.T < math.inf:
             raise ConfigError(f"need 0 < dt <= T < inf, got dt = {self.dt}, T = {self.T}")
         parse_norm_token(self.norm)

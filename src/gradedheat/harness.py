@@ -41,6 +41,9 @@ process take turns.  Every path outside a sweep, and a single-worker sweep,
 keeps its BLAS threads.  Where no mapped library
 exports openblas_set_num_threads_local (MKL, Accelerate, OpenBLAS before
 0.3.27, no /proc), nothing is capped.  The manifest records the split.
+The libraries are found once, on the first sweep.  scipy's OpenBLAS is mapped
+only when solve.splu first imports SuperLU, its one user here (1-D systems),
+so a process that swept before that never caps it.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .config import SweepConfig, config_hash, parse_norm_token
+from .config import MIN_FIT_POINTS, SweepConfig, config_hash, parse_norm_token
 from .groups import Field
 from .mollify import (
     Mollifier,
@@ -86,13 +89,13 @@ def fit_exponent(pairs) -> FitResult:
     """Least-squares slope of log(value) against log(1/omega).
 
     pairs is a sequence of (omega, value) with omega strictly decreasing and
-    every value positive; at least 4 points are required.  The slope is the
-    moderateness exponent N in value ~ omega^{-N}; decaying nets give
-    negative slopes.
+    every value positive; at least MIN_FIT_POINTS points are required.  The
+    slope is the moderateness exponent N in value ~ omega^{-N}; decaying nets
+    give negative slopes.
     """
     pairs = list(pairs)
-    if len(pairs) < 4:
-        raise ValueError(f"exponent fit needs at least 4 points, got {len(pairs)}")
+    if len(pairs) < MIN_FIT_POINTS:
+        raise ValueError(f"exponent fit needs at least {MIN_FIT_POINTS} points, got {len(pairs)}")
     omegas = np.array([w for w, _ in pairs], dtype=float)
     values = np.array([v for _, v in pairs], dtype=float)
     if np.any(values <= 0.0):
@@ -150,16 +153,17 @@ def check_negligible(pairs, k_max: int) -> tuple[Verdict, FitResult | None]:
     Zero values are admitted: they mean the difference fell below the
     floating-point floor, which is stronger than any polynomial decay.  An
     all-zero net is Negligible outright; scattered zeros are dropped from
-    the fit, and if fewer than 4 positive points remain the zeros carry the
-    verdict, and the fit is None.
+    the fit, and if fewer than MIN_FIT_POINTS positive points remain the
+    zeros carry the verdict, and the fit is None.
     """
     pairs = list(pairs)
-    if len(pairs) < 4:
-        raise ValueError(f"negligibility check needs at least 4 points, got {len(pairs)}")
+    if len(pairs) < MIN_FIT_POINTS:
+        raise ValueError(f"negligibility check needs at least {MIN_FIT_POINTS} points, "
+                         f"got {len(pairs)}")
     positive = [(w, v) for w, v in pairs if v > 0.0]
     if any(v < 0.0 for _, v in pairs):
         raise ValueError("difference norms cannot be negative")
-    if len(positive) < 4:
+    if len(positive) < MIN_FIT_POINTS:
         return Verdict("Negligible"), None
     fit = fit_exponent(positive)
     if fit.exponent <= -float(k_max):

@@ -19,6 +19,7 @@ resolvent (I + dt R)^{-1}: a Fourier multiplier on R^d, central-frequency
 blocks on H1.  V is the only part that breaks the translation invariance,
 and the preconditioned condition number is at most
 (1 + dt max V^+)/(1 - dt max V^-), which also sizes the iteration cap.
+SuperLU is imported on the first 1-D solve, not with the package.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from . import operators
 from .errors import CapabilityError, ConvergenceError, StabilityError
@@ -199,6 +199,12 @@ def step_implicit(p: CauchyProblem) -> Trajectory:
         u = solve(u, k)
         rec.push(u)
     return rec.build()
+
+
+def splu(matrix):
+    """SuperLU factorisation of a CSC matrix, importing scipy.sparse.linalg on first use."""
+    from scipy.sparse.linalg import splu as superlu
+    return superlu(matrix)
 
 
 def _lu_solver(p: CauchyProblem, dt: float, v_flat: np.ndarray):

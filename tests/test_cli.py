@@ -219,6 +219,9 @@ class TestConfigErrors:
                      id="too-few-points"),
         pytest.param("sweep", "epsilons", "epsilons = 0.25,0.5,0.125,0.0625",
                      "strictly decreasing", id="epsilons-not-decreasing"),
+        # refused before any solve, not by the exponent fit after every solve
+        pytest.param("sweep", "epsilons", "epsilons = 0.5,0.25,0.125",
+                     "needs at least 4 values, got 3", id="short-epsilon-net"),
         pytest.param("sweep", "mollifier_radius", "mollifier_radius = -1",
                      "mollifier_radius must be positive", id="negative-mollifier-radius"),
         pytest.param("sweep", "u0_width", "u0_width = -0.5", "u0_width must be positive",

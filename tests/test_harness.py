@@ -791,6 +791,17 @@ picard_depth = 5
         with pytest.raises(ConfigError, match=want):
             make_config(**overrides)
 
+    @pytest.mark.parametrize("experiment", ["existence", "uniqueness"])
+    def test_short_net_refused_where_a_fit_judges(self, experiment):
+        # refused when built, so the sweep solves no eps before the fit fails
+        with pytest.raises(ConfigError, match=f"{experiment} fits an exponent .* got 3"):
+            make_config(experiment=experiment, epsilons=EpsilonNet.dyadic(0.5, 3))
+
+    def test_short_net_accepted_for_consistency(self):
+        # consistency judges the error net without a fit
+        rep = consistency_experiment(bump_potential_config(epsilons=EpsilonNet((1.0, 0.5))))
+        assert len(rep.records) == 2
+
     @pytest.mark.parametrize("name", ["u0_width", "u0_amplitude", "mollifier_radius"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_nonfinite_sweep_number_rejected(self, name, value):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gradedheat import mollify
 from gradedheat.errors import ResolutionError, SupportError
 from gradedheat.groups import Field, euclidean, heisenberg1, make_grid
 from gradedheat.mollify import (
@@ -98,6 +99,46 @@ class TestEpsilonNet:
             EpsilonNet((1.5, 0.5))
         with pytest.raises(ValueError):
             EpsilonNet(())
+
+
+def quad_radial(dim):
+    from scipy.integrate import quad
+
+    value, _ = quad(lambda r: r ** (dim - 1) * math.exp(-1.0 / (1.0 - r * r)),
+                    0.0, 1.0, epsabs=1e-14, epsrel=1e-13)
+    return value
+
+
+class TestUnitBallIntegral:
+    def test_table_is_quads_value(self):
+        # another scipy build's quad may differ in the last bits
+        for dim in (1, 2, 3):
+            radial = quad_radial(dim)
+            assert abs(mollify._RADIAL_INTEGRAL[dim] - radial) <= 2 * math.ulp(radial), dim
+
+    @pytest.mark.parametrize("dim, bits", [
+        (1, "0x1.c6a650a045c5cp-2"),
+        (2, "0x1.ddb56cbf84bb5p-2"),
+        (3, "0x1.c3acce25ed9d8p-2"),
+    ])
+    def test_norm_const_bits_pinned(self, dim, bits):
+        # norm_const as quad gave it; one ulp here moves every sampled net
+        assert Mollifier(dim, 1.0).norm_const.hex() == bits
+
+    def test_other_dimensions_call_quad(self, monkeypatch):
+        import scipy.integrate
+
+        want = 2.0 * math.pi**2 / math.gamma(2.0) * quad_radial(4)  # surface of S^3
+        calls = []
+        quad = scipy.integrate.quad
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.integrate, "quad", spy)
+        assert Mollifier(4, 1.0).norm_const == want
+        assert len(calls) == 1
 
 
 class TestMollifierNet:
