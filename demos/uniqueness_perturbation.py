@@ -9,6 +9,8 @@ solution difference:
   sigma = omega(eps)   the negative control, decays only at first order
 """
 
+import math
+
 from gradedheat import EpsilonNet, OmegaSchedule, PotentialSpec, euclidean
 from gradedheat.config import SweepConfig
 from gradedheat.harness import uniqueness_experiment
@@ -26,7 +28,8 @@ def sweep(perturbation):
     print(f"--- perturbation: {perturbation} ---")
     print(f"  {'eps':>10} {'sigma':>12} {'sup_t |u - u~|_L2':>20}")
     for r in rep.records:
-        sigma = dict(r.extras)["perturbation_size"]
+        # omega1 perturbs by the main schedule's omega, which the record holds
+        sigma = r.omega if perturbation == "omega1" else math.exp(-1.0 / r.epsilon)
         print(f"  {r.epsilon:>10.5f} {sigma:>12.3e} {r.norm_sup_t:>20.3e}")
     if rep.fit is not None:
         print(f"  fitted decay order: {-rep.fit.exponent:.3f}")

@@ -30,20 +30,22 @@ convergence order).
 
 threads sets the pool size, capped at the number of eps.  The cores this
 process may run on are split between the pool workers and BLAS: while the
-pool runs, each OpenBLAS mapped into the process is held at cores // workers
+pool runs, the OpenBLAS that numpy links is held at cores // workers
 threads (at least 1, and never above the count it had), so workers x BLAS
-threads <= cores and the CG preconditioner's BLAS calls do not
-oversubscribe the machine.  The pthreads OpenBLAS that numpy and scipy
-bundle keeps one thread count for the whole process, so other threads share
-the cap while the pool runs and the count is put back when the pool exits.
-Each pool is sized to all the cores, so the pools of concurrent sweeps in one
-process take turns.  Every path outside a sweep, and a single-worker sweep,
-keeps its BLAS threads.  Where no mapped library
-exports openblas_set_num_threads_local (MKL, Accelerate, OpenBLAS before
-0.3.27, no /proc), nothing is capped.  The manifest records the split.
-The libraries are found once, on the first sweep.  scipy's OpenBLAS is mapped
-only when solve.splu first imports SuperLU, its one user here (1-D systems),
-so a process that swept before that never caps it.
+threads <= cores and the CG preconditioner's BLAS calls (the H1 block
+products and inverses, the only BLAS a sweep runs on operands large enough
+to thread) do not oversubscribe the machine.  The pthreads OpenBLAS that
+numpy bundles keeps one thread count for the whole process, so other
+threads share the cap while the pool runs and the count is put back when
+the pool exits.  Each pool is sized to all the cores, so the pools of
+concurrent sweeps in one process take turns.  Every path outside a sweep,
+and a single-worker sweep, keeps its BLAS threads.  Where numpy's BLAS does
+not export openblas_set_num_threads_local (MKL, Accelerate, OpenBLAS before
+0.3.27), nothing is capped.  The manifest records the split.  scipy's own
+OpenBLAS is not capped: its one user here is SuperLU on 1-D tridiagonal
+systems, too small for OpenBLAS to thread (e1_uniqueness cpu_s on 2 cores:
+0.805 s with it capped, 0.802 s without).  A change whose pool workers call
+scipy.linalg must revisit this.
 """
 
 from __future__ import annotations
@@ -89,17 +91,18 @@ def fit_exponent(pairs) -> FitResult:
     """Least-squares slope of log(value) against log(1/omega).
 
     pairs is a sequence of (omega, value) with omega strictly decreasing and
-    every value positive; at least MIN_FIT_POINTS points are required.  The
-    slope is the moderateness exponent N in value ~ omega^{-N}; decaying nets
-    give negative slopes.
+    every omega and value finite and positive; at least MIN_FIT_POINTS points
+    are required.  The slope is the moderateness exponent N in
+    value ~ omega^{-N}; decaying nets give negative slopes.
     """
     pairs = list(pairs)
     if len(pairs) < MIN_FIT_POINTS:
         raise ValueError(f"exponent fit needs at least {MIN_FIT_POINTS} points, got {len(pairs)}")
     omegas = np.array([w for w, _ in pairs], dtype=float)
     values = np.array([v for _, v in pairs], dtype=float)
-    if np.any(values <= 0.0):
-        raise ValueError("exponent fit needs positive values (log undefined)")
+    for name, array in (("omegas", omegas), ("values", values)):
+        if not np.all(np.isfinite(array) & (array > 0.0)):
+            raise ValueError(f"exponent fit needs finite positive {name} (log undefined)")
     if np.any(np.diff(omegas) >= 0.0):
         raise ValueError("omega must be strictly decreasing along the net")
     x = np.log(1.0 / omegas)
@@ -223,30 +226,21 @@ def _l2_state_distance(a: Trajectory, b: Trajectory) -> float:
 
 
 @functools.cache
-def _blas_thread_setters() -> tuple:
-    """openblas_set_num_threads_local of each OpenBLAS mapped into the process.
+def _blas_thread_setter():
+    """openblas_set_num_threads_local of the OpenBLAS numpy links, or None.
 
-    numpy and scipy each bundle one.  The setter returns the count it
-    replaces.  It sets openblas_set_num_threads' count, which is the calling
-    thread's in an OpenMP build but the whole process's in the pthreads
-    builds that numpy and scipy ship.
+    Loading numpy's own linalg extension resolves the symbol in the library
+    that extension links.  The setter returns the count it replaces.  It
+    sets openblas_set_num_threads' count, which is the calling thread's in an
+    OpenMP build but the whole process's in the pthreads build numpy ships.
     """
     try:
-        maps = Path("/proc/self/maps").read_text()
-    except OSError:
-        return ()
-    rows = (line.split(maxsplit=5) for line in maps.splitlines())
-    paths = {row[5] for row in rows if len(row) == 6 and "openblas" in Path(row[5]).name}
-    setters = []
-    for path in sorted(paths):
-        try:
-            setter = ctypes.CDLL(path).openblas_set_num_threads_local
-        except (OSError, AttributeError):
-            continue
-        setter.argtypes = [ctypes.c_int]
-        setter.restype = ctypes.c_int
-        setters.append(setter)
-    return tuple(setters)
+        setter = ctypes.CDLL(np.linalg._umath_linalg.__file__).openblas_set_num_threads_local
+    except (OSError, AttributeError):
+        return None
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = ctypes.c_int
+    return setter
 
 
 # where the BLAS count a pool caps is the process's, two pools at once would
@@ -258,29 +252,28 @@ _POOL_LOCK = threading.Lock()
 def _capped_pool(workers: int):
     """A thread pool whose workers split the cores with BLAS (module docstring).
 
-    Each OpenBLAS is lowered, never raised, to cores // workers threads (at
-    least 1) in the calling thread and, by the pool initializer, in each
+    numpy's OpenBLAS is lowered, never raised, to cores // workers threads
+    (at least 1) in the calling thread and, by the pool initializer, in each
     worker, and gets its count back when the pool has exited.  Yields the
     pool and the BLAS threads per worker, None where no setter was found.
     """
-    setters = _blas_thread_setters()
-    # sched_getaffinity exists wherever the /proc/self/maps the setters come from does
-    share = max(1, len(os.sched_getaffinity(0)) // workers) if setters else 1
+    setter = _blas_thread_setter()
     with _POOL_LOCK:
-        before = [setter(1) for setter in setters]  # the setter is the only getter
-        caps = [min(count, share) for count in before]
-
-        def cap_this_thread():
-            for setter, cap in zip(setters, caps):
-                setter(cap)
-
-        cap_this_thread()
+        before = cap = None
+        if setter is not None:
+            # sched_getaffinity is Linux-only
+            cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count() or 1)
+            before = setter(1)  # the setter is the only getter
+            cap = min(before, max(1, cores // workers))
+            setter(cap)
         try:
-            with ThreadPoolExecutor(max_workers=workers, initializer=cap_this_thread) as pool:
-                yield pool, max(caps, default=None)
+            with ThreadPoolExecutor(max_workers=workers, initializer=setter,
+                                    initargs=(cap,)) as pool:
+                yield pool, cap
         finally:
-            for setter, count in zip(setters, before):
-                setter(count)
+            if setter is not None:
+                setter(before)
 
 
 def _sweep(cfg: SweepConfig, experiment: str, measure_on, judge) -> SweepReport:
@@ -325,19 +318,20 @@ def _sweep(cfg: SweepConfig, experiment: str, measure_on, judge) -> SweepReport:
                        workers=workers, blas_threads=blas_threads)
 
 
-def _fitted_nets(nets) -> tuple[tuple[str, FitResult], ...]:
-    """(name, fit) for each (name, pairs) net that fit_exponent accepts.
+def _fit_or_none(pairs) -> FitResult | None:
+    """fit_exponent(pairs), or None for a net it refuses: a short net, one
+    with a value that is not finite and positive, or one whose omegas do not
+    decrease has no exponent."""
+    try:
+        return fit_exponent(pairs)
+    except ValueError:
+        return None
 
-    A short net, one with a non-positive value or one whose omegas do not
-    decrease has no exponent and is left out.
-    """
-    fits = []
-    for name, pairs in nets:
-        try:
-            fits.append((name, fit_exponent(pairs)))
-        except ValueError:
-            pass
-    return tuple(fits)
+
+def _fitted_nets(nets) -> tuple[tuple[str, FitResult], ...]:
+    """(name, fit) for each (name, pairs) net that has an exponent."""
+    fits = ((name, _fit_or_none(pairs)) for name, pairs in nets)
+    return tuple((name, fit) for name, fit in fits if fit is not None)
 
 
 def existence_experiment(cfg: SweepConfig) -> SweepReport:
@@ -410,7 +404,7 @@ def uniqueness_experiment(cfg: SweepConfig) -> SweepReport:
             else:
                 tilde = step_implicit(CauchyProblem(op, v_eps + sigma, u0_eps + sigma * probe,
                                                     cfg.T, cfg.dt))
-            return _l2_state_distance(base, tilde), {"perturbation_size": sigma}
+            return _l2_state_distance(base, tilde), {}
         return measure
 
     def judge(rows):
@@ -442,9 +436,7 @@ def consistency_experiment(cfg: SweepConfig) -> SweepReport:
 
     def judge(rows):
         errors = [r.norm_sup_t for r in rows]
-        fit = None
-        if len(rows) >= 4 and all(v > 0 for v in errors):
-            fit = fit_exponent([(r.omega, r.norm_sup_t) for r in rows])
+        fit = _fit_or_none([(r.omega, r.norm_sup_t) for r in rows])
         if not all(b < a for a, b in zip(errors, errors[1:])):
             verdict = Verdict("Fail", reason="error net is not strictly decreasing")
         elif errors[-1] >= CONSISTENCY_FLOOR_FACTOR * errors[0]:

@@ -21,15 +21,15 @@ H1), so a real FFT along that axis splits R into one dense Hermitian
 (n_a n_b) x (n_a n_b) block per frequency -- on H1 the discrete counterpart
 of the twisted Laplacians.  The blocks are read off the assembled matrix
 and checked against it on a fixed probe; an operator that varies along the
-last axis is refused with ``CapabilityError``.
+last axis is refused with ``CapabilityError``, and so are blocks above
+``SPECTRAL_DOF_LIMIT`` dof, before any block is built.
 
 * ``eigensystem`` diagonalises the blocks in one batched ``eigh``, computed
-  lazily, cached on the operator and guarded by ``SPECTRAL_DOF_LIMIT`` on
-  the block size.  Tiny negative eigenvalues (within -1e-10 * lambda_max)
-  are clamped to zero.  ``semigroup_apply`` and ``fractional_power`` apply
-  g(R) as rfft along the last axis, v^H, g(w), v, irfft; the zero
-  eigenvalue uses the convention 0**0 = 1 so that fractional powers fix
-  constants for s = 0.
+  lazily and cached on the operator.  Tiny negative eigenvalues (within
+  -1e-10 * lambda_max) are clamped to zero.  ``semigroup_apply`` and
+  ``fractional_power`` apply g(R) as rfft along the last axis, v^H, g(w),
+  v, irfft; the zero eigenvalue uses the convention 0**0 = 1 so that
+  fractional powers fix constants for s = 0.
 
 * ``resolvent`` applies (I + dt R)^{-1}, built once per dt and cached.  On
   H1 it inverts the blocks of I + dt R.  On R^d the Laplacian is invariant
@@ -59,8 +59,9 @@ __all__ = [
     "semigroup_apply",
 ]
 
-# Dense eigendecompositions above this size are refused: per central-frequency
-# block in DiscreteRockland.eigensystem, the whole grid in solve.oracle_expm.
+# Dense matrices above this size are refused: per central-frequency block in
+# DiscreteRockland (eigensystem, H1 resolvent), the whole grid in
+# solve.oracle_expm.
 # Both read it when called, so a change to it applies to the next call.
 SPECTRAL_DOF_LIMIT = 6000
 
@@ -115,15 +116,8 @@ class DiscreteRockland:
         itself and n_c - k, so its eigenvalues occur twice in the spectrum
         of R.  The decomposition is computed once and cached; concurrent
         callers share the cached copy.  Blocks larger than
-        ``SPECTRAL_DOF_LIMIT`` (read at call time) are refused with
-        ``CapabilityError`` before any block is built.
+        ``SPECTRAL_DOF_LIMIT`` are refused (``_checked_blocks``).
         """
-        block = self.grid.size // self.grid.points[-1]
-        if block > SPECTRAL_DOF_LIMIT:
-            raise CapabilityError(
-                f"spectral decomposition needs {block}-dof blocks but the limit is "
-                f"{SPECTRAL_DOF_LIMIT}; use a smaller grid"
-            )
         with self._lock:
             if self._eigensystem is None:
                 w, v = np.linalg.eigh(self._checked_blocks())
@@ -146,7 +140,8 @@ class DiscreteRockland:
         On R^d one rfftn, one multiply and one irfftn; on H1 one real FFT
         along the last axis, one batched block product and one inverse FFT.
         The multiplier or the inverted blocks are built on the first call
-        for each dt and cached; concurrent callers share them.
+        for each dt and cached; concurrent callers share them.  H1 blocks
+        larger than ``SPECTRAL_DOF_LIMIT`` are refused (``_checked_blocks``).
         """
         inverse = self._resolvent_blocks(dt)
         if self.grid.group.is_abelian:
@@ -173,7 +168,16 @@ class DiscreteRockland:
             return inverse
 
     def _checked_blocks(self) -> np.ndarray:
-        """The central-frequency blocks of R, verified against R on a probe."""
+        """The central-frequency blocks of R, verified against R on a probe.
+
+        Blocks larger than ``SPECTRAL_DOF_LIMIT`` (read at call time) are
+        refused with ``CapabilityError`` before any block is built.
+        """
+        block = self.grid.size // self.grid.points[-1]
+        if block > SPECTRAL_DOF_LIMIT:
+            raise CapabilityError(
+                f"dense central-frequency blocks of {block} dof exceed the limit of "
+                f"{SPECTRAL_DOF_LIMIT}; use a smaller grid")
         blocks = _central_blocks(self.matrix, self.grid.points[-1])
         self._check_invariance(
             lambda x: _apply_central_blocks(blocks, x.reshape(blocks.shape[1], -1)),

@@ -291,6 +291,25 @@ class TestFit:
         path.write_text("omega,val\n0.5,cheese\n0.25,1\n0.125,1\n0.0625,1\n")
         assert main(["fit", "--in", str(path), "--col", "val"]) == 2
 
+    # capfd sees LAPACK's own stderr lines; warnings become errors
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("column, values", [
+        ("norm_sup_t", ["1.0", "inf", "nan", "8.0"]),
+        ("omega", ["0.5", "0.25", "0.125", "0"]),
+        ("omega", ["0.5", "0.25", "0.125", "-0.1"]),
+    ], ids=["inf-nan-values", "zero-omega", "negative-omega"])
+    def test_refuses_what_has_no_logarithm(self, tmp_path, capfd, column, values):
+        table = {"omega": ["0.5", "0.25", "0.125", "0.0625"],
+                 "norm_sup_t": ["1.0", "2.0", "4.0", "8.0"], column: values}
+        rows = ["omega,norm_sup_t"] + [f"{w},{v}" for w, v in zip(*table.values())]
+        path = tmp_path / "report.csv"
+        path.write_text("\n".join(rows) + "\n")
+        assert main(["fit", "--in", str(path), "--col", "norm_sup_t"]) == 2
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err.startswith("config error: ") and "finite positive" in err
+        assert err.count("\n") == 1
+
 
 class TestUsage:
     def test_no_command(self, capsys):

@@ -20,7 +20,7 @@ from gradedheat.config import (
     parse_solve_config_file,
     parse_sweep_config,
 )
-from gradedheat import harness
+from gradedheat import harness, operators
 from gradedheat.errors import ConfigError
 from gradedheat.harness import (
     FitResult,
@@ -103,6 +103,20 @@ class TestFitExponent:
     def test_rejects_increasing_omega(self):
         pairs = list(reversed(planted_pairs(1.0)))
         with pytest.raises(ValueError, match="decreasing"):
+            fit_exponent(pairs)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite_values(self, value):
+        pairs = planted_pairs(1.0)
+        pairs[2] = (pairs[2][0], value)
+        with pytest.raises(ValueError, match="finite positive values"):
+            fit_exponent(pairs)
+
+    @pytest.mark.parametrize("omega", [0.0, -0.1, math.inf, math.nan])
+    def test_rejects_omega_that_is_not_finite_and_positive(self, omega):
+        pairs = planted_pairs(1.0)
+        pairs[-1] = (omega, pairs[-1][1])
+        with pytest.raises(ValueError, match="finite positive omegas"):
             fit_exponent(pairs)
 
 
@@ -285,11 +299,11 @@ class TestUniqueness:
                           potential=PotentialSpec.dirac_delta_squared())
         rep = uniqueness_experiment(cfg)
         assert rep.verdict.kind == "Negligible"
-        # differences track the perturbation size order of magnitude
-        sizes = [dict(r.extras)["perturbation_size"] for r in rep.records]
-        for r, s in zip(rep.records, sizes):
+        # differences track the perturbation size e^{-1/eps} in order of magnitude
+        for r in rep.records:
+            assert r.extras == ()
             if r.norm_sup_t > 0:
-                assert r.norm_sup_t < 10.0 * s
+                assert r.norm_sup_t < 10.0 * math.exp(-1.0 / r.epsilon)
 
     def test_exponential_perturbation_heisenberg(self):
         cfg = make_config(group=heisenberg1(), half_width=1.5, points=(8, 8, 8),
@@ -435,6 +449,16 @@ class TestSweepDriver:
                 want = [False] * 6
         assert [r.fitted_flag for r in rep.records] == want
 
+    def test_h1_block_above_the_limit_fails_the_sweep(self, monkeypatch):
+        # the CG preconditioner's resolvent blocks are dense like eigh's
+        monkeypatch.setattr(operators, "SPECTRAL_DOF_LIMIT", 32)
+        rep = run_experiment(make_config(group=heisenberg1(), half_width=1.5,
+                                         points=(8, 8, 8), dt=1.0 / 32,
+                                         potential=PotentialSpec.constant(1.0)))
+        assert rep.verdict.kind == "Fail"
+        assert "CapabilityError" in rep.verdict.reason
+        assert rep.records == ()
+
     def test_benchmark_tracer_sees_every_layer(self):
         # perfbench/tracing.py wraps gradedheat.harness module globals and reads
         # eps from positional argument 1 of the regularize_* calls; a layer
@@ -513,47 +537,92 @@ class TestRunParallelDeterminism:
         assert rep.verdict.kind == "Moderate"
 
 
+def affinity_cores():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
+def numpy_links_openblas_with_local_setter():
+    """Whether numpy's build reports OpenBLAS 0.3.27 or later, the first
+    with openblas_set_num_threads_local."""
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    parts = str(blas.get("version", "")).split(".")[:3]
+    version = tuple(int(p) for p in parts if p.isdigit())
+    return "openblas" in str(blas.get("name", "")).lower() and version >= (0, 3, 27)
+
+
 class TestBlasThreadCap:
     @pytest.fixture
-    def setters(self):
-        setters = harness._blas_thread_setters()
-        if not setters:
-            pytest.skip("no mapped OpenBLAS exports openblas_set_num_threads_local")
-        return setters
+    def setter(self):
+        setter = harness._blas_thread_setter()
+        if setter is None:
+            pytest.skip("numpy's BLAS exports no openblas_set_num_threads_local")
+        return setter
 
     @staticmethod
-    def counts(setters):
-        """This thread's count in each OpenBLAS, read through the setter and restored."""
-        out = []
-        for setter in setters:
-            count = setter(1)
-            setter(count)
-            out.append(count)
-        return out
+    def count(setter):
+        """This thread's count in numpy's OpenBLAS, read through the setter and restored."""
+        count = setter(1)
+        setter(count)
+        return count
+
+    def test_setter_is_found_through_numpy_without_proc(self, monkeypatch):
+        if not numpy_links_openblas_with_local_setter():
+            pytest.skip("numpy does not report linking OpenBLAS >= 0.3.27")
+        real_open, real_path_open = open, Path.open
+
+        def refuse_maps(opener):
+            def guarded(file, *args, **kwargs):
+                if str(file) == "/proc/self/maps":
+                    raise PermissionError(13, "Permission denied", str(file))
+                return opener(file, *args, **kwargs)
+            return guarded
+
+        monkeypatch.setattr("builtins.open", refuse_maps(real_open))
+        monkeypatch.setattr(Path, "open", refuse_maps(real_path_open))
+        harness._blas_thread_setter.cache_clear()
+        try:
+            setter = harness._blas_thread_setter()
+            assert setter is not None
+            before = setter(1)
+            assert before >= 1
+            assert setter(before) == 1
+        finally:
+            harness._blas_thread_setter.cache_clear()
 
     def test_workers_get_their_share_and_the_caller_keeps_its_count(
-            self, setters, monkeypatch, tmp_path):
+            self, setter, monkeypatch, tmp_path):
         seen, reading = [], threading.Lock()
 
         def spy(*args):
             # where the count is the process's, a read sets it for a moment
             with reading:
-                seen.append(self.counts(setters))
+                seen.append(self.count(setter))
             return regularize_potential(*args)
 
         monkeypatch.setattr(harness, "regularize_potential", spy)
-        before = self.counts(setters)
+        before = self.count(setter)
         rep = run_experiment(make_config(threads=2))
-        assert self.counts(setters) == before
-        share = max(1, len(os.sched_getaffinity(0)) // 2)
-        want = [min(share, count) for count in before]
+        assert self.count(setter) == before
+        want = min(max(1, affinity_cores() // 2), before)
         assert seen == [want] * 5
-        assert (rep.workers, rep.blas_threads) == (2, max(want))
+        assert (rep.workers, rep.blas_threads) == (2, want)
         _, manifest = persist_report(rep, tmp_path)
-        plural = "" if max(want) == 1 else "s"
-        assert f"pool: 2 workers x {max(want)} BLAS thread{plural}\n" in manifest.read_text()
+        plural = "" if want == 1 else "s"
+        assert f"pool: 2 workers x {want} BLAS thread{plural}\n" in manifest.read_text()
 
-    def test_pools_of_concurrent_sweeps_take_turns(self, setters, monkeypatch):
+    def test_cores_come_from_cpu_count_without_affinity(self, setter, monkeypatch):
+        # sched_getaffinity is Linux-only; the setter is found elsewhere too
+        before = self.count(setter)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        rep = run_experiment(make_config(threads=2))
+        assert rep.verdict.kind == "Moderate"
+        assert rep.blas_threads == min(2, before)
+        assert self.count(setter) == before
+
+    def test_pools_of_concurrent_sweeps_take_turns(self, setter, monkeypatch):
         # each pool restores the count it found, which is only right if no
         # other pool changed it in between
         spans = []
@@ -566,7 +635,7 @@ class TestBlasThreadCap:
             return out
 
         monkeypatch.setattr(harness, "regularize_potential", spy)
-        before = self.counts(setters)
+        before = self.count(setter)
         sweeps = [threading.Thread(target=run_experiment, args=(make_config(threads=n),))
                   for n in (2, 1)]
         for sweep in sweeps:
@@ -574,7 +643,7 @@ class TestBlasThreadCap:
         for sweep in sweeps:
             sweep.join(timeout=60)
             assert not sweep.is_alive()
-        assert self.counts(setters) == before
+        assert self.count(setter) == before
         pools = sorted({pool for pool, _, _ in spans})
         assert len(pools) == 2 and len(spans) == 10
         first, second = ([(a, b) for p, a, b in spans if p == pool] for pool in pools)
@@ -676,6 +745,14 @@ class TestConfigRoundTrip:
         text = CONFIG_TEXT + "epsilon = 0.25\nmethod = duhamel\npicard_depth = 3\n"
         assert config_hash(parse_sweep_config(text)) == config_hash(
             parse_sweep_config(CONFIG_TEXT))
+
+    def test_hash_pins_a_delta_center(self):
+        # a center moves V; a file config sets none, so no file hash moved
+        plain = make_config()
+        moved = make_config(potential=PotentialSpec.dirac_delta(center=(0.5,)))
+        assert config_hash(moved) != config_hash(plain)
+        assert "potential = delta:1.0@0.5\n" in canonical_text(moved)
+        assert "potential = delta:1.0\n" in canonical_text(plain)
 
     def test_hash_changes_with_potential(self):
         other = CONFIG_TEXT.replace("potential = delta", "potential = delta2")

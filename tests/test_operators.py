@@ -279,6 +279,21 @@ class TestSpectralLimit:
         with pytest.raises(CapabilityError, match="smaller grid"):
             R.eigensystem()
 
+    def test_resolvent_blocks_limit_enforced(self, no_blocks, monkeypatch):
+        # the H1 CG preconditioner inverts the same dense blocks
+        R = build_rockland(make_grid(heisenberg1(), 1.5, 8))  # 64-dof blocks
+        monkeypatch.setattr(operators, "SPECTRAL_DOF_LIMIT", 32)
+        with pytest.raises(CapabilityError, match="smaller grid"):
+            R.resolvent(0.1, np.zeros(R.grid.size))
+
+    def test_euclidean_resolvent_builds_no_blocks(self, no_blocks, monkeypatch):
+        # on R^d the resolvent is a Fourier multiplier, so the limit is moot
+        R = build_euclidean_laplacian(make_grid(euclidean(2), 1.0, 8))
+        monkeypatch.setattr(operators, "SPECTRAL_DOF_LIMIT", 4)
+        b = np.random.default_rng(5).standard_normal(R.grid.size)
+        x = R.resolvent(0.1, b)
+        np.testing.assert_allclose(x + 0.1 * (R.matrix @ x), b, rtol=0, atol=1e-12)
+
     def test_default_limit_refuses_large_grids(self, no_blocks):
         grid = make_grid(euclidean(2), 1.0, (6004, 4))  # 6004-dof blocks > 6000
         R = build_euclidean_laplacian(grid)
