@@ -42,10 +42,9 @@ concurrent sweeps in one process take turns.  Every path outside a sweep,
 and a single-worker sweep, keeps its BLAS threads.  Where numpy's BLAS does
 not export openblas_set_num_threads_local (MKL, Accelerate, OpenBLAS before
 0.3.27), nothing is capped.  The manifest records the split.  scipy's own
-OpenBLAS is not capped: its one user here is SuperLU on 1-D tridiagonal
-systems, too small for OpenBLAS to thread (e1_uniqueness cpu_s on 2 cores:
-0.805 s with it capped, 0.802 s without).  A change whose pool workers call
-scipy.linalg must revisit this.
+OpenBLAS is not capped: its one user here is LAPACK dpttrf/dpttrs on 1-D
+periodic tridiagonal systems, an unthreaded O(n) loop.  A change whose pool
+workers call threaded scipy.linalg routines must revisit this.
 """
 
 from __future__ import annotations

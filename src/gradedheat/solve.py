@@ -10,16 +10,22 @@ time (at most RECORD_BLOCK_BYTES of states per block).  The block sums are
 row-wise reductions of C-contiguous arrays, so each value is bit-equal to
 the one-state-at-a-time reduction.
 
-Backward Euler solves I + dt(R + V) once per step.  On R a sparse LU,
-factorised once per problem, does that cheaply: the periodic tridiagonal
-fill stays linear.  In two or more dimensions the fill grows too fast (about
-1.1e7 entries on a 256^2 grid, 1.1e8 on H1 at 32^3), so the system is
-solved by conjugate gradients preconditioned with the operator's cached
-resolvent (I + dt R)^{-1}: a Fourier multiplier on R^d, central-frequency
-blocks on H1.  V is the only part that breaks the translation invariance,
-and the preconditioned condition number is at most
+Backward Euler solves I + dt(R + V) once per step.  On R that system is
+periodic tridiagonal, and positive definite under the stability guard: a
+rank-one Sherman-Morrison correction takes off the two wrap-around corners,
+LAPACK dpttrf factorises the tridiagonal rest once per problem, and each
+step is one dpttrs plus the correction, all O(n).  In two or more
+dimensions a direct factorisation fills in too fast (about 1.1e7 entries on
+a 256^2 grid, 1.1e8 on H1 at 32^3), so the system is solved by conjugate
+gradients preconditioned with the operator's cached resolvent
+(I + dt R)^{-1}: a Fourier multiplier on R^d, central-frequency blocks on
+H1.  V is the only part that breaks the translation invariance, and the
+preconditioned condition number is at most
 (1 + dt max V^+)/(1 - dt max V^-), which also sizes the iteration cap.
-SuperLU is imported on the first 1-D solve, not with the package.
+scipy.linalg.lapack is imported on the first 1-D solve, not with the
+package.  A state whose norms leave float64 range is reported as a
+CapabilityError naming the step, found where the recorder already reads
+the states: at each stored state and each block of norms.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import operators
 from .errors import CapabilityError, ConvergenceError, StabilityError
@@ -143,24 +148,39 @@ class _Recorder:
         k = self.k
         self.block[self.filled] = u
         self.filled += 1
+        self.k += 1
         if k % self.thin == 0 or k == self.steps:
+            if not np.all(np.isfinite(u)):
+                self._flush()  # raises, naming the first step out of range
             self.state_times.append(self.times[k])
             self.states.append(Field(self.grid, u.reshape(self.grid.shape)))
-        self.k += 1
         if self.filled == len(self.block) or k == self.steps:
             self._flush()
 
     def _flush(self):
         u = self.block[:self.filled]
-        span = slice(self.k - self.filled, self.k)
+        start = self.k - self.filled
         self.filled = 0
-        self.l2[span] = np.sqrt(np.sum(u * u, axis=1) * self.vol)
-        ru = np.ascontiguousarray((self.mat @ u.T).T)
-        quad = np.sum(u * ru, axis=1) * self.vol
-        quad[quad < 0.0] = 0.0  # rounding may leave a tiny negative residue
+        with np.errstate(over="ignore", invalid="ignore"):
+            l2 = np.sqrt(np.sum(u * u, axis=1) * self.vol)
+            ru = np.ascontiguousarray((self.mat @ u.T).T)
+            quad = np.sum(u * ru, axis=1) * self.vol
+            quad[quad < 0.0] = 0.0  # rounding may leave a tiny negative residue
+            e = (None if self.e is None
+                 else quad + np.sum(self.v_flat * u * u, axis=1) * self.vol)
+        finite = np.isfinite(l2) & np.isfinite(quad)
+        if e is not None:
+            finite &= np.isfinite(e)
+        if not finite.all():
+            k = start + int(np.argmin(finite))
+            raise CapabilityError(
+                f"the state's norms leave float64 range at step {k} of {self.steps} "
+                f"(t = {self.times[k]:.6g}); shorten T or weaken the potential")
+        span = slice(start, self.k)
+        self.l2[span] = l2
         self.sob[span] = np.sqrt(quad)
-        if self.e is not None:
-            self.e[span] = quad + np.sum(self.v_flat * u * u, axis=1) * self.vol
+        if e is not None:
+            self.e[span] = e
 
     def build(self) -> Trajectory:
         return Trajectory(
@@ -179,8 +199,10 @@ def step_implicit(p: CauchyProblem) -> Trajectory:
     Unconditionally contractive for V >= 0, which is what makes the discrete
     energy inequality hold step by step.  For sign-changing V the factor is
     only defined when dt * max(V^-) < 1.  One-dimensional grids solve each
-    step by sparse LU, all others by preconditioned CG (see the module
-    docstring).
+    step by a periodic tridiagonal LAPACK solve, all others by
+    preconditioned CG (see the module docstring).  The steps run without
+    floating-point warnings: a state that overflows is reported by the
+    recorder, which checks every stored state and every block of norms.
     """
     dt = p.dt_effective
     v_flat = p.V.values.ravel()
@@ -189,31 +211,75 @@ def step_implicit(p: CauchyProblem) -> Trajectory:
         raise StabilityError(
             f"backward Euler needs dt < 1/max(V^-) = {1.0 / v_minus:.6g}, got dt = {dt:.6g}")
     if p.op.grid.dim == 1:
-        solve = _lu_solver(p, dt, v_flat)
+        solve = _periodic_tridiagonal_solver(p, dt, v_flat)
     else:
         solve = _cg_solver(p, dt, v_flat, v_minus)
     rec = _Recorder(p)
     u = p.u0.values.ravel().astype(float)
     rec.push(u)
-    for k in range(1, p.steps + 1):
-        u = solve(u, k)
-        rec.push(u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, p.steps + 1):
+            u = solve(u, k)
+            rec.push(u)
     return rec.build()
 
 
 def splu(matrix):
     """SuperLU factorisation of a CSC matrix, importing scipy.sparse.linalg on first use."""
+    # no solver calls it; kept for the benchmark's tracer, which wraps it by name
     from scipy.sparse.linalg import splu as superlu
     return superlu(matrix)
 
 
-def _lu_solver(p: CauchyProblem, dt: float, v_flat: np.ndarray):
-    system = sp.identity(v_flat.size, format="csr") + dt * (p.op.matrix + sp.diags(v_flat))
-    try:
-        lu = splu(system.tocsc())
-    except RuntimeError as exc:
-        raise StabilityError(f"implicit system could not be factorised: {exc}") from exc
-    return lambda u, k: lu.solve(u)
+def _periodic_tridiagonal_solver(p: CauchyProblem, dt: float, v_flat: np.ndarray):
+    """Each step of backward Euler on R: A = I + dt(R + V), periodic tridiagonal.
+
+    A has diagonal a, off-diagonal b (b[i] = A[i, i+1]) and the corners
+    c = A[0, n-1] = A[n-1, 0].  With beta = a[0] and w = beta e_0 - c e_{n-1},
+    T = A + w w^T / beta is tridiagonal: the corners cancel, and beta and
+    c^2 / beta join the first and last diagonal entries.  LAPACK dpttrf
+    factorises T once; each step is one dpttrs and the Sherman-Morrison
+    correction A^{-1} y = T^{-1} y + z (w . T^{-1} y) / (beta - w . z), with
+    z = T^{-1} w.  A is positive definite iff beta > 0, T is positive
+    definite and beta - w . z > 0, which the stability guard ensures for a
+    PSD R; where any of them fails, StabilityError is raised.  An R with any
+    other stencil is refused.  scipy.linalg.lapack is imported on the first
+    call, not with the package.
+    """
+    from scipy.linalg.lapack import dpttrf, dpttrs
+
+    mat = p.op.matrix
+    n = v_flat.size
+    coo = mat.tocoo()
+    offsets = np.unique((coo.col - coo.row)[coo.data != 0] % n)
+    offsets = np.where(offsets > n // 2, offsets - n, offsets)
+    if np.any(np.abs(offsets) > 1):
+        raise CapabilityError(
+            f"the 1-D stepper needs a periodic tridiagonal R (stencil offsets -1, 0, 1); "
+            f"{p.op.name} has stencil offsets {sorted(offsets.tolist())}")
+    a = 1.0 + dt * (mat.diagonal() + v_flat)
+    b = dt * mat.diagonal(1)
+    c = dt * float(mat.diagonal(n - 1)[0])
+    beta = float(a[0])
+    w = np.zeros(n)
+    w[0], w[-1] = beta, -c
+    a[0] += beta  # beta <= 0 leaves a[0] <= 0, where dpttrf stops at row 1
+    a[-1] += c * c / beta if beta > 0.0 else 0.0
+    d, e, info = dpttrf(a, b)  # T = L diag(d) L^T, e the subdiagonal of L
+    if info == 0:
+        z = dpttrs(d, e, w)[0]
+        denom = beta - (beta * float(z[0]) - c * float(z[-1]))
+    if info != 0 or denom <= 0.0:
+        raise StabilityError(
+            "implicit system could not be factorised: I + dt(R + V) is not positive definite")
+    z /= denom
+
+    def solve(u: np.ndarray, k: int) -> np.ndarray:
+        y = dpttrs(d, e, u)[0]
+        y += (beta * y[0] - c * y[-1]) * z
+        return y
+
+    return solve
 
 
 def _cg_solver(p: CauchyProblem, dt: float, v_flat: np.ndarray, v_minus: float):
@@ -241,6 +307,9 @@ def _cg_solver(p: CauchyProblem, dt: float, v_flat: np.ndarray, v_minus: float):
         b_norm = math.sqrt(float(np.sum(b * b)))
         if b_norm == 0.0:
             return x
+        if not math.isfinite(b_norm):
+            # u left float64 range: pass that on for the recorder to report
+            return np.full_like(b, np.nan)
         r = b.copy()
         z = op.resolvent(dt, r)
         d = z

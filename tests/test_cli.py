@@ -72,6 +72,15 @@ class TestSolve:
         cfg = write(tmp_path, "run.cfg", SOLVE_CFG + f"method = {method}\n")
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
+    def test_overflowing_state_is_capability_error(self, tmp_path, capsys):
+        text = (SOLVE_CFG.replace("constant:1", "constant:-50")
+                .replace("T = 0.5", "T = 20").replace("dt = 0.03125", "dt = 0.015625"))
+        cfg = write(tmp_path, "run.cfg", text)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("CapabilityError: the state's norms leave float64 range "
+                              "at step 233 of 1280 (t = 3.64062)")
+
     def test_unstable_step_is_numerical_error(self, tmp_path, capsys):
         text = SOLVE_CFG.replace("constant:1", "constant:-40")
         cfg = write(tmp_path, "run.cfg", text)
@@ -103,6 +112,16 @@ class TestSolve:
 
 
 class TestSweep:
+    def test_overflowing_state_fails_the_epsilon(self, tmp_path, capsys):
+        text = (SWEEP_CFG.replace("potential = delta", "potential = constant:-50")
+                .replace("T = 0.5", "T = 20"))
+        cfg = write(tmp_path, "run.cfg", text)
+        code = main(["sweep", "--experiment", "existence",
+                     "--config", cfg, "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert ("Fail(epsilon=0.5: CapabilityError: the state's norms leave float64 range "
+                "at step 233 of 1280 (t = 3.64062)") in capsys.readouterr().out
+
     def test_existence_pass(self, tmp_path, capsys):
         cfg = write(tmp_path, "run.cfg", SWEEP_CFG)
         out = tmp_path / "results"

@@ -1,4 +1,4 @@
-"""What a fresh interpreter pays to import the package, and the lazy SuperLU import.
+"""What a fresh interpreter pays to import the package, and the lazy LAPACK import.
 
 Each test runs its script in a new interpreter, since this one has long
 since imported whatever the other tests needed.
@@ -61,9 +61,9 @@ def test_splu_is_a_module_function():
     assert (solve.splu.__module__, solve.splu.__qualname__) == ("gradedheat.solve", "splu")
 
 
-def test_first_splu_calls_of_two_workers_import_together(tmp_path):
-    # the first two factorisations wait for each other, so both workers run
-    # the first import of scipy.sparse.linalg at the same time
+def test_first_factorisations_of_two_workers_import_together(tmp_path):
+    # the first two 1-D factorisations wait for each other, so both workers
+    # run the first import of scipy.linalg.lapack at the same time
     script = f"""
 import sys, threading
 from dataclasses import replace
@@ -72,26 +72,42 @@ from gradedheat import solve
 from gradedheat.config import parse_sweep_config
 from gradedheat.harness import persist_report, run_experiment
 
-assert "scipy.sparse.linalg" not in sys.modules
+assert "scipy.linalg" not in sys.modules
 barrier = threading.Barrier(2, timeout=60)
 waiting = iter(range(2))
 lock = threading.Lock()
-factor = solve.splu
+factor = solve._periodic_tridiagonal_solver
 
-def together(matrix):
+def together(*args):
     with lock:
         wait = next(waiting, None) is not None
     if wait:
         barrier.wait()
-    return factor(matrix)
+    return factor(*args)
 
-solve.splu = together
+solve._periodic_tridiagonal_solver = together
 cfg = parse_sweep_config({SWEEP_TEXT.format(group="euclidean1", points="128")!r})
 for threads in (2, 1):
     rep = run_experiment(replace(cfg, threads=threads))
     assert rep.verdict.kind == "Moderate" and rep.workers == threads
     persist_report(rep, Path(sys.argv[1]) / f"t{{threads}}")
+assert next(waiting, None) is None  # both workers went through the barrier
+assert "scipy.linalg.lapack" in sys.modules
+assert "scipy.sparse.linalg" not in sys.modules
 """
     run_fresh(script, tmp_path)
     two = (tmp_path / "t2" / "report.csv").read_bytes()
     assert two == (tmp_path / "t1" / "report.csv").read_bytes()
+
+
+def test_one_dimensional_solve_leaves_out_sparse_linalg(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text(SWEEP_TEXT.format(group="euclidean1", points="64") + "epsilon = 0.25\n")
+    script = """
+import sys
+from gradedheat.cli import main
+assert main(["solve", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+assert "scipy.linalg.lapack" in sys.modules
+print("scipy.sparse.linalg" in sys.modules)
+"""
+    assert run_fresh(script, config, tmp_path / "out").splitlines()[-1] == "False"

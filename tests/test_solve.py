@@ -125,7 +125,10 @@ class TestStepImplicit:
 
 
 def lu_backward_euler(p):
-    """Every state of backward Euler, each step solved by a sparse LU."""
+    """Every state of backward Euler, each step solved by a sparse LU.
+
+    No solver in the package uses SuperLU, so it is an independent reference.
+    """
     dt = p.dt_effective
     v = p.V.values.ravel()
     system = sp.identity(v.size, format="csr") + dt * (p.op.matrix + sp.diags(v))
@@ -136,13 +139,59 @@ def lu_backward_euler(p):
     return states
 
 
-def assert_matches_lu(p):
+def assert_matches_lu(p, rtol=1e-10):
     traj = step_implicit(p)
     want = lu_backward_euler(p)
     assert len(traj.states) == len(want) == p.steps + 1
     for got, ref in zip(traj.states, want):
         err = np.linalg.norm(got.values.ravel() - ref) / np.linalg.norm(ref)
-        assert err <= 1e-10
+        assert err <= rtol
+
+
+class TestEuclidean1Stepper:
+    # on R each step is a LAPACK solve of the tridiagonal part plus a
+    # Sherman-Morrison correction for the two wrap-around corners
+    @pytest.mark.parametrize("half_width, points", [(1.0, 4), (16.0, 2048)],
+                             ids=["4", "2048"])
+    def test_matches_lu(self, half_width, points):
+        op = build_rockland(make_grid(euclidean(1), half_width, points))
+        g = op.grid
+        V = Field.from_function(g, lambda x: 2.0 + np.cos(x))
+        p = CauchyProblem(op, V, bump_field(g, 0.75 * half_width), T=0.5, dt=1.0 / 32)
+        assert_matches_lu(p, rtol=1e-12)
+
+    def test_attractive_well_near_the_guard(self):
+        op = build_rockland(make_grid(euclidean(1), 1.0, 256))
+        g = op.grid
+        dt = 1.0 / 64
+        V = Field.from_function(g, lambda x: -0.995 / dt * np.exp(-8.0 * x * x))
+        p = CauchyProblem(op, V, bump_field(g, 0.5), T=16 * dt, dt=dt)
+        assert 0.99 <= dt * float(-V.values.min()) < 1.0
+        assert_matches_lu(p, rtol=1e-12)
+
+    def test_second_neighbour_coupling_refused(self):
+        # the fourth-order five-point Laplacian is symmetric and PSD, but
+        # not tridiagonal
+        g = make_grid(euclidean(1), 1.0, 16)
+        row = np.zeros(g.size)
+        h2 = g.spacings[0] ** 2
+        row[[-2, -1, 0, 1, 2]] = np.array([1.0, -16.0, 30.0, -16.0, 1.0]) / (12.0 * h2)
+        mat = np.array([np.roll(row, i) for i in range(g.size)])
+        op = operators.DiscreteRockland(g, mat, "five-point Laplacian")
+        p = CauchyProblem(op, Field.zeros(g), bump_field(g, 0.5), T=0.25, dt=1.0 / 32)
+        with pytest.raises(CapabilityError, match=r"five-point Laplacian .*\[-2, -1, 0, 1, 2\]"):
+            step_implicit(p)
+
+    def test_indefinite_system_is_stability_error(self):
+        # V = 0 passes the guard, but -Laplacian makes I + dt R indefinite:
+        # its diagonal 1 - 2 dt/h^2 is positive, its spectrum reaches 1 - 4 dt/h^2
+        op = build_rockland(make_grid(euclidean(1), 1.0, 64))
+        g = op.grid
+        negated = operators.DiscreteRockland(g, -op.matrix, "negated Laplacian")
+        dt = 0.4 * g.spacings[0] ** 2
+        p = CauchyProblem(negated, Field.zeros(g), bump_field(g, 0.5), T=4 * dt, dt=dt)
+        with pytest.raises(StabilityError, match="not positive definite"):
+            step_implicit(p)
 
 
 class TestHeisenbergStepper:
@@ -231,8 +280,38 @@ class TestEuclidean2Stepper:
         np.testing.assert_array_equal(step_implicit(p).final.values, 0.0)
 
 
+class TestOverflow:
+    # a state whose norms leave float64 range is a capability limit that
+    # names its step, on every stepper route and without floating-point
+    # warnings (tier-1 turns RuntimeWarning into an error)
+    @pytest.mark.parametrize("group, points, step", [
+        (euclidean(1), (64,), 154),
+        (euclidean(2), (16, 10), 155),
+        (heisenberg1(), (8, 8, 8), 155),
+    ], ids=["r1", "r2", "h1"])
+    def test_step_implicit_names_step(self, group, points, step):
+        # each step multiplies the constant mode by 1 / (1 - 0.9) = 10
+        op = build_rockland(make_grid(group, 1.0, points))
+        g = op.grid
+        dt = 1.0 / 64
+        p = CauchyProblem(op, Field.zeros(g) - 0.9 / dt, bump_field(g, 0.5), T=400 * dt, dt=dt)
+        t = step * dt
+        with pytest.raises(CapabilityError, match=rf"step {step} of 400 \(t = {t:g}\)"):
+            step_implicit(p)
+
+    def test_non_finite_stored_state_names_step(self, lap32):
+        # a stored state is checked before the block it sits in is full
+        g = lap32.grid
+        p = CauchyProblem(lap32, Field.zeros(g), bump_field(g, 1.0), T=0.5, dt=0.125)
+        rec = solve_module._Recorder(p)
+        assert rec.thin == 1 and len(rec.block) == 5
+        rec.push(p.u0.values.ravel())
+        with pytest.raises(CapabilityError, match=r"step 1 of 4 \(t = 0.125\)"):
+            rec.push(np.full(g.size, np.inf))
+
+
 class TestStepperRouting:
-    # sparse LU only where its fill stays linear: the periodic tridiagonal
+    # one factorisation where it stays O(n): the periodic tridiagonal
     # system on R.  Every other grid is solved by preconditioned CG.
     @pytest.mark.parametrize("group, points, lu_calls", [
         (euclidean(1), (32,), 1),
@@ -241,12 +320,13 @@ class TestStepperRouting:
     ], ids=["r1", "r2", "h1"])
     def test_lu_only_in_one_dimension(self, monkeypatch, group, points, lu_calls):
         calls = []
+        factor = solve_module._periodic_tridiagonal_solver
 
-        def counting_splu(*args, **kwargs):
+        def counting_factor(*args):
             calls.append(args)
-            return splu(*args, **kwargs)
+            return factor(*args)
 
-        monkeypatch.setattr(solve_module, "splu", counting_splu)
+        monkeypatch.setattr(solve_module, "_periodic_tridiagonal_solver", counting_factor)
         op = build_rockland(make_grid(group, 1.5, points))
         g = op.grid
         step_implicit(CauchyProblem(op, bump_field(g, 1.0), bump_field(g, 1.125),
