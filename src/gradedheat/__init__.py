@@ -15,7 +15,6 @@ eps and turns the measurements into moderateness / negligibility verdicts.
 __version__ = "0.1.0"
 
 from gradedheat.groups import (
-    DilationWeights,
     Field,
     Grid,
     GroupInstance,
@@ -77,7 +76,6 @@ from gradedheat.harness import (
 )
 
 __all__ = [
-    "DilationWeights",
     "Field",
     "Grid",
     "GroupInstance",

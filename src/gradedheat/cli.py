@@ -5,7 +5,9 @@
     gradedheat fit --in results/report.csv --col norm_sup_t
 
 Exit codes: 0 success or passing verdict, 1 failing verdict, 2 usage or
-configuration error, 3 numerical or capability error.
+configuration error, 3 numerical error.  Only a numerical error
+(errors.NumericalError) at some eps makes a sweep's verdict Fail; any other
+error stops the sweep, and exits 2 if it is a ValueError or OSError.
 """
 
 from __future__ import annotations
@@ -17,18 +19,7 @@ from functools import partial
 from pathlib import Path
 
 from .config import EXPERIMENTS, parse_solve_config_file, parse_sweep_config_file
-from .errors import (
-    CapabilityError,
-    ConfigError,
-    ConvergenceError,
-    DegenerateFieldError,
-    ResolutionError,
-    StabilityError,
-    SupportError,
-)
-
-_NUMERICAL_ERRORS = (CapabilityError, StabilityError, ConvergenceError,
-                     SupportError, ResolutionError, DegenerateFieldError)
+from .errors import ConfigError, NumericalError
 from .harness import fit_exponent, persist_report, run_experiment
 from .mollify import (
     Mollifier,
@@ -152,7 +143,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except _NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ConfigError as exc:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .groups import Field, GroupInstance, euclidean, heisenberg1, make_grid
-from .mollify import EpsilonNet, OmegaSchedule, PotentialSpec
+from .mollify import EpsilonNet, OmegaSchedule, PotentialSpec, _even_points_required, omega
 
 _GROUP_TOKENS = {
     "euclidean1": lambda: euclidean(1),
@@ -48,7 +48,8 @@ class SweepConfig:
 
     Left as None, norm (hnu2 for a nonneg V, l2 for a real one), u0_width
     (0.75 * half_width) and the per-net schedules (the main one) resolve
-    here from the other fields.
+    here from the other fields.  experiment None marks the config of a
+    `gradedheat solve`, which no sweep runs.
     """
 
     group: GroupInstance
@@ -59,7 +60,7 @@ class SweepConfig:
     epsilons: EpsilonNet
     T: float
     dt: float
-    experiment: str
+    experiment: str | None
     norm: str | None = None
     k_max: int = 10
     n_max: int = 10
@@ -82,19 +83,17 @@ class SweepConfig:
         for name, value in derived.items():
             if getattr(self, name) is None:
                 object.__setattr__(self, name, value)
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in (*EXPERIMENTS, None):
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
         if self.perturbation not in _PERTURBATIONS:
             raise ConfigError(
                 f"perturbation must be one of {_PERTURBATIONS}, got {self.perturbation!r}")
-        if self.experiment != "consistency" and len(self.epsilons) < MIN_FIT_POINTS:
-            raise ConfigError(f"{self.experiment} fits an exponent over the epsilon net, which "
-                              f"needs at least {MIN_FIT_POINTS} values, got {len(self.epsilons)}")
         if not 0 < self.dt <= self.T < math.inf:
             raise ConfigError(f"need 0 < dt <= T < inf, got dt = {self.dt}, T = {self.T}")
         parse_norm_token(self.norm)
         with _config_error():
-            half_width = min(self.make_grid().half_widths)
+            grid = self.make_grid()
+        half_width = min(grid.half_widths)
         for name in ("u0_width", "u0_amplitude", "mollifier_radius"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
@@ -108,6 +107,21 @@ class SweepConfig:
         for name in ("k_max", "n_max", "threads"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive integer")
+        if self.experiment is None:
+            return  # a solve config, which none of the sweep rules below concern
+        if self.experiment != "consistency" and len(self.epsilons) < MIN_FIT_POINTS:
+            raise ConfigError(f"{self.experiment} fits an exponent over the epsilon net, which "
+                              f"needs at least {MIN_FIT_POINTS} values, got {len(self.epsilons)}")
+        # a sweep convolves the datum, and takes omega of each eps under each
+        # schedule it samples: schedule_v only where V is not constant
+        with _config_error():
+            _even_points_required(grid)
+        sampled = ("schedule", "schedule_u0") + (
+            () if self.potential.kind == "constant" else ("schedule_v",))
+        for name in sampled:
+            with _config_error(f"key {name!r}: "):
+                for eps in self.epsilons:
+                    omega(getattr(self, name), eps)
 
     def make_grid(self):
         return make_grid(self.group, self.half_width, self.points)
@@ -351,11 +365,11 @@ def parse_sweep_config_file(path: str | Path, experiment: str | None = None) -> 
 def parse_solve_config_file(path: str | Path) -> tuple[SweepConfig, SolveOptions]:
     """The config of one `gradedheat solve`: its SweepConfig and SolveOptions.
 
-    solve ignores the experiment dimension, so a file without the key reads
-    as an existence config.
+    solve reads no experiment, so a file without the key gets experiment
+    None and none of the rules SweepConfig keeps for sweeps.
     """
     values, solve = _parse_fields(read_config_file(path))
-    values.setdefault("experiment", "existence")
+    values.setdefault("experiment", None)
     return _build_sweep_config(values, Path(path).parent), SolveOptions(**solve)
 
 

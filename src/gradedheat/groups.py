@@ -26,7 +26,6 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "DilationWeights",
     "GroupInstance",
     "euclidean",
     "heisenberg1",
@@ -40,46 +39,30 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class DilationWeights:
-    """Positive integer dilation weights; Q is the homogeneous dimension."""
-
-    weights: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.weights) == 0:
-            raise ValueError("weights must be non-empty")
-        for w in self.weights:
-            if not isinstance(w, int) or w < 1:
-                raise ValueError(f"dilation weights must be positive integers, got {self.weights}")
-
-    @property
-    def Q(self) -> int:
-        return sum(self.weights)
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-
-@dataclass(frozen=True)
 class GroupInstance:
-    """A graded group: coordinate dimension, dilation weights and a kind tag."""
+    """A graded group: a kind tag and a coordinate dimension, which fix the
+    dilation weights, (1,) * dim on euclidean and (1, 1, 2) on heisenberg1."""
 
     kind: str  # "euclidean" or "heisenberg1"
     dim: int
-    weights: DilationWeights
 
     def __post_init__(self):
         if self.kind not in ("euclidean", "heisenberg1"):
             raise ValueError(f"unknown group kind {self.kind!r}")
-        if len(self.weights) != self.dim:
-            raise ValueError(
-                f"got {len(self.weights)} weights for a {self.dim}-dimensional group"
-            )
+        if self.dim < 1:
+            raise ValueError(f"dimension must be >= 1, got {self.dim}")
+        if self.kind == "heisenberg1" and self.dim != 3:
+            raise ValueError(f"heisenberg1 has 3 coordinates, got dim = {self.dim}")
+
+    @property
+    def weights(self) -> tuple[int, ...]:
+        """Dilation weights, one positive integer per coordinate."""
+        return (1,) * self.dim if self.is_abelian else (1, 1, 2)
 
     @property
     def Q(self) -> int:
         """Homogeneous dimension."""
-        return self.weights.Q
+        return sum(self.weights)
 
     @property
     def is_abelian(self) -> bool:
@@ -93,24 +76,22 @@ class GroupInstance:
 
 def euclidean(d: int) -> GroupInstance:
     """The abelian group R^d with isotropic dilations."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    return GroupInstance("euclidean", d, DilationWeights((1,) * d))
+    return GroupInstance("euclidean", d)
 
 
 def heisenberg1() -> GroupInstance:
     """The first Heisenberg group, coordinates (a, b, c), weights (1, 1, 2)."""
-    return GroupInstance("heisenberg1", 3, DilationWeights((1, 1, 2)))
+    return GroupInstance("heisenberg1", 3)
 
 
-def dilate(x, r: float, weights: DilationWeights) -> np.ndarray:
+def dilate(x, r: float, weights: tuple[int, ...]) -> np.ndarray:
     """Apply the dilation D_r to points x (last axis indexes coordinates)."""
     if r <= 0:
         raise ValueError(f"dilation parameter must be positive, got {r}")
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != len(weights):
         raise ValueError(f"expected {len(weights)} coordinates, got shape {x.shape}")
-    scale = np.array([r**w for w in weights.weights])
+    scale = np.array([r**w for w in weights])
     return x * scale
 
 

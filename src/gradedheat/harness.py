@@ -18,9 +18,11 @@ bump datum, regularises V and u0 for each eps on a thread pool and keeps one
 SweepRecord per measured eps, merged in net order.  An experiment supplies
 only two pieces: measure(eps, v_eps, u0_eps) -> (value, extras), run per eps
 on the pool, and judge(records) -> (fit, verdict, extra_fits), run once on
-the merged records.  The first failing eps in net order turns the report
-into Fail and keeps the records that succeeded; after the judge, a record's
-fitted_flag is set iff the main fit exists and its value is positive.
+the merged records.  Only a numerical error (errors.NumericalError) fails
+an eps: the first in net order turns the report into Fail and keeps the
+records that succeeded.  Any other exception is a fault, not a verdict, and
+propagates.  After the judge, a record's fitted_flag is set iff the main fit
+exists and its value is positive.
 Every state and V norm is norms.lp_norm or a series the trajectory
 recorded.  The per-eps solves are independent and the report is a
 deterministic ordered reduction, so CSV output is byte-identical for any
@@ -65,6 +67,7 @@ import numpy as np
 
 from . import __version__
 from .config import MIN_FIT_POINTS, SweepConfig, config_hash, parse_norm_token
+from .errors import NumericalError
 from .groups import Field
 from .mollify import (
     Mollifier,
@@ -304,7 +307,7 @@ def _sweep(cfg: SweepConfig, experiment: str, measure_on, judge) -> SweepReport:
         for eps, fut in zip(cfg.epsilons, futures):
             try:
                 rows.append(fut.result())
-            except Exception as exc:  # noqa: BLE001 - verdicts must not crash the sweep
+            except NumericalError as exc:
                 failure = failure or f"epsilon={eps:g}: {type(exc).__name__}: {exc}"
     if failure is None:
         fit, verdict, extra_fits = judge(rows)
@@ -459,6 +462,8 @@ _EXPERIMENT_RUNNERS = {
 
 
 def run_experiment(cfg: SweepConfig) -> SweepReport:
+    if cfg.experiment is None:
+        raise ValueError("the config names no experiment: it is for gradedheat solve")
     return _EXPERIMENT_RUNNERS[cfg.experiment](cfg)
 
 

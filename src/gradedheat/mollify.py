@@ -182,7 +182,7 @@ def _support_extents(psi: Mollifier, eps: float, schedule: OmegaSchedule,
     if psi.dim != grid.dim:
         raise ValueError(f"mollifier dimension {psi.dim} does not match grid dimension {grid.dim}")
     w = omega(schedule, eps)
-    extents = tuple(psi.support_radius * w**nu for nu in grid.group.weights.weights)
+    extents = tuple(psi.support_radius * w**nu for nu in grid.group.weights)
     for ext, L in zip(extents, grid.half_widths):
         if ext > L:
             raise SupportError(

@@ -101,6 +101,17 @@ class TestSolve:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert line.split(" = ")[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new", [
+        ("epsilons = 0.5,0.25,0.125,0.0625", "epsilons = 0.5"),
+        ("points = 64", "points = 63"),
+        ("epsilons = 0.5,", "schedule_u0 = log:1\nepsilons = 1.0,0.5,"),
+    ], ids=["short-net", "odd-points", "epsilon-outside-schedule"])
+    def test_sweep_only_rules_do_not_apply(self, tmp_path, old, new):
+        # solve fits no exponent, and without epsilon it neither convolves
+        # nor takes omega, so the rules that keep a sweep from failing are not its
+        cfg = write(tmp_path, "run.cfg", SOLVE_CFG.replace(old, new))
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
     @pytest.mark.parametrize("epsilon", ["", "epsilon = 0.25\n"], ids=["classical", "mollified"])
     def test_sampled_potential(self, tmp_path, epsilon):
         grid = make_grid(euclidean(1), 1.0, 64)
@@ -171,6 +182,43 @@ class TestSweep:
         assert code == 2
         assert "classical" in capsys.readouterr().err
 
+    def test_numerical_error_is_a_failing_verdict(self, tmp_path, capsys, plant_error,
+                                                  numerical_error):
+        cls = numerical_error
+        plant_error(cls("planted"), at_eps=0.125)
+        cfg = write(tmp_path, "run.cfg", SWEEP_CFG)
+        out = tmp_path / "r"
+        assert main(["sweep", "--experiment", "existence",
+                     "--config", cfg, "--out", str(out)]) == 1
+        assert f"Fail(epsilon=0.125: {cls.__name__}: planted)" in capsys.readouterr().out
+        # the partial report keeps the eps that succeeded
+        assert len((out / "report.csv").read_text().splitlines()) == 1 + 4
+
+    def test_value_error_in_a_sweep_is_not_a_verdict(self, tmp_path, capsys, plant_error):
+        plant_error(ValueError("planted"), at_eps=0.125)
+        cfg = write(tmp_path, "run.cfg", SWEEP_CFG)
+        out = tmp_path / "r"
+        assert main(["sweep", "--experiment", "existence",
+                     "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: planted\n" and "Fail" not in captured.out
+        assert not out.exists()
+
+    # schedule_u0 is a TestConfigErrors row
+    @pytest.mark.parametrize("name", ["schedule", "schedule_v"])
+    def test_epsilon_outside_its_schedule_never_solves(self, tmp_path, capsys, name):
+        text = SWEEP_CFG.replace("epsilons = 0.5,", f"{name} = log:1\nepsilons = 1.0,0.5,")
+        if name == "schedule":
+            text = text.replace("schedule = poly\n", "")
+        cfg = write(tmp_path, "run.cfg", text)
+        out = tmp_path / "r"
+        assert main(["sweep", "--experiment", "existence",
+                     "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: key '{name}': logarithmic schedule needs eps in (0, 1), "
+            "got 1.0\n")
+        assert not out.exists()
+
     def test_experiment_conflict(self, tmp_path):
         cfg = write(tmp_path, "run.cfg", SWEEP_CFG + "experiment = existence\n")
         assert main(["sweep", "--experiment", "uniqueness",
@@ -236,6 +284,12 @@ class TestConfigErrors:
                      id="unknown-group"),
         pytest.param("sweep", "points", "points = 2", "at least 4 points",
                      id="too-few-points"),
+        # every sweep convolves the datum, so it is refused before any solve
+        pytest.param("sweep", "points", "points = 63", "needs even point counts",
+                     id="odd-points"),
+        pytest.param("sweep", "epsilons", "epsilons = 1.0,0.5,0.25,0.125\nschedule_u0 = log:1",
+                     "key 'schedule_u0': logarithmic schedule needs eps in (0, 1), got 1.0",
+                     id="epsilon-outside-schedule"),
         pytest.param("sweep", "epsilons", "epsilons = 0.25,0.5,0.125,0.0625",
                      "strictly decreasing", id="epsilons-not-decreasing"),
         # refused before any solve, not by the exponent fit after every solve

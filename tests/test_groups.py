@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from gradedheat.groups import (
-    DilationWeights,
     Field,
     Grid,
+    GroupInstance,
     dilate,
     euclidean,
     group_inverse,
@@ -52,13 +52,29 @@ class TestDilate:
     def test_homogeneous_dimension(self):
         assert euclidean(3).Q == 3
         assert heisenberg1().Q == 4
-        assert DilationWeights((1, 1, 2, 3)).Q == 7
 
-    def test_bad_weights_rejected(self):
-        with pytest.raises(ValueError):
-            DilationWeights((1, 0))
-        with pytest.raises(ValueError):
-            DilationWeights((1, -2))
+
+class TestGroupInstance:
+    def test_kind_and_dim_fix_the_weights(self):
+        assert euclidean(2) == GroupInstance("euclidean", 2)
+        assert euclidean(3).weights == (1, 1, 1)
+        assert heisenberg1() == GroupInstance("heisenberg1", 3)
+        assert heisenberg1().weights == (1, 1, 2)
+        assert (str(euclidean(2)), str(heisenberg1())) == ("euclidean2", "heisenberg1")
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_heisenberg_needs_three_coordinates(self, dim):
+        # the weights (1, 1, 2) fix Q = 4; no other dim can carry them
+        with pytest.raises(ValueError, match="heisenberg1 has 3 coordinates"):
+            GroupInstance("heisenberg1", dim)
+
+    @pytest.mark.parametrize("kind, dim, want", [
+        ("euclidean", 0, "dimension must be >= 1"),
+        ("engel", 4, "unknown group kind"),
+    ])
+    def test_bad_group_rejected(self, kind, dim, want):
+        with pytest.raises(ValueError, match=want):
+            GroupInstance(kind, dim)
 
 
 class TestGroupProduct:

@@ -21,7 +21,7 @@ from gradedheat.config import (
     parse_sweep_config,
 )
 from gradedheat import harness, operators
-from gradedheat.errors import ConfigError
+from gradedheat.errors import ConfigError, NumericalError
 from gradedheat.harness import (
     FitResult,
     SweepRecord,
@@ -410,6 +410,11 @@ class TestSweepDriver:
         with pytest.raises(ValueError, match=f"is for '{other}', not '{name}'"):
             run(make_config(experiment=other))
 
+    def test_solve_config_runs_no_sweep(self):
+        # a solve config has experiment None, and none of the sweep-only rules
+        with pytest.raises(ValueError, match="names no experiment"):
+            run_experiment(make_config(experiment=None))
+
     @pytest.mark.parametrize("experiment", ["existence", "uniqueness"])
     def test_worker_failure_becomes_fail_verdict(self, experiment):
         # net reaches eps the 128-point grid cannot resolve
@@ -476,6 +481,40 @@ class TestSweepDriver:
             seen = [s.eps for s in tracer.spans if s.name == layer]
             assert len(seen) == len(cfg.epsilons) and set(seen) == set(cfg.epsilons), layer
         assert layers["solve.steps"] == len(cfg.epsilons) * round(cfg.T / cfg.dt)
+
+
+class TestFailureTaxonomy:
+    def test_numerical_error_fails_its_eps(self, plant_error, numerical_error):
+        cls = numerical_error
+        plant_error(cls("planted"), at_eps=0.125)
+        rep = run_experiment(make_config(threads=2))
+        assert str(rep.verdict) == f"Fail(epsilon=0.125: {cls.__name__}: planted)"
+        # the eps that succeeded, in net order
+        assert [r.epsilon for r in rep.records] == [0.5, 0.25, 0.0625, 0.03125]
+        assert rep.fit is None
+
+    @pytest.mark.parametrize("exc", [TypeError("planted"), ValueError("planted")],
+                             ids=["TypeError", "ValueError"])
+    def test_other_errors_propagate(self, plant_error, exc):
+        # a bug or a config fault is not a failed claim
+        plant_error(exc, at_eps=0.125)
+        with pytest.raises(type(exc), match="planted"):
+            run_experiment(make_config(threads=2))
+
+    def test_each_numerical_error_keeps_its_builtin_base(self, numerical_error):
+        # so every except ValueError or RuntimeError still catches it
+        base = RuntimeError if numerical_error.__name__ in (
+            "CapabilityError", "StabilityError", "ConvergenceError") else ValueError
+        exc = numerical_error("x")
+        assert isinstance(exc, NumericalError) and isinstance(exc, base)
+        assert not issubclass(ConfigError, NumericalError)
+
+    def test_benchmark_selftest_counts_failed_eps(self, monkeypatch):
+        # perfbench's failing-sweep check: its ResolutionErrors must stay a
+        # Fail verdict (exit 1) with all 4 eps attempted
+        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+        monkeypatch.syspath_prepend(str(perfbench))  # selftest imports its siblings
+        load_perfbench("selftest").check_failed_eps()
 
 
 class TestRunParallelDeterminism:
