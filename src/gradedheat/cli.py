@@ -4,6 +4,9 @@
     gradedheat sweep --experiment existence --config run.cfg --out results/
     gradedheat fit --in results/report.csv --col norm_sup_t
 
+solve integrates harness.problem_builder's problem at the config's epsilon
+(the classical one without it): the setup every sweep eps gets.
+
 Exit codes: 0 success or passing verdict, 1 failing verdict, 2 usage or
 configuration error, 3 numerical error.  Only a numerical error
 (errors.NumericalError) at some eps makes a sweep's verdict Fail; any other
@@ -20,16 +23,8 @@ from pathlib import Path
 
 from .config import EXPERIMENTS, parse_solve_config_file, parse_sweep_config_file
 from .errors import ConfigError, NumericalError
-from .harness import fit_exponent, persist_report, run_experiment
-from .mollify import (
-    Mollifier,
-    bump_field,
-    classical_potential,
-    regularize_field,
-    regularize_potential,
-)
-from .operators import build_rockland
-from .solve import CauchyProblem, oracle_expm, solve_duhamel, step_implicit
+from .harness import fit_exponent, persist_report, problem_builder, run_experiment
+from .solve import oracle_expm, solve_duhamel, step_implicit
 
 EXIT_OK = 0
 EXIT_FAIL_VERDICT = 1
@@ -79,16 +74,7 @@ def cmd_solve(args) -> int:
     integrate = {"implicit": step_implicit,
                  "duhamel": partial(solve_duhamel, n_picard=opts.picard_depth),
                  "oracle": oracle_expm}[opts.method]
-    grid = cfg.make_grid()
-    op = build_rockland(grid)
-    u0 = bump_field(grid, cfg.u0_width, cfg.u0_amplitude)
-    if opts.epsilon is None:
-        v = classical_potential(cfg.potential, grid)
-    else:
-        psi = Mollifier(grid.dim, cfg.mollifier_radius)
-        v = regularize_potential(cfg.potential, opts.epsilon, cfg.schedule_v, psi, grid)
-        u0 = regularize_field(u0, opts.epsilon, cfg.schedule_u0, psi)
-    traj = integrate(CauchyProblem(op, v, u0, cfg.T, cfg.dt))
+    traj = integrate(problem_builder(cfg)(opts.epsilon))
     path = _write_trajectory(traj, Path(args.out))
     print(f"wrote {path}")
     print(f"final t = {traj.times[-1]:.6g}, l2 = {traj.l2[-1]:.6g}")

@@ -109,6 +109,8 @@ class SweepConfig:
                 raise ConfigError(f"{name} must be a positive integer")
         if self.experiment is None:
             return  # a solve config, which none of the sweep rules below concern
+        if self.u0_amplitude == 0 and self.experiment != "uniqueness":
+            raise ConfigError(f"u0_amplitude = 0: {self.experiment} cannot judge a zero net")
         if self.experiment != "consistency" and len(self.epsilons) < MIN_FIT_POINTS:
             raise ConfigError(f"{self.experiment} fits an exponent over the epsilon net, which "
                               f"needs at least {MIN_FIT_POINTS} values, got {len(self.epsilons)}")

@@ -12,27 +12,29 @@ into verdicts:
     consistency  mollified problems must converge to the classical solution,
                  strictly monotonically and below a floor
 
-All three run through one driver, _sweep.  It refuses a config written
-for another experiment, builds the grid, the operator, the mollifier and the
-bump datum, regularises V and u0 for each eps on a thread pool and keeps one
-SweepRecord per measured eps, merged in net order.  An experiment supplies
-only two pieces: measure(eps, v_eps, u0_eps) -> (value, extras), run per eps
-on the pool, and judge(records) -> (fit, verdict, extra_fits), run once on
-the merged records.  Only a numerical error (errors.NumericalError) fails
-an eps: the first in net order turns the report into Fail and keeps the
-records that succeeded.  Any other exception is a fault, not a verdict, and
-propagates.  After the judge, a record's fitted_flag is set iff the main fit
-exists and its value is positive.
-Every state and V norm is norms.lp_norm or a series the trajectory
-recorded.  The per-eps solves are independent and the report is a
-deterministic ordered reduction, so CSV output is byte-identical for any
-thread count.  A passing consistency run reports Moderate carrying the
+Every Cauchy problem comes from problem_builder, the one recipe from a
+config and an eps to the regularised problem; `gradedheat solve` uses it
+too.  All three experiments run through one driver, _sweep.  It refuses a
+config written for another experiment, calls the builder once, builds and
+measures each eps's problem on a thread pool and keeps one SweepRecord per
+measured eps, merged in net order.  An experiment supplies only two pieces:
+measure(eps, problem) -> (value, extras), run per eps on the pool, and
+judge(records) -> (fit, verdict, extra_fits), run once on the merged
+records.  Only a numerical error (errors.NumericalError) fails an eps: the
+first in net order turns the report into Fail and keeps the records that
+succeeded.  Any other exception is a fault, not a verdict, and propagates.
+After the judge, a record's fitted_flag is set iff the main fit exists and
+its value is positive.  Every state and V norm is norms.lp_norm or a series
+the trajectory recorded.  The per-eps solves are independent and the report
+is a deterministic ordered reduction, so CSV output is byte-identical for
+any thread count.  A passing consistency run reports Moderate carrying the
 fitted slope of the error net (negative; its magnitude is the empirical
 convergence order).
 
-threads sets the pool size, capped at the number of eps.  The cores this
-process may run on are split between the pool workers and BLAS: while the
-pool runs, the OpenBLAS that numpy links is held at cores // workers
+threads sets the pool size, capped at the number of eps; a 1-D sweep, whose
+O(n) steps hold the GIL, runs one worker, since a second only slows it.  The
+cores this process may run on are split between the pool workers and BLAS:
+while the pool runs, the OpenBLAS that numpy links is held at cores // workers
 threads (at least 1, and never above the count it had), so workers x BLAS
 threads <= cores and the CG preconditioner's BLAS calls (the H1 block
 products and inverses, the only BLAS a sweep runs on operands large enough
@@ -278,29 +280,45 @@ def _capped_pool(workers: int):
                 setter(before)
 
 
+def problem_builder(cfg: SweepConfig):
+    """problem(eps=None) -> the CauchyProblem of cfg, regularised at eps.
+
+    The grid, the operator, the mollifier and the bump datum are built once.
+    V is regularised under schedule_v and u0 under schedule_u0; problem() is
+    the classical problem, V itself (constant or sampled only) and the datum.
+    """
+    grid = cfg.make_grid()
+    op = build_rockland(grid)
+    psi = Mollifier(grid.dim, cfg.mollifier_radius)
+    u0 = bump_field(grid, cfg.u0_width, cfg.u0_amplitude)
+
+    def problem(eps: float | None = None) -> CauchyProblem:
+        if eps is None:
+            return CauchyProblem(op, classical_potential(cfg.potential, grid), u0, cfg.T, cfg.dt)
+        v_eps = regularize_potential(cfg.potential, eps, cfg.schedule_v, psi, grid)
+        u0_eps = regularize_field(u0, eps, cfg.schedule_u0, psi)
+        return CauchyProblem(op, v_eps, u0_eps, cfg.T, cfg.dt)
+    return problem
+
+
 def _sweep(cfg: SweepConfig, experiment: str, measure_on, judge) -> SweepReport:
     """Run one experiment over the eps-net of cfg (see the module docstring).
 
-    measure_on(grid, op, u0_raw) does the experiment's own setup and returns
-    its measure; judge is not called on a failed sweep.
+    measure_on(problem_builder(cfg)) returns the experiment's measure; judge
+    is not called on a failed sweep.
     """
     if cfg.experiment != experiment:
         raise ValueError(f"config is for {cfg.experiment!r}, not {experiment!r}")
     t0 = time.perf_counter()
-    grid = cfg.make_grid()
-    op = build_rockland(grid)
-    psi = Mollifier(grid.dim, cfg.mollifier_radius)
-    u0_raw = bump_field(grid, cfg.u0_width, cfg.u0_amplitude)
-    measure = measure_on(grid, op, u0_raw)
+    problem = problem_builder(cfg)
+    measure = measure_on(problem)
 
     def solve(eps):
-        w = omega(cfg.schedule, eps)
-        v_eps = regularize_potential(cfg.potential, eps, cfg.schedule_v, psi, grid)
-        u0_eps = regularize_field(u0_raw, eps, cfg.schedule_u0, psi)
-        value, extras = measure(eps, v_eps, u0_eps)
-        return SweepRecord(eps, w, value, fitted_flag=False, extras=tuple(extras.items()))
+        value, extras = measure(eps, problem(eps))
+        return SweepRecord(eps, omega(cfg.schedule, eps), value, fitted_flag=False,
+                           extras=tuple(extras.items()))
 
-    workers = min(cfg.threads, len(cfg.epsilons))
+    workers = 1 if cfg.group.dim == 1 else min(cfg.threads, len(cfg.epsilons))
     rows, failure = [], None
     with _capped_pool(workers) as (pool, blas_threads):
         futures = [pool.submit(solve, eps) for eps in cfg.epsilons]
@@ -347,20 +365,18 @@ def existence_experiment(cfg: SweepConfig) -> SweepReport:
     (1 + ||V_eps||_inf) ||u0_eps||_{H^{nu/2}}) are fitted alongside and
     reported in extra_fits.
     """
-    def measure_on(grid, op, u0_raw):
-        def measure(eps, v_eps, u0_eps):
-            traj = step_implicit(CauchyProblem(op, v_eps, u0_eps, cfg.T, cfg.dt))
-            v_linf = lp_norm(v_eps, math.inf)
-            u0_h = float(traj.h_nu2[0])
-            extras = {
-                "sup_l2": float(np.max(traj.l2)),
-                "sup_hnu2": float(np.max(traj.h_nu2)),
-                "v_linf": v_linf,
-                "u0_hnu2": u0_h,
-                "majorant": (1.0 + v_linf) * u0_h,
-            }
-            return _sup_norm(traj, cfg.norm), extras
-        return measure
+    def measure(eps, p):
+        traj = step_implicit(p)
+        v_linf = lp_norm(p.V, math.inf)
+        u0_h = float(traj.h_nu2[0])
+        extras = {
+            "sup_l2": float(np.max(traj.l2)),
+            "sup_hnu2": float(np.max(traj.h_nu2)),
+            "v_linf": v_linf,
+            "u0_hnu2": u0_h,
+            "majorant": (1.0 + v_linf) * u0_h,
+        }
+        return _sup_norm(traj, cfg.norm), extras
 
     def judge(rows):
         fit = fit_exponent([(r.omega, r.norm_sup_t) for r in rows])
@@ -374,7 +390,7 @@ def existence_experiment(cfg: SweepConfig) -> SweepReport:
             pass  # a constant V is never regularised, so its schedule may not reach every eps
         return fit, verdict, _fitted_nets(nets)
 
-    return _sweep(cfg, "existence", measure_on, judge)
+    return _sweep(cfg, "existence", lambda problem: measure, judge)
 
 
 def _perturbation_size(cfg: SweepConfig, eps: float) -> float:
@@ -394,26 +410,21 @@ def uniqueness_experiment(cfg: SweepConfig) -> SweepReport:
     check_negligible to the net sup_t ||u_eps - u~_eps||_{L2}.  With
     sigma = 0 the twin is the problem itself and is not solved again.
     """
-    def measure_on(grid, op, u0_raw):
-        probe = bump_field(grid, cfg.u0_width)
-        probe = Field(grid, probe.values / lp_norm(probe, 2))
+    probe = bump_field(cfg.make_grid(), cfg.u0_width)
+    probe = Field(probe.grid, probe.values / lp_norm(probe, 2))
 
-        def measure(eps, v_eps, u0_eps):
-            sigma = _perturbation_size(cfg, eps)
-            base = step_implicit(CauchyProblem(op, v_eps, u0_eps, cfg.T, cfg.dt))
-            if sigma == 0.0:
-                tilde = base
-            else:
-                tilde = step_implicit(CauchyProblem(op, v_eps + sigma, u0_eps + sigma * probe,
-                                                    cfg.T, cfg.dt))
-            return _l2_state_distance(base, tilde), {}
-        return measure
+    def measure(eps, p):
+        sigma = _perturbation_size(cfg, eps)
+        base = step_implicit(p)
+        tilde = base if sigma == 0.0 else step_implicit(
+            replace(p, V=p.V + sigma, u0=p.u0 + sigma * probe))
+        return _l2_state_distance(base, tilde), {}
 
     def judge(rows):
         verdict, fit = check_negligible([(r.omega, r.norm_sup_t) for r in rows], cfg.k_max)
         return fit, verdict, ()
 
-    return _sweep(cfg, "uniqueness", measure_on, judge)
+    return _sweep(cfg, "uniqueness", lambda problem: measure, judge)
 
 
 def consistency_experiment(cfg: SweepConfig) -> SweepReport:
@@ -426,14 +437,13 @@ def consistency_experiment(cfg: SweepConfig) -> SweepReport:
     e(eps) = sup_t ||u_eps - u||_{L2} to decrease strictly and to end below
     CONSISTENCY_FLOOR_FACTOR times its first value.
     """
-    def measure_on(grid, op, u0_raw):
-        v_raw = classical_potential(cfg.potential, grid)
-        reference = step_implicit(CauchyProblem(op, v_raw, u0_raw, cfg.T, cfg.dt))
+    def measure_on(problem):
+        classical = problem()
+        reference = step_implicit(classical)
 
-        def measure(eps, v_eps, u0_eps):
-            traj = step_implicit(CauchyProblem(op, v_eps, u0_eps, cfg.T, cfg.dt))
-            v_err = lp_norm(v_eps - v_raw, math.inf)
-            return _l2_state_distance(traj, reference), {"v_error_linf": v_err}
+        def measure(eps, p):
+            v_err = lp_norm(p.V - classical.V, math.inf)
+            return _l2_state_distance(step_implicit(p), reference), {"v_error_linf": v_err}
         return measure
 
     def judge(rows):

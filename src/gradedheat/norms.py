@@ -42,7 +42,8 @@ def lp_norm(f: Field, p: float) -> float:
         return float(np.sum(a)) * vol
     if p == 2:
         return math.sqrt(float(np.sum(a * a)) * vol)
-    return float(np.sum(a**p) * vol) ** (1.0 / p)
+    m = float(a.max())  # scaled by the max, so the sum neither overflows nor underflows to 0
+    return 0.0 if m == 0.0 else m * float(np.sum((a / m) ** p) * vol) ** (1.0 / p)
 
 
 def homogeneous_sobolev_norm(f: Field, s: float, op: DiscreteRockland) -> float:

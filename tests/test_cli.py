@@ -1,9 +1,16 @@
 """CLI subcommands, output files and exit codes, driven in-process."""
 
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from gradedheat import harness
 from gradedheat.cli import main
+from gradedheat.config import parse_solve_config_file
+from gradedheat.harness import consistency_experiment, problem_builder
+from gradedheat.solve import step_implicit
 from gradedheat.groups import euclidean, make_grid
 from gradedheat.mollify import bump_field
 
@@ -37,6 +44,12 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+def written_l2(out_dir):
+    """The l2 column of a trajectory.csv, as written."""
+    rows = (out_dir / "trajectory.csv").read_text().splitlines()[1:]
+    return [row.split(",")[1] for row in rows]
+
+
 class TestSolve:
     def test_writes_trajectory(self, tmp_path, capsys):
         cfg = write(tmp_path, "run.cfg", SOLVE_CFG)
@@ -55,6 +68,33 @@ class TestSolve:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
         assert all(line.endswith(",") for line in lines[1:])
+
+    def test_mollified_solve_is_the_sweep_problem_at_its_epsilon(self, tmp_path):
+        # solve and every sweep eps take their problem from one builder
+        cfg = write(tmp_path, "run.cfg",
+                    SOLVE_CFG.replace("constant:1", "delta") + "epsilon = 0.25\n")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        traj = step_implicit(problem_builder(parse_solve_config_file(cfg)[0])(0.25))
+        assert written_l2(tmp_path / "o") == [f"{x:.17g}" for x in traj.l2]
+
+    def test_classical_solve_is_the_consistency_reference(self, tmp_path, monkeypatch):
+        cfg = write(tmp_path, "run.cfg", SOLVE_CFG)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        # the sweep solves each eps on a pool worker and the reference on its own thread
+        references = []
+        real_step = harness.step_implicit
+
+        def spy(problem):
+            traj = real_step(problem)
+            if threading.current_thread() is threading.main_thread():
+                references.append(traj)
+            return traj
+
+        monkeypatch.setattr(harness, "step_implicit", spy)
+        sweep_cfg = replace(parse_solve_config_file(cfg)[0], experiment="consistency")
+        assert consistency_experiment(sweep_cfg).verdict.kind == "Moderate"
+        assert len(references) == 1
+        assert written_l2(tmp_path / "o") == [f"{x:.17g}" for x in references[0].l2]
 
     def test_delta_needs_epsilon(self, tmp_path, capsys):
         cfg = write(tmp_path, "run.cfg",
@@ -105,7 +145,8 @@ class TestSolve:
         ("epsilons = 0.5,0.25,0.125,0.0625", "epsilons = 0.5"),
         ("points = 64", "points = 63"),
         ("epsilons = 0.5,", "schedule_u0 = log:1\nepsilons = 1.0,0.5,"),
-    ], ids=["short-net", "odd-points", "epsilon-outside-schedule"])
+        ("T = 0.5", "T = 0.5\nu0_amplitude = 0"),
+    ], ids=["short-net", "odd-points", "epsilon-outside-schedule", "zero-datum"])
     def test_sweep_only_rules_do_not_apply(self, tmp_path, old, new):
         # solve fits no exponent, and without epsilon it neither convolves
         # nor takes omega, so the rules that keep a sweep from failing are not its
@@ -219,6 +260,17 @@ class TestSweep:
             "got 1.0\n")
         assert not out.exists()
 
+    def test_zero_datum_never_solves_for_consistency(self, tmp_path, capsys):
+        # with a constant V the error net is all zeros, which would read as a failed claim
+        text = SWEEP_CFG.replace("potential = delta", "potential = constant:1")
+        cfg = write(tmp_path, "run.cfg", text + "u0_amplitude = 0\n")
+        out = tmp_path / "r"
+        assert main(["sweep", "--experiment", "consistency",
+                     "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: u0_amplitude = 0: consistency cannot judge a zero net\n")
+        assert not out.exists()
+
     def test_experiment_conflict(self, tmp_path):
         cfg = write(tmp_path, "run.cfg", SWEEP_CFG + "experiment = existence\n")
         assert main(["sweep", "--experiment", "uniqueness",
@@ -303,6 +355,9 @@ class TestConfigErrors:
                      id="u0-wider-than-box"),
         pytest.param("sweep", None, "sign_class = real", "unknown key 'sign_class'",
                      id="declared-sign-class"),
+        # a zero datum is refused before any solve, not by the exponent fit after every solve
+        pytest.param("sweep", "u0_amplitude", "u0_amplitude = 0",
+                     "u0_amplitude = 0: existence cannot judge a zero net", id="zero-datum"),
         # sweep's --experiment choices reject this before the file is read
         pytest.param("solve", "experiment", "experiment = bogus",
                      "experiment must be one of", id="unknown-experiment"),

@@ -62,15 +62,15 @@ def test_splu_is_a_module_function():
 
 
 def test_first_factorisations_of_two_workers_import_together(tmp_path):
-    # the first two 1-D factorisations wait for each other, so both workers
-    # run the first import of scipy.linalg.lapack at the same time
+    # a sweep on R runs one worker, so two threads start the first two 1-D
+    # solves; their factorisations wait for each other, so both run the
+    # first import of scipy.linalg.lapack at the same time
     script = f"""
 import sys, threading
-from dataclasses import replace
 from pathlib import Path
 from gradedheat import solve
 from gradedheat.config import parse_sweep_config
-from gradedheat.harness import persist_report, run_experiment
+from gradedheat.harness import problem_builder
 
 assert "scipy.linalg" not in sys.modules
 barrier = threading.Barrier(2, timeout=60)
@@ -85,19 +85,30 @@ def together(*args):
         barrier.wait()
     return factor(*args)
 
+def trajectory_bytes(p):
+    traj = solve.step_implicit(p)
+    return traj.l2.tobytes() + b"".join(s.values.tobytes() for s in traj.states)
+
 solve._periodic_tridiagonal_solver = together
 cfg = parse_sweep_config({SWEEP_TEXT.format(group="euclidean1", points="128")!r})
-for threads in (2, 1):
-    rep = run_experiment(replace(cfg, threads=threads))
-    assert rep.verdict.kind == "Moderate" and rep.workers == threads
-    persist_report(rep, Path(sys.argv[1]) / f"t{{threads}}")
+problem = problem_builder(cfg)
+problems = [problem(0.5), problem(0.25)]
+out = Path(sys.argv[1])
+workers = [threading.Thread(target=lambda i=i: (out / f"together{{i}}").write_bytes(
+               trajectory_bytes(problems[i]))) for i in range(2)]
+for worker in workers:
+    worker.start()
+for worker in workers:
+    worker.join()
 assert next(waiting, None) is None  # both workers went through the barrier
 assert "scipy.linalg.lapack" in sys.modules
 assert "scipy.sparse.linalg" not in sys.modules
+for i, p in enumerate(problems):
+    (out / f"alone{{i}}").write_bytes(trajectory_bytes(p))
 """
     run_fresh(script, tmp_path)
-    two = (tmp_path / "t2" / "report.csv").read_bytes()
-    assert two == (tmp_path / "t1" / "report.csv").read_bytes()
+    for i in range(2):
+        assert (tmp_path / f"together{i}").read_bytes() == (tmp_path / f"alone{i}").read_bytes()
 
 
 def test_one_dimensional_solve_leaves_out_sparse_linalg(tmp_path):

@@ -21,7 +21,7 @@ from gradedheat.config import (
     parse_sweep_config,
 )
 from gradedheat import harness, operators
-from gradedheat.errors import ConfigError, NumericalError
+from gradedheat.errors import ConfigError, NumericalError, ResolutionError
 from gradedheat.harness import (
     FitResult,
     SweepRecord,
@@ -187,6 +187,12 @@ def make_config(**overrides):
     return SweepConfig(**base)
 
 
+def pooled_config(**overrides):
+    """A small 2-D sweep: on R a sweep runs one worker whatever threads says."""
+    return make_config(group=euclidean(2), points=(32, 32),
+                       epsilons=EpsilonNet((0.5, 0.4, 0.3, 0.2, 0.125)), **overrides)
+
+
 class TestExistence:
     def test_u0_norm_is_trajectory_t0_record(self, monkeypatch):
         # the u0 extra is the trajectory's own t = 0 value; on 1024 points a
@@ -268,6 +274,13 @@ class TestExistence:
             u0_eps = regularize_field(u0, r.epsilon, cfg.schedule_u0, psi)
             assert r.norm_sup_t == pytest.approx(lp_norm(u0_eps, p), rel=1e-12)
 
+    def test_high_order_lp_norm_reaches_a_verdict(self):
+        # lp:400 of a datum of amplitude 10 overflowed to inf once raised to the 400th power
+        rep = existence_experiment(make_config(norm="lp:400", u0_amplitude=10.0))
+        assert rep.verdict.kind == "Moderate"
+        # below the L^400 norm of the constant 10 on the box [-1, 1)
+        assert all(8.0 < r.norm_sup_t < 10.0 * 2.0 ** (1 / 400) for r in rep.records)
+
     def test_real_potential_h_norm_still_moderate(self):
         cfg = make_config(potential=PotentialSpec.dirac_delta(multiplier=-1.0),
                           schedule_v=OmegaSchedule.logarithmic(1),
@@ -293,6 +306,14 @@ class TestUniqueness:
         cfg = make_config(experiment="uniqueness", perturbation="none")
         uniqueness_experiment(cfg)
         assert len(calls) == len(cfg.epsilons)
+
+    def test_zero_datum_is_accepted(self):
+        # the twin still differs from the base by the probe
+        cfg = make_config(experiment="uniqueness", norm="l2", u0_amplitude=0.0,
+                          potential=PotentialSpec.dirac_delta_squared())
+        rep = uniqueness_experiment(cfg)
+        assert rep.verdict.kind == "Negligible"
+        assert rep.records[0].norm_sup_t > 0.0
 
     def test_exponential_perturbation_negligible(self):
         cfg = make_config(experiment="uniqueness", norm="l2",
@@ -469,7 +490,7 @@ class TestSweepDriver:
         # eps from positional argument 1 of the regularize_* calls; a layer
         # called through a local name, or eps passed by keyword, blinds it
         tracing = load_perfbench("tracing")
-        cfg = make_config(threads=2)
+        cfg = pooled_config(threads=2)
         with tracing.Tracer() as tracer:
             rep = existence_experiment(cfg)
         assert rep.verdict.kind == "Moderate"
@@ -481,6 +502,19 @@ class TestSweepDriver:
             seen = [s.eps for s in tracer.spans if s.name == layer]
             assert len(seen) == len(cfg.epsilons) and set(seen) == set(cfg.epsilons), layer
         assert layers["solve.steps"] == len(cfg.epsilons) * round(cfg.T / cfg.dt)
+
+
+    def test_one_dimensional_sweep_runs_one_worker(self):
+        # a second worker only slows a sweep on R, so threads sizes the pool elsewhere
+        assert run_experiment(make_config(threads=2)).workers == 1
+        assert run_experiment(pooled_config(threads=2)).workers == 2
+
+    def test_failure_in_a_pool_of_two_keeps_net_order(self, plant_error):
+        plant_error(ResolutionError("planted"), at_eps=0.3)
+        rep = run_experiment(pooled_config(threads=2))
+        assert rep.workers == 2
+        assert str(rep.verdict) == "Fail(epsilon=0.3: ResolutionError: planted)"
+        assert [r.epsilon for r in rep.records] == [0.5, 0.4, 0.2, 0.125]
 
 
 class TestFailureTaxonomy:
@@ -642,7 +676,7 @@ class TestBlasThreadCap:
 
         monkeypatch.setattr(harness, "regularize_potential", spy)
         before = self.count(setter)
-        rep = run_experiment(make_config(threads=2))
+        rep = run_experiment(pooled_config(threads=2))
         assert self.count(setter) == before
         want = min(max(1, affinity_cores() // 2), before)
         assert seen == [want] * 5
@@ -656,7 +690,7 @@ class TestBlasThreadCap:
         before = self.count(setter)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        rep = run_experiment(make_config(threads=2))
+        rep = run_experiment(pooled_config(threads=2))
         assert rep.verdict.kind == "Moderate"
         assert rep.blas_threads == min(2, before)
         assert self.count(setter) == before
@@ -675,7 +709,7 @@ class TestBlasThreadCap:
 
         monkeypatch.setattr(harness, "regularize_potential", spy)
         before = self.count(setter)
-        sweeps = [threading.Thread(target=run_experiment, args=(make_config(threads=n),))
+        sweeps = [threading.Thread(target=run_experiment, args=(pooled_config(threads=n),))
                   for n in (2, 1)]
         for sweep in sweeps:
             sweep.start()

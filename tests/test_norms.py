@@ -31,6 +31,16 @@ class TestLpNorm:
         f = Field(grid, values)
         assert lp_norm(f, 1) == pytest.approx(5.0 * grid.cell_volume, rel=1e-14)
 
+    @pytest.mark.parametrize("c", [10.0, 0.1, 1e-300])
+    def test_large_p_neither_overflows_nor_underflows(self, c):
+        # ||c||_p = c * |box|^{1/p}; 10^400 overflows and 0.1^400 underflows
+        grid = make_grid(euclidean(1), 1.0, 16)
+        f = Field(grid, np.full(grid.shape, c))
+        assert lp_norm(f, 400) == pytest.approx(c * 2.0 ** (1 / 400), rel=1e-13, abs=0.0)
+
+    def test_zero_field_has_zero_lp_norm(self, unit_box):
+        assert lp_norm(Field.zeros(unit_box), 3.0) == 0.0
+
     def test_p_below_one_rejected(self, unit_box):
         with pytest.raises(ValueError):
             lp_norm(Field.zeros(unit_box), 0.5)
