@@ -5,7 +5,9 @@
     gradedheat fit --in results/report.csv --col norm_sup_t
 
 solve integrates harness.problem_builder's problem at the config's epsilon
-(the classical one without it): the setup every sweep eps gets.
+(the classical one without it): the setup every sweep eps gets.  fit refits
+a report; where the file has a fitted_flag column it takes only the rows
+flagged 1, the ones the sweep's own fit took.
 
 Exit codes: 0 success or passing verdict, 1 failing verdict, 2 usage or
 configuration error, 3 numerical error.  Only a numerical error
@@ -18,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from functools import partial
 from pathlib import Path
 
 from .config import EXPERIMENTS, parse_solve_config_file, parse_sweep_config_file
@@ -71,8 +72,7 @@ def _write_trajectory(traj, out_dir: Path) -> Path:
 
 def cmd_solve(args) -> int:
     cfg, opts = parse_solve_config_file(args.config)
-    integrate = {"implicit": step_implicit,
-                 "duhamel": partial(solve_duhamel, n_picard=opts.picard_depth),
+    integrate = {"implicit": step_implicit, "duhamel": solve_duhamel,
                  "oracle": oracle_expm}[opts.method]
     traj = integrate(problem_builder(cfg)(opts.epsilon))
     path = _write_trajectory(traj, Path(args.out))
@@ -104,6 +104,8 @@ def cmd_fit(args) -> int:
         have = ", ".join(rows[0] or ())
         raise ConfigError(
             f"need columns 'omega' and {args.col!r}; file has: {have}")
+    if "fitted_flag" in rows[0]:
+        rows = [r for r in rows if r["fitted_flag"] == "1"]  # the rows the sweep fitted
     try:
         pairs = [(float(r["omega"]), float(r[args.col])) for r in rows]
     except (TypeError, ValueError) as exc:
@@ -112,8 +114,8 @@ def cmd_fit(args) -> int:
         fit = fit_exponent(pairs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    print(f"exponent = {fit.exponent:.6g}")
-    print(f"stderr = {fit.stderr:.6g}")
+    print(f"exponent = {fit.exponent:.17g}")
+    print(f"stderr = {fit.stderr:.17g}")
     return EXIT_OK
 
 

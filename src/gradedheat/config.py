@@ -88,8 +88,8 @@ class SweepConfig:
         if self.perturbation not in _PERTURBATIONS:
             raise ConfigError(
                 f"perturbation must be one of {_PERTURBATIONS}, got {self.perturbation!r}")
-        if not 0 < self.dt <= self.T < math.inf:
-            raise ConfigError(f"need 0 < dt <= T < inf, got dt = {self.dt}, T = {self.T}")
+        if not (0 < self.dt <= self.T and math.isfinite(self.T / self.dt)):
+            raise ConfigError(f"need 0 < dt <= T, T/dt finite, got dt = {self.dt}, T = {self.T}")
         parse_norm_token(self.norm)
         with _config_error():
             grid = self.make_grid()
@@ -138,13 +138,10 @@ class SolveOptions:
 
     epsilon: float | None = None
     method: str = "implicit"
-    picard_depth: int = 8
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.picard_depth < 1:
-            raise ConfigError(f"picard_depth must be a positive integer, got {self.picard_depth}")
 
 
 def parse_norm_token(token: str):
@@ -282,7 +279,6 @@ _KEYS = {
     # SolveOptions fields: listed so one file serves both commands
     "epsilon": ("epsilon", _finite, None),
     "method": ("method", str, None),
-    "picard_depth": ("picard_depth", _integer, None),
 }
 _SOLVE_FIELDS = frozenset(f.name for f in fields(SolveOptions))
 _REQUIRED_FIELDS = frozenset(f.name for f in fields(SweepConfig) if f.default is MISSING)

@@ -327,6 +327,9 @@ def _sweep(cfg: SweepConfig, experiment: str, measure_on, judge) -> SweepReport:
                 rows.append(fut.result())
             except NumericalError as exc:
                 failure = failure or f"epsilon={eps:g}: {type(exc).__name__}: {exc}"
+            except BaseException:
+                pool.shutdown(cancel_futures=True)  # solve no eps after a fault
+                raise
     if failure is None:
         fit, verdict, extra_fits = judge(rows)
     else:

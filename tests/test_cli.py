@@ -10,7 +10,7 @@ from gradedheat import harness
 from gradedheat.cli import main
 from gradedheat.config import parse_solve_config_file
 from gradedheat.harness import consistency_experiment, problem_builder
-from gradedheat.solve import step_implicit
+from gradedheat.solve import solve_duhamel, step_implicit
 from gradedheat.groups import euclidean, make_grid
 from gradedheat.mollify import bump_field
 
@@ -77,6 +77,13 @@ class TestSolve:
         traj = step_implicit(problem_builder(parse_solve_config_file(cfg)[0])(0.25))
         assert written_l2(tmp_path / "o") == [f"{x:.17g}" for x in traj.l2]
 
+    def test_duhamel_solve_is_solve_duhamel_of_the_sweep_problem(self, tmp_path):
+        text = SOLVE_CFG.replace("constant:1", "delta") + "epsilon = 0.25\nmethod = duhamel\n"
+        cfg = write(tmp_path, "run.cfg", text)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        traj = solve_duhamel(problem_builder(parse_solve_config_file(cfg)[0])(0.25))
+        assert written_l2(tmp_path / "o") == [f"{x:.17g}" for x in traj.l2]
+
     def test_classical_solve_is_the_consistency_reference(self, tmp_path, monkeypatch):
         cfg = write(tmp_path, "run.cfg", SOLVE_CFG)
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
@@ -135,7 +142,7 @@ class TestSolve:
         cfg = write(tmp_path, "run.cfg", SOLVE_CFG + "sign_class = maybe\n")
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
-    @pytest.mark.parametrize("line", ["method = bogus", "picard_depth = 0"])
+    @pytest.mark.parametrize("line", ["method = bogus"])
     def test_bad_solve_only_key_rejected(self, tmp_path, capsys, line):
         cfg = write(tmp_path, "run.cfg", SOLVE_CFG + line + "\n")
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -309,6 +316,9 @@ class TestConfigErrors:
         pytest.param("sweep", "perturbation", "perturbation = gaussian",
                      "perturbation must be one of", id="perturbation"),
         pytest.param("sweep", "dt", "dt = 1.0", "need 0 < dt <= T", id="dt-above-T"),
+        # T/dt = inf has no step count; refused before any solve
+        pytest.param("sweep", "T", "T = 1e308", "T/dt finite", id="step-count-overflows"),
+        pytest.param("solve", "T", "T = 1e308", "T/dt finite", id="solve-step-count-overflows"),
         pytest.param("sweep", "k_max", "k_max = 0", "k_max must be a positive",
                      id="k_max-zero"),
         pytest.param("sweep", "norm", "norm = lp:0.5", "p >= 1", id="lp-below-one"),
@@ -392,6 +402,26 @@ class TestFit:
         assert code == 0
         text = capsys.readouterr().out
         assert "exponent =" in text and "stderr =" in text
+
+    @pytest.mark.parametrize("experiment, edits", [
+        ("existence", ()),
+        # sigma = e^{-64} leaves the twin equal to the problem: its row is 0, not fitted
+        ("uniqueness", (("points = 128", "points = 256"), ("0.03125\n", "0.03125,0.015625\n"))),
+    ])
+    def test_refit_reproduces_the_manifest(self, tmp_path, capsys, experiment, edits):
+        text = SWEEP_CFG
+        for old, new in edits:
+            text = text.replace(old, new)
+        out = tmp_path / "results"
+        main(["sweep", "--experiment", experiment, "--config", write(tmp_path, "run.cfg", text),
+              "--out", str(out)])
+        capsys.readouterr()
+        assert main(["fit", "--in", str(out / "report.csv"), "--col", "norm_sup_t"]) == 0
+        manifest = (out / "manifest.txt").read_text()
+        exponent = capsys.readouterr().out.splitlines()[0].split(" = ")[1]
+        assert f"fitted_exponent: {exponent}\n" in manifest
+        if experiment == "uniqueness":
+            assert (out / "report.csv").read_text().splitlines()[-1].endswith(",0,0")
 
     def test_planted_csv(self, tmp_path, capsys):
         rows = ["omega,val"] + [f"{0.5*2**-k},{(0.5*2**-k)**-3}" for k in range(5)]

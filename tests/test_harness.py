@@ -535,6 +535,22 @@ class TestFailureTaxonomy:
         with pytest.raises(type(exc), match="planted"):
             run_experiment(make_config(threads=2))
 
+    def test_fault_stops_the_net(self, plant_error, monkeypatch):
+        # the eps queued behind a fault are cancelled, not solved
+        plant_error(TypeError("planted"), at_eps=0.5)
+        attempted = []
+        planted = harness.regularize_potential
+
+        def counting(pot, eps, *rest):
+            attempted.append(eps)
+            return planted(pot, eps, *rest)
+
+        monkeypatch.setattr(harness, "regularize_potential", counting)
+        cfg = make_config(threads=1)
+        with pytest.raises(TypeError, match="planted"):
+            run_experiment(cfg)
+        assert attempted[0] == 0.5 and len(attempted) <= 2 < len(cfg.epsilons)
+
     def test_each_numerical_error_keeps_its_builtin_base(self, numerical_error):
         # so every except ValueError or RuntimeError still catches it
         base = RuntimeError if numerical_error.__name__ in (
@@ -813,9 +829,9 @@ class TestConfigRoundTrip:
 
     def test_hash_ignores_solve_only_keys(self):
         # only `gradedheat solve` reads these, so a sweep's provenance omits them
-        solve_keys = {"epsilon", "method", "picard_depth"}
+        solve_keys = {"epsilon", "method"}
         assert not solve_keys & {f.name for f in fields(SweepConfig)}
-        text = CONFIG_TEXT + "epsilon = 0.25\nmethod = duhamel\npicard_depth = 3\n"
+        text = CONFIG_TEXT + "epsilon = 0.25\nmethod = duhamel\n"
         assert config_hash(parse_sweep_config(text)) == config_hash(
             parse_sweep_config(CONFIG_TEXT))
 
@@ -886,7 +902,6 @@ schedule_v = poly
 schedule_u0 = log:3
 epsilon = 0.125
 method = duhamel
-picard_depth = 5
 """
 
     def test_config_hashes_are_pinned(self):
@@ -904,7 +919,7 @@ picard_depth = 5
         path.write_text(self.ALL_KEYS_TEXT)
         cfg, opts = parse_solve_config_file(path)
         assert cfg == parse_sweep_config(self.ALL_KEYS_TEXT)
-        assert opts == SolveOptions(epsilon=0.125, method="duhamel", picard_depth=5)
+        assert opts == SolveOptions(epsilon=0.125, method="duhamel")
         required = {f.name: getattr(cfg, f.name) for f in fields(SweepConfig)
                     if f.default is MISSING}
         defaults = SweepConfig(**required)

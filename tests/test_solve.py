@@ -71,6 +71,11 @@ class TestCauchyProblem:
         with pytest.raises(ValueError):
             CauchyProblem(lap32, Field.zeros(g), bump_field(g, 1.0), T=0.1, dt=0.5)
 
+    def test_step_count_must_be_finite(self, lap32):
+        g = lap32.grid
+        with pytest.raises(ValueError, match="T/dt must be finite"):
+            CauchyProblem(lap32, Field.zeros(g), Field.zeros(g), T=1e300, dt=1e-300)
+
     def test_grid_mismatch_rejected(self, lap32):
         other = make_grid(euclidean(1), math.pi, 16)
         with pytest.raises(ValueError):
@@ -299,6 +304,22 @@ class TestOverflow:
         with pytest.raises(CapabilityError, match=rf"step {step} of 400 \(t = {t:g}\)"):
             step_implicit(p)
 
+    @pytest.mark.parametrize("group, points, step", [
+        (euclidean(1), (64,), 154),
+        (euclidean(2), (16, 10), 155),
+        (heisenberg1(), (8, 8, 8), 155),
+    ], ids=["r1", "r2", "h1"])
+    def test_solve_duhamel_names_step(self, group, points, step):
+        # each step multiplies the constant mode by (1 + 9/11) / (1 - 9/11) = 10
+        op = build_rockland(make_grid(group, 1.0, points))
+        g = op.grid
+        dt = 1.0 / 64
+        p = CauchyProblem(op, Field.zeros(g) - 18.0 / 11.0 / dt, bump_field(g, 0.5),
+                          T=400 * dt, dt=dt)
+        t = step * dt
+        with pytest.raises(CapabilityError, match=rf"step {step} of 400 \(t = {t:g}\)"):
+            solve_duhamel(p)
+
     def test_non_finite_stored_state_names_step(self, lap32):
         # a stored state is checked before the block it sits in is full
         g = lap32.grid
@@ -334,29 +355,16 @@ class TestStepperRouting:
         assert len(calls) == lu_calls
 
 
-def dense_duhamel_states(p, n_picard):
-    """Picard-Duhamel on a dense eigh of the whole operator: the reference."""
+def dense_duhamel_states(p):
+    """The trapezoid Duhamel step on a dense eigh of the whole operator: the reference."""
     w, vecs = np.linalg.eigh(p.op.matrix.toarray())
-    w = np.maximum(w, 0.0)
-    dt, steps = p.dt_effective, p.steps
-    decay = np.exp(-dt * w)
-    hom = np.empty((steps + 1, w.size))
-    hom[0] = vecs.T @ p.u0.values.ravel()
-    for k in range(1, steps + 1):
-        hom[k] = decay * hom[k - 1]
-    coeff = hom.copy()
-    for _ in range(n_picard):
-        src = (-p.V.values.ravel() * (coeff @ vecs.T)) @ vecs
-        new = hom.copy()
-        integral = np.zeros(w.size)
-        for k in range(1, steps + 1):
-            integral = decay * integral + 0.5 * dt * (decay * src[k - 1] + src[k])
-            new[k] += integral
-        done = np.abs(new - coeff).max() <= 1e-13 * np.abs(new).max()
-        coeff = new
-        if done:
-            break
-    return coeff @ vecs.T
+    decay = np.exp(-p.dt_effective * np.maximum(w, 0.0))
+    half_v = 0.5 * p.dt_effective * p.V.values.ravel()
+    states = [p.u0.values.ravel()]
+    for _ in range(p.steps):
+        u = vecs @ (decay * (vecs.T @ ((1.0 - half_v) * states[-1])))
+        states.append(u / (1.0 + half_v))
+    return states
 
 
 class TestDuhamel:
@@ -364,21 +372,22 @@ class TestDuhamel:
         g = lap32.grid
         u0 = eigenvector(g, 3)
         p = CauchyProblem(lap32, Field.zeros(g), u0, T=0.5, dt=1.0 / 16)
-        traj = solve_duhamel(p, n_picard=0)
+        traj = solve_duhamel(p)
         lam = discrete_symbol(g, 3)
         for t, l2 in zip(traj.times, traj.l2):
             assert l2 == pytest.approx(math.exp(-lam * t) * traj.l2[0], rel=1e-10)
 
     def test_zero_potential_any_depth(self, lap32):
+        # n_picard is accepted and ignored: each step is solved exactly
         g = lap32.grid
         u0 = bump_field(g, 1.5)
         p = CauchyProblem(lap32, Field.zeros(g), u0, T=0.5, dt=1.0 / 16)
         a = solve_duhamel(p, n_picard=0)
         b = solve_duhamel(p, n_picard=8)
-        np.testing.assert_allclose(b.final.values, a.final.values, atol=1e-14)
+        np.testing.assert_array_equal(b.final.values, a.final.values)
 
     def test_constant_potential_quadrature_order(self, lap32):
-        # trapezoid Picard limit differs from the shifted semigroup by O(dt^2)
+        # the trapezoid rule differs from the shifted semigroup by O(dt^2)
         g = lap32.grid
         u0 = bump_field(g, 1.5)
         errs = []
@@ -410,23 +419,27 @@ class TestDuhamel:
         g = op.grid
         p = CauchyProblem(op, bump_field(g, 1.0, amplitude=0.8), bump_field(g, 1.125),
                           T=0.25, dt=1.0 / 32)
-        traj = solve_duhamel(p, n_picard=8)
-        want = dense_duhamel_states(p, n_picard=8)
+        traj = solve_duhamel(p)
+        want = dense_duhamel_states(p)
         assert len(traj.states) == p.steps + 1
         for got, ref in zip(traj.states, want):
-            assert np.linalg.norm(got.values.ravel() - ref) <= 1e-10 * np.linalg.norm(ref)
+            assert np.linalg.norm(got.values.ravel() - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    def test_diverging_iteration_raises(self, lap32):
+    @pytest.mark.parametrize("v", [32.0, -32.0, 500.0, -500.0])
+    def test_step_bound_is_stability_error(self, lap32, v):
+        # dt max|V| = 2 and above, where the fixed-point iteration on the
+        # trapezoid rule diverges and 1 + dt/2 V may vanish
         g = lap32.grid
-        p = CauchyProblem(lap32, Field.zeros(g) + 500.0, bump_field(g, 1.0), T=1.0, dt=1.0 / 16)
-        with pytest.raises(ConvergenceError):
-            solve_duhamel(p, n_picard=8)
+        p = CauchyProblem(lap32, Field.zeros(g) + v, bump_field(g, 1.0), T=1.0, dt=1.0 / 16)
+        with pytest.raises(StabilityError, match=rf"dt < 2/max\|V\| = {2.0 / abs(v):g}, "
+                                                 r"got dt = 0.0625"):
+            solve_duhamel(p)
 
-    def test_negative_depth_rejected(self, lap32):
+    @pytest.mark.parametrize("v", [31.0, -31.0])
+    def test_step_just_inside_the_bound_solves(self, lap32, v):
         g = lap32.grid
-        p = CauchyProblem(lap32, Field.zeros(g), bump_field(g, 1.0), T=0.1, dt=0.1)
-        with pytest.raises(ValueError):
-            solve_duhamel(p, n_picard=-1)
+        p = CauchyProblem(lap32, Field.zeros(g) + v, bump_field(g, 1.0), T=1.0, dt=1.0 / 16)
+        assert len(solve_duhamel(p).times) == 17
 
 
 class TestOracle:
