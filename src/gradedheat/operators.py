@@ -26,10 +26,10 @@ last axis is refused with ``CapabilityError``, and so are blocks above
 
 * ``eigensystem`` diagonalises the blocks in one batched ``eigh``, computed
   lazily and cached on the operator.  Tiny negative eigenvalues (within
-  -1e-10 * lambda_max) are clamped to zero.  ``semigroup_apply`` and
-  ``fractional_power`` apply g(R) as rfft along the last axis, v^H, g(w),
-  v, irfft; the zero eigenvalue uses the convention 0**0 = 1 so that
-  fractional powers fix constants for s = 0.
+  -1e-10 * lambda_max) are clamped to zero.  ``spectral_map`` applies g(R)
+  as rfft along the last axis, v^H, g(w), v, irfft, for ``semigroup_apply``,
+  ``fractional_power`` and the Duhamel stepper; 0**0 = 1 at the zero
+  eigenvalue, so that fractional powers fix constants for s = 0.
 
 * ``resolvent`` applies (I + dt R)^{-1}, built once per dt and cached.  On
   H1 it inverts the blocks of I + dt R.  On R^d the Laplacian is invariant
@@ -57,6 +57,7 @@ __all__ = [
     "build_rockland",
     "fractional_power",
     "semigroup_apply",
+    "spectral_map",
 ]
 
 # Dense matrices above this size are refused: per central-frequency block in
@@ -327,23 +328,27 @@ def semigroup_apply(op: DiscreteRockland, t: float, f: Field) -> Field:
 def _spectral_apply(op: DiscreteRockland, g, f: Field) -> Field:
     """g(R) f for a function g of the eigenvalues."""
     op._check_field(f)
+    return Field(op.grid, spectral_map(op, g)(f.values).reshape(op.grid.shape))
+
+
+def spectral_map(op: DiscreteRockland, g):
+    """The map of flat grid values x to flat g(R) x, g a function of the eigenvalues.
+
+    g(w) is evaluated once, on the cached eigensystem.  v[k]^H x is computed
+    as conj(v[k]^T conj(x)) so that the transposed view of v is not copied.
+    """
     w, v = op.eigensystem()
     n_c = op.grid.points[-1]
-    coeff = _to_eigenbasis(v, f.values.reshape(1, -1, n_c))
-    out = _from_eigenbasis(v, g(w)[:, :, None] * coeff, n_c)
-    return Field(op.grid, out.reshape(op.grid.shape))
+    gw = g(w)[:, :, None]
 
+    def apply(values) -> np.ndarray:
+        spectrum = np.fft.rfft(np.reshape(values, (1, -1, n_c)), axis=-1).transpose(2, 1, 0)
+        coeff = gw * np.matmul(v.transpose(0, 2, 1), spectrum.conj()).conj()
+        return _from_eigenbasis(v, coeff, n_c).ravel()
 
-def _to_eigenbasis(v: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Coefficients (K, m, S) in the eigenbasis v of S real fields (S, m, n_c).
-
-    rfft along the last axis, then v[k]^H per frequency, computed as
-    conj(v[k]^T conj(x)) so that the transposed view of v is not copied.
-    """
-    spectrum = np.fft.rfft(values, axis=-1).transpose(2, 1, 0)
-    return np.matmul(v.transpose(0, 2, 1), spectrum.conj()).conj()
+    return apply
 
 
 def _from_eigenbasis(v: np.ndarray, coeff: np.ndarray, n_c: int) -> np.ndarray:
-    """Real fields (S, m, n_c) from the blocks v[k] @ coeff[k]; inverts ``_to_eigenbasis``."""
+    """Real fields (S, m, n_c) from the blocks v[k] @ coeff[k], coeff shaped (K, m, S)."""
     return np.fft.irfft(np.matmul(v, coeff).transpose(2, 1, 0), n=n_c, axis=-1)

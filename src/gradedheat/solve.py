@@ -2,13 +2,16 @@
 
 Three routes to the same trajectory: a backward-Euler stepper (the
 workhorse), a trapezoid-rule Duhamel stepper that applies e^{-dt R} through
-the operator's central-frequency eigensystem, and a dense eigendecomposition
-oracle for cross-checks on small grids.  All of them record L2, homogeneous
+``operators.spectral_map``, and a dense eigendecomposition oracle for
+cross-checks on small grids.  Each one only builds its step map
+u^k = advance(u^{k-1}, k); one loop runs it and records L2, homogeneous
 order-nu/2 Sobolev and (for nonnegative V) energy series at every step,
 through one recorder that buffers the states and reduces them a block at a
 time (at most RECORD_BLOCK_BYTES of states per block).  The block sums are
 row-wise reductions of C-contiguous arrays, so each value is bit-equal to
-the one-state-at-a-time reduction.
+the one-state-at-a-time reduction.  A step count whose series alone exceed
+the physical memory is refused as a CapabilityError before any of them is
+allocated.
 
 Backward Euler solves I + dt(R + V) once per step.  On R that system is
 periodic tridiagonal, and positive definite under the stability guard: a
@@ -31,6 +34,7 @@ the states: at each stored state and each block of norms.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +43,7 @@ from . import operators
 from .errors import CapabilityError, ConvergenceError, StabilityError
 from .groups import Field
 from .norms import lp_norm
-from .operators import DiscreteRockland, _from_eigenbasis, _to_eigenbasis
+from .operators import DiscreteRockland
 
 CG_TOL = 1e-14
 STATE_THIN_TARGET = 64
@@ -126,6 +130,7 @@ class _Recorder:
     # C-contiguous (K, N), which numpy sums row by row in the order of a 1-D
     # np.sum, so the series equal the one-state-at-a-time values bit for bit.
     def __init__(self, problem: CauchyProblem):
+        _check_series_fit(problem.steps)
         grid = problem.u0.grid
         self.grid = grid
         self.vol = grid.cell_volume
@@ -194,6 +199,35 @@ class _Recorder:
         )
 
 
+def _check_series_fit(steps: int):
+    """Refuse a step count whose norm series alone exceed the physical memory."""
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return  # the platform does not report it
+    series_bytes = 32 * (steps + 1)  # times, l2, sobolev_nu2 and energy
+    if 0 < memory < series_bytes:
+        raise CapabilityError(
+            f"{steps} steps need {series_bytes} bytes of norm series, more than the "
+            f"{memory} bytes of physical memory; lengthen dt or shorten T")
+
+
+def _integrate(p: CauchyProblem, advance) -> Trajectory:
+    """The recorded trajectory of u = advance(u, k), k = 1 .. p.steps, from u0.
+
+    The steps raise no floating-point warning: the recorder reports a state
+    that overflows, at each stored state and each block of norms.
+    """
+    rec = _Recorder(p)
+    u = p.u0.values.ravel().astype(float)
+    rec.push(u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, p.steps + 1):
+            u = advance(u, k)
+            rec.push(u)
+    return rec.build()
+
+
 def step_implicit(p: CauchyProblem) -> Trajectory:
     """Backward Euler: u^{n+1} = (I + dt(R + V))^{-1} u^n.
 
@@ -201,9 +235,7 @@ def step_implicit(p: CauchyProblem) -> Trajectory:
     energy inequality hold step by step.  For sign-changing V the factor is
     only defined when dt * max(V^-) < 1.  One-dimensional grids solve each
     step by a periodic tridiagonal LAPACK solve, all others by
-    preconditioned CG (see the module docstring).  The steps run without
-    floating-point warnings: a state that overflows is reported by the
-    recorder, which checks every stored state and every block of norms.
+    preconditioned CG (see the module docstring).
     """
     dt = p.dt_effective
     v_flat = p.V.values.ravel()
@@ -212,17 +244,8 @@ def step_implicit(p: CauchyProblem) -> Trajectory:
         raise StabilityError(
             f"backward Euler needs dt < 1/max(V^-) = {1.0 / v_minus:.6g}, got dt = {dt:.6g}")
     if p.op.grid.dim == 1:
-        solve = _periodic_tridiagonal_solver(p, dt, v_flat)
-    else:
-        solve = _cg_solver(p, dt, v_flat, v_minus)
-    rec = _Recorder(p)
-    u = p.u0.values.ravel().astype(float)
-    rec.push(u)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, p.steps + 1):
-            u = solve(u, k)
-            rec.push(u)
-    return rec.build()
+        return _integrate(p, _periodic_tridiagonal_solver(p, dt, v_flat))
+    return _integrate(p, _cg_solver(p, dt, v_flat, v_minus))
 
 
 def splu(matrix):
@@ -354,19 +377,9 @@ def solve_duhamel(p: CauchyProblem, n_picard: int | None = None) -> Trajectory:
     if dt * v_max >= 2.0:
         raise StabilityError(f"the trapezoid Duhamel step needs dt < 2/max|V| = "
                              f"{2.0 / v_max:.6g}, got dt = {dt:.6g}")
-    w, vecs = p.op.eigensystem()
-    n_c = p.op.grid.points[-1]
-    decay = np.exp(-dt * w)[:, :, None]
+    decay = operators.spectral_map(p.op, lambda w: np.exp(-dt * w))
     before, after = 1.0 - 0.5 * dt * v_flat, 1.0 + 0.5 * dt * v_flat
-    rec = _Recorder(p)
-    u = p.u0.values.ravel().astype(float)
-    rec.push(u)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(p.steps):
-            coeff = decay * _to_eigenbasis(vecs, (before * u).reshape(1, -1, n_c))
-            u = _from_eigenbasis(vecs, coeff, n_c).ravel() / after
-            rec.push(u)
-    return rec.build()
+    return _integrate(p, lambda u, k: decay(before * u) / after)
 
 
 def oracle_expm(p: CauchyProblem) -> Trajectory:
@@ -386,10 +399,7 @@ def oracle_expm(p: CauchyProblem) -> Trajectory:
     w, vecs = np.linalg.eigh(ham)
     c0 = vecs.T @ p.u0.values.ravel()
     dt = p.dt_effective
-    rec = _Recorder(p)
-    for k in range(p.steps + 1):
-        rec.push(vecs @ (np.exp(-k * dt * w) * c0))
-    return rec.build()
+    return _integrate(p, lambda u, k: vecs @ (np.exp(-k * dt * w) * c0))
 
 
 def energy(u: Field, V: Field, op: DiscreteRockland) -> float:
@@ -423,7 +433,10 @@ def apriori_ratios(traj: Trajectory, V: Field, u0: Field, which: str,
     if which not in _RATIO_KINDS:
         raise ValueError(f"which must be one of {_RATIO_KINDS}, got {which!r}")
     if which == "RealGronwall":
-        bound = np.exp(traj.times * float(np.abs(V.values).max())) * lp_norm(u0, 2)
+        # past exp's range the majorant is +inf and the ratio 0 (nan for a
+        # zero datum, where the ratio is 0 as well)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = np.exp(traj.times * float(np.abs(V.values).max())) * lp_norm(u0, 2)
         return _safe_ratio(traj.l2, bound)
     if which == "PosLp":
         Q = V.grid.group.Q

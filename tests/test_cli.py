@@ -128,6 +128,15 @@ class TestSolve:
         assert err.startswith("CapabilityError: the state's norms leave float64 range "
                               "at step 233 of 1280 (t = 3.64062)")
 
+    def test_huge_step_count_is_capability_error(self, tmp_path, capsys):
+        # 1e13 steps: refused before the norm series are allocated
+        text = (SOLVE_CFG.replace("points = 64", "points = 4")
+                .replace("T = 0.5", "T = 100000").replace("dt = 0.03125", "dt = 1e-8"))
+        cfg = write(tmp_path, "run.cfg", text)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith(
+            "CapabilityError: 10000000000000 steps need 320000000000032 bytes of norm series")
+
     def test_unstable_step_is_numerical_error(self, tmp_path, capsys):
         text = SOLVE_CFG.replace("constant:1", "constant:-40")
         cfg = write(tmp_path, "run.cfg", text)
@@ -180,6 +189,17 @@ class TestSweep:
         assert code == 1
         assert ("Fail(epsilon=0.5: CapabilityError: the state's norms leave float64 range "
                 "at step 233 of 1280 (t = 3.64062)") in capsys.readouterr().out
+
+    def test_huge_step_count_fails_the_epsilon(self, tmp_path, capsys):
+        text = (SWEEP_CFG.replace("points = 128", "points = 4")
+                .replace("potential = delta", "potential = constant:1")
+                .replace("T = 0.5", "T = 100000").replace("dt = 0.015625", "dt = 1e-8"))
+        cfg = write(tmp_path, "run.cfg", text)
+        code = main(["sweep", "--experiment", "existence",
+                     "--config", cfg, "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert ("Fail(epsilon=0.5: CapabilityError: 10000000000000 steps need "
+                "320000000000032 bytes of norm series") in capsys.readouterr().out
 
     def test_existence_pass(self, tmp_path, capsys):
         cfg = write(tmp_path, "run.cfg", SWEEP_CFG)

@@ -18,6 +18,7 @@ from gradedheat.operators import (
     build_rockland,
     fractional_power,
     semigroup_apply,
+    spectral_map,
 )
 
 
@@ -238,11 +239,14 @@ class TestBlockSpectralCalculus:
 
     @pytest.mark.parametrize("t", [0.01, 0.1, 1.0])
     def test_semigroup_matches_dense(self, t, block_and_dense):
+        # spectral_map is the semigroup's own path, so it agrees bit for bit
         op, (w, v) = block_and_dense
+        decay = spectral_map(op, lambda w: np.exp(-t * w))
         for f in random_fields(op.grid, 3, seed=30):
             want = v @ (np.exp(-t * w) * (v.T @ f.flat))
             got = semigroup_apply(op, t, f).flat
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+            assert np.array_equal(decay(f.flat), got)
 
     def test_full_power_matches_apply(self, block_and_dense):
         op, _ = block_and_dense

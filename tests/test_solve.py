@@ -285,40 +285,52 @@ class TestEuclidean2Stepper:
         np.testing.assert_array_equal(step_implicit(p).final.values, 0.0)
 
 
+OVERFLOW_ROWS = pytest.mark.parametrize("group, points, step", [
+    (euclidean(1), (64,), 154),
+    (euclidean(2), (16, 10), 155),
+    (heisenberg1(), (8, 8, 8), 155),
+], ids=["r1", "r2", "h1"])
+
+
+def assert_overflow_names_step(solver, group, points, step, v_dt):
+    """V = -v_dt / dt, where each step multiplies the constant mode by 10."""
+    op = build_rockland(make_grid(group, 1.0, points))
+    g = op.grid
+    dt = 1.0 / 64
+    p = CauchyProblem(op, Field.zeros(g) - v_dt / dt, bump_field(g, 0.5), T=400 * dt, dt=dt)
+    with pytest.raises(CapabilityError, match=rf"step {step} of 400 \(t = {step * dt:g}\)"):
+        solver(p)
+
+
 class TestOverflow:
     # a state whose norms leave float64 range is a capability limit that
-    # names its step, on every stepper route and without floating-point
+    # names its step, on every integrator and without floating-point
     # warnings (tier-1 turns RuntimeWarning into an error)
-    @pytest.mark.parametrize("group, points, step", [
-        (euclidean(1), (64,), 154),
-        (euclidean(2), (16, 10), 155),
-        (heisenberg1(), (8, 8, 8), 155),
-    ], ids=["r1", "r2", "h1"])
+    @OVERFLOW_ROWS
     def test_step_implicit_names_step(self, group, points, step):
-        # each step multiplies the constant mode by 1 / (1 - 0.9) = 10
-        op = build_rockland(make_grid(group, 1.0, points))
-        g = op.grid
-        dt = 1.0 / 64
-        p = CauchyProblem(op, Field.zeros(g) - 0.9 / dt, bump_field(g, 0.5), T=400 * dt, dt=dt)
-        t = step * dt
-        with pytest.raises(CapabilityError, match=rf"step {step} of 400 \(t = {t:g}\)"):
-            step_implicit(p)
+        # 1 / (1 - 0.9) = 10
+        assert_overflow_names_step(step_implicit, group, points, step, 0.9)
 
-    @pytest.mark.parametrize("group, points, step", [
-        (euclidean(1), (64,), 154),
-        (euclidean(2), (16, 10), 155),
-        (heisenberg1(), (8, 8, 8), 155),
-    ], ids=["r1", "r2", "h1"])
+    @OVERFLOW_ROWS
     def test_solve_duhamel_names_step(self, group, points, step):
-        # each step multiplies the constant mode by (1 + 9/11) / (1 - 9/11) = 10
-        op = build_rockland(make_grid(group, 1.0, points))
+        # (1 + 9/11) / (1 - 9/11) = 10
+        assert_overflow_names_step(solve_duhamel, group, points, step, 18.0 / 11.0)
+
+    @OVERFLOW_ROWS
+    def test_oracle_expm_names_step(self, group, points, step):
+        # exp(log 10) = 10
+        assert_overflow_names_step(oracle_expm, group, points, step, math.log(10.0))
+
+    @pytest.mark.parametrize("solver", [step_implicit, solve_duhamel, oracle_expm])
+    def test_series_beyond_physical_memory_refused(self, solver):
+        # 1e13 steps need 3.2e14 bytes of norm series: refused before any is allocated
+        op = build_rockland(make_grid(euclidean(1), 1.0, 4))
         g = op.grid
-        dt = 1.0 / 64
-        p = CauchyProblem(op, Field.zeros(g) - 18.0 / 11.0 / dt, bump_field(g, 0.5),
-                          T=400 * dt, dt=dt)
-        t = step * dt
-        with pytest.raises(CapabilityError, match=rf"step {step} of 400 \(t = {t:g}\)"):
-            solve_duhamel(p)
+        p = CauchyProblem(op, Field.zeros(g), Field(g, np.ones(g.shape)), T=1e5, dt=1e-8)
+        assert p.steps == 10**13
+        with pytest.raises(CapabilityError,
+                           match=r"^10000000000000 steps need 320000000000032 bytes of norm"):
+            solver(p)
 
     def test_non_finite_stored_state_names_step(self, lap32):
         # a stored state is checked before the block it sits in is full
@@ -596,6 +608,20 @@ class TestAprioriRatios:
         for which in ("PosLinf", "RealGronwall"):
             np.testing.assert_array_equal(apriori_ratios(traj, V, u0, which), 0.0)
 
+    @pytest.mark.parametrize("amplitude", [1.0, 0.0], ids=["bump", "zero"])
+    def test_gronwall_majorant_past_float_range(self, amplitude):
+        # exp(t ||V||_inf) overflows for t > 0.71: the majorant is +inf there
+        # and the ratio 0, with no floating-point warning
+        g = make_grid(euclidean(1), math.pi, 64)
+        V = Field.zeros(g) + 1000.0
+        u0 = bump_field(g, 1.5, amplitude=amplitude)
+        traj = step_implicit(CauchyProblem(build_rockland(g), V, u0, T=1.0, dt=1.0 / 64))
+        ratios = apriori_ratios(traj, V, u0, "RealGronwall")
+        past = traj.times * 1000.0 > math.log(np.finfo(float).max)
+        assert past.sum() == 19
+        np.testing.assert_array_equal(ratios[past], 0.0)
+        assert np.all(np.isfinite(ratios)) and np.all(ratios <= 1.0)
+
     def test_unknown_kind_rejected(self, lap32):
         g = lap32.grid
         V = Field.zeros(g)
@@ -742,12 +768,18 @@ class TestRecorder:
 
     @pytest.mark.parametrize("group, half_width, points", [
         (euclidean(1), 1.0, 256),
+        (euclidean(2), 1.0, 32),
         (heisenberg1(), 1.5, 12),
-    ], ids=["e1-256", "h1-12^3"])
+    ], ids=["e1-256", "e2-32^2", "h1-12^3"])
     def test_quad_form_matches_t0_record(self, group, half_width, points):
+        # every integrator records u0 itself at t = 0, so all agree bit for bit
         op = build_rockland(make_grid(group, half_width, points))
         u0 = bump_field(op.grid, 0.8)
         V = bump_field(op.grid, 1.0)
-        traj = step_implicit(CauchyProblem(op, V, u0, T=0.1, dt=0.1))
-        assert math.sqrt(op.quad_form(u0)) == traj.sobolev_nu2[0]
-        assert energy(u0, V, op) == traj.energy[0]
+        l2 = math.sqrt(float(np.sum(u0.flat * u0.flat)) * op.grid.cell_volume)
+        p = CauchyProblem(op, V, u0, T=0.1, dt=0.1)
+        for solver in (step_implicit, solve_duhamel, oracle_expm):
+            traj = solver(p)
+            assert traj.l2[0] == l2
+            assert math.sqrt(op.quad_form(u0)) == traj.sobolev_nu2[0]
+            assert energy(u0, V, op) == traj.energy[0]
