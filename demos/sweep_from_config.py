@@ -22,7 +22,6 @@ epsilons = 0.5,0.25,0.125,0.0625,0.03125
 T = 0.5
 dt = 0.015625
 norm = hnu2
-threads = 2
 """
 
 if __name__ == "__main__":

@@ -64,7 +64,6 @@ class SweepConfig:
     norm: str | None = None
     k_max: int = 10
     n_max: int = 10
-    threads: int = 1
     perturbation: str = "exp"
     u0_width: float | None = None
     u0_amplitude: float = 1.0
@@ -104,7 +103,7 @@ class SweepConfig:
             # the bump datum and the uniqueness probe must fit inside the box
             raise ConfigError(
                 f"u0_width {self.u0_width} exceeds the box half-width {half_width}")
-        for name in ("k_max", "n_max", "threads"):
+        for name in ("k_max", "n_max"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive integer")
         if self.experiment is None:
@@ -269,7 +268,6 @@ _KEYS = {
     "norm": ("norm", str, str),
     "k_max": ("k_max", _integer, str),
     "N_max": ("n_max", _integer, str),
-    "threads": ("threads", _integer, None),  # must not change any result
     "perturbation": ("perturbation", str, str),
     "u0_width": ("u0_width", _finite, repr),
     "u0_amplitude": ("u0_amplitude", _finite, repr),
@@ -280,12 +278,13 @@ _KEYS = {
     "epsilon": ("epsilon", _finite, None),
     "method": ("method", str, None),
 }
+_RETIRED_KEYS = ("threads",)  # accepted so that older files still parse; read by nothing
 _SOLVE_FIELDS = frozenset(f.name for f in fields(SolveOptions))
 _REQUIRED_FIELDS = frozenset(f.name for f in fields(SweepConfig) if f.default is MISSING)
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """key = value lines -> dict; unknown keys are rejected."""
+    """key = value lines -> dict; unknown keys are rejected, retired ones dropped."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -296,14 +295,14 @@ def parse_config_text(text: str) -> dict[str, str]:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
         key = key.strip()
         value = value.strip()
-        if key not in _KEYS:
+        if key not in _KEYS and key not in _RETIRED_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         if not value:
             raise ConfigError(f"line {lineno}: empty value for {key!r}")
         out[key] = value
-    return out
+    return {key: value for key, value in out.items() if key in _KEYS}
 
 
 def _parse_fields(text: str) -> tuple[dict, dict]:

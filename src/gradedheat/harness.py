@@ -24,29 +24,29 @@ records.  Only a numerical error (errors.NumericalError) fails an eps: the
 first in net order turns the report into Fail and keeps the records that
 succeeded.  Any other exception is a fault, not a verdict, and propagates.
 After the judge, a record's fitted_flag is set iff the main fit exists and
-its value is positive.  Every state and V norm is norms.lp_norm or a series
-the trajectory recorded.  The per-eps solves are independent and the report
-is a deterministic ordered reduction, so CSV output is byte-identical for
-any thread count.  A passing consistency run reports Moderate carrying the
-fitted slope of the error net (negative; its magnitude is the empirical
-convergence order).
+its value is positive.  Every state and V norm is norms.lp_norm or a series the
+trajectory recorded; an existence sweep under l2 or hnu2 reads only the series
+and keeps no states.  The per-eps solves are independent and the report is a
+deterministic ordered reduction, so CSV output is byte-identical for any worker
+count.  A passing consistency run reports Moderate carrying the fitted slope of
+the error net (negative; its magnitude is the empirical convergence order).
 
-threads sets the pool size, capped at the number of eps; a 1-D sweep, whose
-O(n) steps hold the GIL, runs one worker, since a second only slows it.  The
-cores this process may run on are split between the pool workers and BLAS:
-while the pool runs, the OpenBLAS that numpy links is held at cores // workers
-threads (at least 1, and never above the count it had), so workers x BLAS
-threads <= cores and the CG preconditioner's BLAS calls (the H1 block
-products and inverses, the only BLAS a sweep runs on operands large enough
-to thread) do not oversubscribe the machine.  The pthreads OpenBLAS that
-numpy bundles keeps one thread count for the whole process, so other
-threads share the cap while the pool runs and the count is put back when
-the pool exits.  Each pool is sized to all the cores, so the pools of
-concurrent sweeps in one process take turns.  Every path outside a sweep,
-and a single-worker sweep, keeps its BLAS threads.  Where numpy's BLAS does
-not export openblas_set_num_threads_local (MKL, Accelerate, OpenBLAS before
-0.3.27), nothing is capped.  The manifest records the split.  scipy's own
-OpenBLAS is not capped: its one user here is LAPACK dpttrf/dpttrs on 1-D
+The pool runs min(cores, number of eps) workers, cores being the CPUs this
+process may run on (its affinity, else os.cpu_count()); a 1-D sweep, whose O(n)
+steps hold the GIL, runs one worker, since a second only slows it.  The cores
+are split between the workers and BLAS: while the pool runs, the OpenBLAS that
+numpy links is held at cores // workers threads (at least 1, and never above
+the count it had), so workers x BLAS threads <= cores and the CG
+preconditioner's BLAS calls (the H1 block products and inverses, the only BLAS
+a sweep runs on operands large enough to thread) do not oversubscribe the
+machine.  The pthreads OpenBLAS that numpy bundles keeps one thread count for
+the whole process, so other threads share the cap while the pool runs and the
+count is put back when the pool exits.  Each pool claims all the cores, so the
+pools of concurrent sweeps in one process take turns.  Every path outside a
+sweep, and a single-worker sweep, keeps its BLAS threads.  Where numpy's BLAS
+does not export openblas_set_num_threads_local (MKL, Accelerate, OpenBLAS
+before 0.3.27), nothing is capped.  The manifest records the split.  scipy's
+own OpenBLAS is not capped: its one user here is LAPACK dpttrf/dpttrs on 1-D
 periodic tridiagonal systems, an unthreaded O(n) loop.  A change whose pool
 workers call threaded scipy.linalg routines must revisit this.
 """
@@ -247,13 +247,20 @@ def _blas_thread_setter():
     return setter
 
 
+def _cores() -> int:
+    """The CPUs this process may run on; sched_getaffinity is Linux-only."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 # where the BLAS count a pool caps is the process's, two pools at once would
 # restore each other's counts out of order
 _POOL_LOCK = threading.Lock()
 
 
 @contextmanager
-def _capped_pool(workers: int):
+def _capped_pool(workers: int, cores: int):
     """A thread pool whose workers split the cores with BLAS (module docstring).
 
     numpy's OpenBLAS is lowered, never raised, to cores // workers threads
@@ -265,9 +272,6 @@ def _capped_pool(workers: int):
     with _POOL_LOCK:
         before = cap = None
         if setter is not None:
-            # sched_getaffinity is Linux-only
-            cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                     else os.cpu_count() or 1)
             before = setter(1)  # the setter is the only getter
             cap = min(before, max(1, cores // workers))
             setter(cap)
@@ -318,9 +322,10 @@ def _sweep(cfg: SweepConfig, experiment: str, measure_on, judge) -> SweepReport:
         return SweepRecord(eps, omega(cfg.schedule, eps), value, fitted_flag=False,
                            extras=tuple(extras.items()))
 
-    workers = 1 if cfg.group.dim == 1 else min(cfg.threads, len(cfg.epsilons))
+    cores = _cores()
+    workers = 1 if cfg.group.dim == 1 else min(cores, len(cfg.epsilons))
     rows, failure = [], None
-    with _capped_pool(workers) as (pool, blas_threads):
+    with _capped_pool(workers, cores) as (pool, blas_threads):
         futures = [pool.submit(solve, eps) for eps in cfg.epsilons]
         for eps, fut in zip(cfg.epsilons, futures):
             try:
@@ -368,8 +373,10 @@ def existence_experiment(cfg: SweepConfig) -> SweepReport:
     (1 + ||V_eps||_inf) ||u0_eps||_{H^{nu/2}}) are fitted alongside and
     reported in extra_fits.
     """
+    keep_states = parse_norm_token(cfg.norm)[0] in ("linf", "lp")
+
     def measure(eps, p):
-        traj = step_implicit(p)
+        traj = step_implicit(p, keep_states=keep_states)
         v_linf = lp_norm(p.V, math.inf)
         u0_h = float(traj.h_nu2[0])
         extras = {

@@ -83,7 +83,7 @@ class CauchyProblem:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Norm series at every step plus a thinned sequence of states.
+    """Norm series at every step plus a thinned sequence of states, or none.
 
     energy is None when the potential takes negative values; the energy
     functional is only defined for V >= 0 and the sign-changing case is
@@ -120,6 +120,8 @@ class Trajectory:
 
     @property
     def final(self) -> Field:
+        if not self.states:
+            raise ValueError("the trajectory keeps no states (solved with keep_states=False)")
         return self.states[-1]
 
 
@@ -129,7 +131,7 @@ class _Recorder:
     # sweeps are bit-stable across thread counts; each reduced operand must be
     # C-contiguous (K, N), which numpy sums row by row in the order of a 1-D
     # np.sum, so the series equal the one-state-at-a-time values bit for bit.
-    def __init__(self, problem: CauchyProblem):
+    def __init__(self, problem: CauchyProblem, keep_states: bool = True):
         _check_series_fit(problem.steps)
         grid = problem.u0.grid
         self.grid = grid
@@ -138,6 +140,7 @@ class _Recorder:
         self.v_flat = problem.V.values.ravel()
         self.steps = problem.steps
         self.thin = max(1, problem.steps // STATE_THIN_TARGET)
+        self.keep_states = keep_states
         rows = min(max(RECORD_BLOCK_BYTES // (8 * grid.size), 1),
                    STATE_THIN_TARGET, self.steps + 1)
         self.block = np.empty((rows, grid.size))
@@ -155,7 +158,7 @@ class _Recorder:
         self.block[self.filled] = u
         self.filled += 1
         self.k += 1
-        if k % self.thin == 0 or k == self.steps:
+        if self.keep_states and (k % self.thin == 0 or k == self.steps):
             if not np.all(np.isfinite(u)):
                 self._flush()  # raises, naming the first step out of range
             self.state_times.append(self.times[k])
@@ -212,13 +215,13 @@ def _check_series_fit(steps: int):
             f"{memory} bytes of physical memory; lengthen dt or shorten T")
 
 
-def _integrate(p: CauchyProblem, advance) -> Trajectory:
+def _integrate(p: CauchyProblem, advance, keep_states: bool = True) -> Trajectory:
     """The recorded trajectory of u = advance(u, k), k = 1 .. p.steps, from u0.
 
     The steps raise no floating-point warning: the recorder reports a state
     that overflows, at each stored state and each block of norms.
     """
-    rec = _Recorder(p)
+    rec = _Recorder(p, keep_states)
     u = p.u0.values.ravel().astype(float)
     rec.push(u)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -228,14 +231,15 @@ def _integrate(p: CauchyProblem, advance) -> Trajectory:
     return rec.build()
 
 
-def step_implicit(p: CauchyProblem) -> Trajectory:
+def step_implicit(p: CauchyProblem, keep_states: bool = True) -> Trajectory:
     """Backward Euler: u^{n+1} = (I + dt(R + V))^{-1} u^n.
 
     Unconditionally contractive for V >= 0, which is what makes the discrete
     energy inequality hold step by step.  For sign-changing V the factor is
     only defined when dt * max(V^-) < 1.  One-dimensional grids solve each
     step by a periodic tridiagonal LAPACK solve, all others by
-    preconditioned CG (see the module docstring).
+    preconditioned CG (see the module docstring).  keep_states=False records
+    the norm series only, as a sweep that reads no state asks.
     """
     dt = p.dt_effective
     v_flat = p.V.values.ravel()
@@ -244,8 +248,8 @@ def step_implicit(p: CauchyProblem) -> Trajectory:
         raise StabilityError(
             f"backward Euler needs dt < 1/max(V^-) = {1.0 / v_minus:.6g}, got dt = {dt:.6g}")
     if p.op.grid.dim == 1:
-        return _integrate(p, _periodic_tridiagonal_solver(p, dt, v_flat))
-    return _integrate(p, _cg_solver(p, dt, v_flat, v_minus))
+        return _integrate(p, _periodic_tridiagonal_solver(p, dt, v_flat), keep_states)
+    return _integrate(p, _cg_solver(p, dt, v_flat, v_minus), keep_states)
 
 
 def splu(matrix):

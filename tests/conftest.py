@@ -27,3 +27,11 @@ def plant_error(monkeypatch):
             return real(pot, eps, *rest)
         monkeypatch.setattr(harness, "regularize_potential", regularize)
     return plant
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """cores(n) makes every sweep see n cores, which size its pool and its BLAS cap."""
+    def see(n):
+        monkeypatch.setattr(harness, "_cores", lambda: n)
+    return see

@@ -3,7 +3,7 @@
 Eleven property-based gates covering the whole pipeline at desk scale:
 semigroup contraction, energy decay, the Gronwall bound, oracle and Duhamel
 agreement, mollifier scaling, the three sweep experiments, exponent-fit
-correctness and thread determinism.  Each test prints one PASS/FAIL line
+correctness and determinism across worker counts.  Each test prints one PASS/FAIL line
 (run with -s to see them all).
 """
 
@@ -259,14 +259,18 @@ def test_10_fit_correctness():
            f"e^(-1/eps) classified {verdict.kind}")
 
 
-def test_11_determinism(tmp_path):
-    cfg = existence_config(PotentialSpec.dirac_delta())
-    bodies = []
-    for name, threads in (("a1", 1), ("b4", 4), ("c1", 1)):
-        rep = existence_experiment(replace(cfg, threads=threads))
+def test_11_determinism(tmp_path, cores):
+    # on R a sweep runs one worker, so the net is on R^2, where the cores size the pool
+    cfg = replace(existence_config(PotentialSpec.dirac_delta()), group=euclidean(2),
+                  points=(64, 64), epsilons=EpsilonNet((0.5, 0.4, 0.3, 0.25, 0.2)))
+    bodies, workers = [], []
+    for name, n in (("a1", 1), ("b4", 4), ("c1", 1)):
+        cores(n)
+        rep = existence_experiment(cfg)
+        workers.append(rep.workers)
         csv_path, _ = persist_report(rep, tmp_path / name)
         bodies.append(csv_path.read_bytes())
-    ok = bodies[0] == bodies[1] == bodies[2]
+    ok = workers == [1, 4, 1] and bodies[0] == bodies[1] == bodies[2]
     report(11, ok,
-           f"report CSV byte-identical across reruns and threads 1 vs 4: "
-           f"{len(bodies[0])} bytes")
+           f"report CSV byte-identical across reruns and {workers[0]} vs {workers[1]} "
+           f"workers: {len(bodies[0])} bytes")

@@ -91,8 +91,8 @@ class TestSolve:
         references = []
         real_step = harness.step_implicit
 
-        def spy(problem):
-            traj = real_step(problem)
+        def spy(problem, **kwargs):
+            traj = real_step(problem, **kwargs)
             if threading.current_thread() is threading.main_thread():
                 references.append(traj)
             return traj
@@ -358,7 +358,7 @@ class TestConfigErrors:
         pytest.param("sweep", "T", None, "missing required key 'T'", id="missing-number"),
         pytest.param("sweep", "half_width", "half_width = wide", "not a number",
                      id="not-a-number"),
-        pytest.param("sweep", "threads", "threads = two", "not an integer",
+        pytest.param("sweep", "k_max", "k_max = two", "not an integer",
                      id="not-an-integer"),
         pytest.param("sweep", "points", "points = 12.5", "expected integers",
                      id="points-not-integers"),

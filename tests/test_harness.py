@@ -6,7 +6,7 @@ import os
 import sys
 import threading
 import time
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,7 @@ from gradedheat.config import (
     parse_sweep_config,
 )
 from gradedheat import harness, operators
+from gradedheat import solve as solve_module
 from gradedheat.errors import ConfigError, NumericalError, ResolutionError
 from gradedheat.harness import (
     FitResult,
@@ -188,7 +189,7 @@ def make_config(**overrides):
 
 
 def pooled_config(**overrides):
-    """A small 2-D sweep: on R a sweep runs one worker whatever threads says."""
+    """A small 2-D sweep: on R a sweep runs one worker whatever the cores."""
     return make_config(group=euclidean(2), points=(32, 32),
                        epsilons=EpsilonNet((0.5, 0.4, 0.3, 0.2, 0.125)), **overrides)
 
@@ -200,8 +201,8 @@ class TestExistence:
         trajectories = []
         solve = harness.step_implicit
 
-        def spy(problem):
-            trajectories.append(solve(problem))
+        def spy(problem, **kwargs):
+            trajectories.append(solve(problem, **kwargs))
             return trajectories[-1]
 
         monkeypatch.setattr(harness, "step_implicit", spy)
@@ -211,6 +212,27 @@ class TestExistence:
             extras = dict(rec.extras)
             assert extras["u0_hnu2"] == traj.h_nu2[0]
             assert extras["majorant"] == (1.0 + extras["v_linf"]) * traj.h_nu2[0]
+
+    @pytest.mark.parametrize("thin_target", [64, 10_000])
+    @pytest.mark.parametrize("norm, keeps", [
+        ("l2", False), ("hnu2", False), ("linf", True), ("lp:3", True)])
+    def test_states_kept_only_for_a_norm_that_reads_them(
+            self, monkeypatch, norm, keeps, thin_target):
+        # l2 and hnu2 sups read the per-step series, linf and lp the states
+        monkeypatch.setattr(solve_module, "STATE_THIN_TARGET", thin_target)
+        stored, real_step = [], harness.step_implicit
+
+        def spy(problem, **kwargs):
+            traj = real_step(problem, **kwargs)
+            stored.append(len(traj.states))
+            return traj
+
+        monkeypatch.setattr(harness, "step_implicit", spy)
+        cfg = pooled_config(norm=norm)
+        rep = existence_experiment(cfg)
+        assert rep.verdict.kind == "Moderate"
+        steps = round(cfg.T / cfg.dt)
+        assert stored == [steps + 1 if keeps else 0] * len(cfg.epsilons)
 
     def test_zero_potential_is_flat(self):
         cfg = make_config(potential=PotentialSpec.constant(0.0))
@@ -302,7 +324,7 @@ class TestUniqueness:
         calls = []
         real_step = harness.step_implicit
         monkeypatch.setattr(harness, "step_implicit",
-                            lambda problem: calls.append(problem) or real_step(problem))
+                            lambda p, **kw: calls.append(p) or real_step(p, **kw))
         cfg = make_config(experiment="uniqueness", perturbation="none")
         uniqueness_experiment(cfg)
         assert len(calls) == len(cfg.epsilons)
@@ -485,17 +507,19 @@ class TestSweepDriver:
         assert "CapabilityError" in rep.verdict.reason
         assert rep.records == ()
 
-    def test_benchmark_tracer_sees_every_layer(self):
+    def test_benchmark_tracer_sees_every_layer(self, cores):
         # perfbench/tracing.py wraps gradedheat.harness module globals and reads
         # eps from positional argument 1 of the regularize_* calls; a layer
         # called through a local name, or eps passed by keyword, blinds it
         tracing = load_perfbench("tracing")
-        cfg = pooled_config(threads=2)
+        cfg = pooled_config()
+        cores(2)
         with tracing.Tracer() as tracer:
             rep = existence_experiment(cfg)
         assert rep.verdict.kind == "Moderate"
+        assert rep.workers == 2
         assert tracer.missing == []
-        layers = tracing.layer_metrics(tracer.spans, threads=cfg.threads)
+        layers = tracing.layer_metrics(tracer.spans, threads=rep.workers)
         assert layers["harness.eps_attempted"] == len(cfg.epsilons)
         assert layers["harness.eps_failed"] == 0
         for layer in ("mollify.potential", "mollify.convolve"):
@@ -503,25 +527,45 @@ class TestSweepDriver:
             assert len(seen) == len(cfg.epsilons) and set(seen) == set(cfg.epsilons), layer
         assert layers["solve.steps"] == len(cfg.epsilons) * round(cfg.T / cfg.dt)
 
+    def test_one_dimensional_sweep_runs_one_worker(self, cores):
+        # a second worker only slows a sweep on R, so the cores size the pool elsewhere
+        cores(4)
+        assert run_experiment(make_config()).workers == 1
+        assert run_experiment(pooled_config()).workers == 4
 
-    def test_one_dimensional_sweep_runs_one_worker(self):
-        # a second worker only slows a sweep on R, so threads sizes the pool elsewhere
-        assert run_experiment(make_config(threads=2)).workers == 1
-        assert run_experiment(pooled_config(threads=2)).workers == 2
-
-    def test_failure_in_a_pool_of_two_keeps_net_order(self, plant_error):
+    def test_failure_in_a_pool_of_two_keeps_net_order(self, plant_error, cores):
         plant_error(ResolutionError("planted"), at_eps=0.3)
-        rep = run_experiment(pooled_config(threads=2))
+        cores(2)
+        rep = run_experiment(pooled_config())
         assert rep.workers == 2
         assert str(rep.verdict) == "Fail(epsilon=0.3: ResolutionError: planted)"
         assert [r.epsilon for r in rep.records] == [0.5, 0.4, 0.2, 0.125]
+
+    def test_threads_key_does_not_oversubscribe(self, cores):
+        # a file may still say threads = 4, but the pool is sized from the
+        # cores: 4 workers on 2 cores, each with 1 BLAS thread, would be 4 > 2
+        cores(2)
+        cfg = parse_sweep_config(POOLED_TEXT + "threads = 4\n")
+        rep = run_experiment(cfg)
+        assert rep.workers == 2
+        assert rep.workers * (rep.blas_threads or 1) <= 2
+
+    @pytest.mark.parametrize("threads", ["1", "4", "two"])
+    def test_threads_key_is_read_by_nothing(self, cores, threads):
+        # a retired key: older files keep parsing, and no value is parsed
+        cores(3)
+        cfg = parse_sweep_config(POOLED_TEXT + f"threads = {threads}\n")
+        assert cfg == parse_sweep_config(POOLED_TEXT)
+        assert run_experiment(cfg).workers == 3  # min(cores, 4 eps) whatever threads says
+        cfg_r = parse_sweep_config(CONFIG_TEXT + f"threads = {threads}\n")
+        assert run_experiment(cfg_r).workers == 1  # one worker on R
 
 
 class TestFailureTaxonomy:
     def test_numerical_error_fails_its_eps(self, plant_error, numerical_error):
         cls = numerical_error
         plant_error(cls("planted"), at_eps=0.125)
-        rep = run_experiment(make_config(threads=2))
+        rep = run_experiment(make_config())
         assert str(rep.verdict) == f"Fail(epsilon=0.125: {cls.__name__}: planted)"
         # the eps that succeeded, in net order
         assert [r.epsilon for r in rep.records] == [0.5, 0.25, 0.0625, 0.03125]
@@ -533,7 +577,7 @@ class TestFailureTaxonomy:
         # a bug or a config fault is not a failed claim
         plant_error(exc, at_eps=0.125)
         with pytest.raises(type(exc), match="planted"):
-            run_experiment(make_config(threads=2))
+            run_experiment(make_config())
 
     def test_fault_stops_the_net(self, plant_error, monkeypatch):
         # the eps queued behind a fault are cancelled, not solved
@@ -546,7 +590,7 @@ class TestFailureTaxonomy:
             return planted(pot, eps, *rest)
 
         monkeypatch.setattr(harness, "regularize_potential", counting)
-        cfg = make_config(threads=1)
+        cfg = make_config()
         with pytest.raises(TypeError, match="planted"):
             run_experiment(cfg)
         assert attempted[0] == 0.5 and len(attempted) <= 2 < len(cfg.epsilons)
@@ -568,55 +612,71 @@ class TestFailureTaxonomy:
 
 
 class TestRunParallelDeterminism:
-    def test_thread_count_does_not_change_report(self, tmp_path):
-        cfg = make_config()
-        rep1 = run_experiment(replace(cfg, threads=1))
-        rep4 = run_experiment(replace(cfg, threads=4))
-        d1 = tmp_path / "t1"
-        d4 = tmp_path / "t4"
-        csv1, _ = persist_report(rep1, d1)
-        csv4, _ = persist_report(rep4, d4)
-        assert csv1.read_bytes() == csv4.read_bytes()
-        assert config_hash(rep1.config) == config_hash(rep4.config)
+    @staticmethod
+    def reports_at(cfg, cores, counts):
+        """The reports of cfg with the pool driven to each worker count in turn."""
+        reports = []
+        for n in counts:
+            cores(n)
+            reports.append(run_experiment(cfg))
+        assert [rep.workers for rep in reports] == list(counts)
+        return reports
 
     @staticmethod
-    def reports_at_threads_1_and_2(cfg, tmp_path):
-        bodies = []
-        for threads in (1, 2):
-            rep = run_experiment(replace(cfg, threads=threads))
-            assert rep.verdict.kind == "Moderate"
-            csv_path, _ = persist_report(rep, tmp_path / f"t{threads}")
-            bodies.append(csv_path.read_bytes())
-        return bodies
+    def csv_bodies(reports, tmp_path):
+        return [persist_report(rep, tmp_path / f"r{i}")[0].read_bytes()
+                for i, rep in enumerate(reports)]
 
-    def test_heisenberg_thread_count_does_not_change_report(self, tmp_path):
+    def test_thread_count_does_not_change_report(self, tmp_path, cores):
+        one, four = self.csv_bodies(self.reports_at(pooled_config(), cores, (1, 4)), tmp_path)
+        assert one == four
+
+    def test_failure_merge_does_not_depend_on_the_workers(self, cores, plant_error):
+        # the failing eps and the records that succeeded, merged in net order
+        plant_error(ResolutionError("planted"), at_eps=0.4)
+        one, four = self.reports_at(pooled_config(), cores, (1, 4))
+        assert str(one.verdict) == str(four.verdict) == (
+            "Fail(epsilon=0.4: ResolutionError: planted)")
+        assert one.records == four.records and len(one.records) == 4
+
+    def reports_at_1_and_2_workers(self, cfg, tmp_path, cores):
+        reports = self.reports_at(cfg, cores, (1, 2))
+        assert all(rep.verdict.kind == "Moderate" for rep in reports)
+        return self.csv_bodies(reports, tmp_path)
+
+    def test_heisenberg_thread_count_does_not_change_report(self, tmp_path, cores):
         # the pool's workers share the operator's cached resolvent blocks
         cfg = make_config(group=heisenberg1(), half_width=1.5, points=(8, 8, 16),
                           schedule=OmegaSchedule.logarithmic(1),
                           epsilons=EpsilonNet((0.25, 0.22, 0.19, 0.17)),
                           mollifier_radius=2.0, T=0.25, dt=1.0 / 32)
-        one, two = self.reports_at_threads_1_and_2(cfg, tmp_path)
+        one, two = self.reports_at_1_and_2_workers(cfg, tmp_path, cores)
         assert one == two
 
-    def test_heisenberg_benchmark_grid_blas_split_does_not_change_report(self, tmp_path):
+    def test_heisenberg_benchmark_grid_blas_split_does_not_change_report(self, cores):
         # on the h1_existence grid the 256-dof blocks are large enough for
-        # OpenBLAS to thread the preconditioner: one worker runs it on every
-        # core, two workers on their share of the cores
+        # OpenBLAS to thread the preconditioner: a solve outside a sweep runs
+        # it on every core, each of two pool workers on its share of the cores
         cfg = make_config(group=heisenberg1(), half_width=1.5, points=(16, 16, 32),
                           schedule=OmegaSchedule.logarithmic(1),
                           epsilons=EpsilonNet((0.25, 0.2, 0.15, 0.11)),
                           mollifier_radius=1.4, T=1.0 / 16, dt=1.0 / 32)
-        one, two = self.reports_at_threads_1_and_2(cfg, tmp_path)
-        assert one == two
+        cores(2)
+        rep = run_experiment(cfg)
+        assert rep.verdict.kind == "Moderate" and rep.workers == 2
+        problem = harness.problem_builder(cfg)
+        alone = [float(np.max(harness.step_implicit(problem(eps)).h_nu2))
+                 for eps in cfg.epsilons]
+        assert [r.norm_sup_t for r in rep.records] == alone
 
-    def test_euclidean2_thread_count_does_not_change_report(self, tmp_path):
+    def test_euclidean2_thread_count_does_not_change_report(self, tmp_path, cores):
         # the pool's workers share the operator's cached Fourier multiplier;
         # the attractive well makes the L2 norm grow, so each sup is attained
         # after t = 0 and the report depends on every CG step
         cfg = make_config(group=euclidean(2), half_width=2.0, points=(48, 48),
                           potential=PotentialSpec.dirac_delta(multiplier=-5.0), norm="l2",
                           epsilons=EpsilonNet((0.5, 0.35, 0.25, 0.18)), T=0.25, dt=1.0 / 64)
-        one, two = self.reports_at_threads_1_and_2(cfg, tmp_path)
+        one, two = self.reports_at_1_and_2_workers(cfg, tmp_path, cores)
         assert one == two
 
     def test_dispatch_table(self):
@@ -681,7 +741,7 @@ class TestBlasThreadCap:
             harness._blas_thread_setter.cache_clear()
 
     def test_workers_get_their_share_and_the_caller_keeps_its_count(
-            self, setter, monkeypatch, tmp_path):
+            self, setter, monkeypatch, tmp_path, cores):
         seen, reading = [], threading.Lock()
 
         def spy(*args):
@@ -692,26 +752,44 @@ class TestBlasThreadCap:
 
         monkeypatch.setattr(harness, "regularize_potential", spy)
         before = self.count(setter)
-        rep = run_experiment(pooled_config(threads=2))
+        cores(8)
+        rep = run_experiment(parse_sweep_config(POOLED_TEXT))
         assert self.count(setter) == before
-        want = min(max(1, affinity_cores() // 2), before)
-        assert seen == [want] * 5
-        assert (rep.workers, rep.blas_threads) == (2, want)
+        want = min(2, before)  # 8 cores for 4 eps
+        assert seen == [want] * 4
+        assert (rep.workers, rep.blas_threads) == (4, want)
         _, manifest = persist_report(rep, tmp_path)
         plural = "" if want == 1 else "s"
-        assert f"pool: 2 workers x {want} BLAS thread{plural}\n" in manifest.read_text()
+        assert f"pool: 4 workers x {want} BLAS thread{plural}\n" in manifest.read_text()
+
+    def test_pool_is_sized_from_the_affinity(self, tmp_path, cores):
+        # the real read, one worker under `taskset -c 0`, and the report of two
+        rep = run_experiment(pooled_config())
+        assert rep.workers == min(affinity_cores(), 5)
+        if rep.blas_threads is not None:
+            assert rep.workers * rep.blas_threads <= affinity_cores()
+        cores(2)
+        two = run_experiment(pooled_config())
+        assert two.workers == 2
+        csv_path, _ = persist_report(rep, tmp_path / "affinity")
+        csv_two, _ = persist_report(two, tmp_path / "two")
+        assert csv_path.read_bytes() == csv_two.read_bytes()
 
     def test_cores_come_from_cpu_count_without_affinity(self, setter, monkeypatch):
         # sched_getaffinity is Linux-only; the setter is found elsewhere too
         before = self.count(setter)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        rep = run_experiment(pooled_config(threads=2))
+        monkeypatch.setattr(os, "cpu_count", lambda: 10)
+        assert harness._cores() == 10
+        rep = run_experiment(pooled_config())
         assert rep.verdict.kind == "Moderate"
-        assert rep.blas_threads == min(2, before)
+        # 5 eps, so 5 workers, each with 10 // 5 BLAS threads
+        assert (rep.workers, rep.blas_threads) == (5, min(2, before))
         assert self.count(setter) == before
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+        assert harness._cores() == 1
 
-    def test_pools_of_concurrent_sweeps_take_turns(self, setter, monkeypatch):
+    def test_pools_of_concurrent_sweeps_take_turns(self, setter, monkeypatch, cores):
         # each pool restores the count it found, which is only right if no
         # other pool changed it in between
         spans = []
@@ -724,9 +802,10 @@ class TestBlasThreadCap:
             return out
 
         monkeypatch.setattr(harness, "regularize_potential", spy)
+        cores(2)
         before = self.count(setter)
-        sweeps = [threading.Thread(target=run_experiment, args=(pooled_config(threads=n),))
-                  for n in (2, 1)]
+        sweeps = [threading.Thread(target=run_experiment, args=(pooled_config(),))
+                  for _ in range(2)]
         for sweep in sweeps:
             sweep.start()
         for sweep in sweeps:
@@ -807,6 +886,10 @@ dt = 0.015625
 experiment = existence
 """
 
+# the file twin of a pooled_config on a 4-eps net
+POOLED_TEXT = (CONFIG_TEXT.replace("euclidean1", "euclidean2").replace("= 128", "= 32")
+               .replace("0.5,0.25,0.125,0.0625,0.03125", "0.5,0.4,0.3,0.2"))
+
 
 class TestConfigRoundTrip:
     def test_parse_and_run(self):
@@ -824,8 +907,13 @@ class TestConfigRoundTrip:
         assert config_hash(parse_sweep_config(spaced)) == h0
 
     def test_hash_ignores_threads(self):
+        # the retired key is accepted and read by nothing, so no hash moved with it
         cfg = parse_sweep_config(CONFIG_TEXT)
-        assert config_hash(replace(cfg, threads=8)) == config_hash(cfg)
+        assert "threads" not in {f.name for f in fields(SweepConfig)}
+        assert parse_sweep_config(CONFIG_TEXT + "threads = 8\n") == cfg
+        assert config_hash(parse_sweep_config(CONFIG_TEXT + "threads = 8\n")) == config_hash(cfg)
+        with pytest.raises(ConfigError, match="duplicate key 'threads'"):
+            parse_sweep_config(CONFIG_TEXT + "threads = 8\nthreads = 2\n")
 
     def test_hash_ignores_solve_only_keys(self):
         # only `gradedheat solve` reads these, so a sweep's provenance omits them
@@ -877,7 +965,7 @@ class TestConfigRoundTrip:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = readme.split("A typical config:", 1)[1].split("```")[1]
         cfg = parse_sweep_config(block, experiment="existence")
-        assert cfg.points == (256,) and cfg.norm == "hnu2" and cfg.threads == 4
+        assert cfg.points == (256,) and cfg.norm == "hnu2"
 
     # every optional and solve-only key, each set away from its default
     ALL_KEYS_TEXT = """\
@@ -893,7 +981,6 @@ experiment = uniqueness
 norm = lp:3
 k_max = 7
 N_max = 4
-threads = 3
 perturbation = omega1
 u0_width = 0.8
 u0_amplitude = 2.5

@@ -128,6 +128,19 @@ class TestStepImplicit:
         assert len(traj.states) < 80
         np.testing.assert_array_equal(traj.states[0].values, bump_field(g, 1.0).values)
 
+    @pytest.mark.parametrize("dim, points", [(1, 32), (2, 16)], ids=["e1", "e2"])
+    def test_keep_states_false_records_the_series_only(self, dim, points):
+        # the series are reduced from the block, not from the stored states
+        g = make_grid(euclidean(dim), math.pi, points)
+        p = CauchyProblem(build_rockland(g), bump_field(g, 1.0, 0.8), bump_field(g, 2.0),
+                          T=1.0, dt=1.0 / 50)
+        kept, bare = step_implicit(p), step_implicit(p, keep_states=False)
+        assert len(kept.states) > 0 and bare.states == () and len(bare.state_times) == 0
+        for name in ("times", "l2", "sobolev_nu2", "energy"):
+            assert np.array_equal(getattr(bare, name), getattr(kept, name)), name
+        with pytest.raises(ValueError, match="keeps no states"):
+            bare.final
+
 
 def lu_backward_euler(p):
     """Every state of backward Euler, each step solved by a sparse LU.
