@@ -18,7 +18,6 @@ from gradedheat.groups import (
     Field,
     Grid,
     GroupInstance,
-    dilate,
     euclidean,
     group_inverse,
     group_product,
@@ -37,12 +36,11 @@ from gradedheat.mollify import (
     regularize_field,
     regularize_potential,
 )
-from gradedheat.norms import embedding_ratio, homogeneous_sobolev_norm, hs_norm, lp_norm
+from gradedheat.norms import lp_norm
 from gradedheat.operators import (
     SPECTRAL_DOF_LIMIT,
     DiscreteRockland,
     build_rockland,
-    fractional_power,
     semigroup_apply,
 )
 from gradedheat.solve import (
@@ -79,7 +77,6 @@ __all__ = [
     "Field",
     "Grid",
     "GroupInstance",
-    "dilate",
     "euclidean",
     "group_inverse",
     "group_product",
@@ -95,14 +92,10 @@ __all__ = [
     "omega",
     "regularize_field",
     "regularize_potential",
-    "embedding_ratio",
-    "homogeneous_sobolev_norm",
-    "hs_norm",
     "lp_norm",
     "SPECTRAL_DOF_LIMIT",
     "DiscreteRockland",
     "build_rockland",
-    "fractional_power",
     "semigroup_apply",
     "CauchyProblem",
     "Trajectory",

@@ -3,11 +3,12 @@
 Plain ``ValueError`` is used for malformed arguments (bad shapes, out-of-range
 parameters) and ``ConfigError`` for a config that cannot be read.  The
 subclasses of ``NumericalError`` mark the numerical failures: capability
-limits, solver preconditions, iteration breakdowns and nets the grid cannot
-represent.  Only these make a sweep's verdict ``Fail`` (any other exception
-from a sweep propagates), and outside a sweep the CLI exits 3 on them.  Each
-keeps its builtin base, so ``except ValueError`` and ``except RuntimeError``
-still catch it.
+limits, time-step preconditions, iteration breakdowns, and mollifier
+supports the grid box cannot hold or its cells cannot resolve.  Only these
+make a sweep's verdict ``Fail`` (any other exception from a sweep
+propagates), and outside a sweep the CLI exits 3 on them.  Each keeps its
+builtin base, so ``except ValueError`` and ``except RuntimeError`` still
+catch it.
 """
 
 from __future__ import annotations
@@ -35,10 +36,6 @@ class SupportError(NumericalError, ValueError):
 
 class ResolutionError(NumericalError, ValueError):
     """A scaled mollifier support covers too few grid cells to be sampled."""
-
-
-class DegenerateFieldError(NumericalError, ValueError):
-    """An operation received a field it cannot normalise by (e.g. zero)."""
 
 
 class ConfigError(ValueError):

@@ -1,4 +1,4 @@
-"""Graded groups in exponential coordinates, dilations, grids and fields.
+"""Graded groups in exponential coordinates, their dilation weights, grids and fields.
 
 A group element is a coordinate vector in R^n.  The two families implemented
 are the abelian groups R^d and the first Heisenberg group H1 with coordinates
@@ -29,7 +29,6 @@ __all__ = [
     "GroupInstance",
     "euclidean",
     "heisenberg1",
-    "dilate",
     "group_product",
     "group_inverse",
     "Grid",
@@ -82,17 +81,6 @@ def euclidean(d: int) -> GroupInstance:
 def heisenberg1() -> GroupInstance:
     """The first Heisenberg group, coordinates (a, b, c), weights (1, 1, 2)."""
     return GroupInstance("heisenberg1", 3)
-
-
-def dilate(x, r: float, weights: tuple[int, ...]) -> np.ndarray:
-    """Apply the dilation D_r to points x (last axis indexes coordinates)."""
-    if r <= 0:
-        raise ValueError(f"dilation parameter must be positive, got {r}")
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != len(weights):
-        raise ValueError(f"expected {len(weights)} coordinates, got shape {x.shape}")
-    scale = np.array([r**w for w in weights])
-    return x * scale
 
 
 def group_product(x, y, group: GroupInstance) -> np.ndarray:

@@ -424,6 +424,8 @@ def bump_field(grid: Grid, width, amplitude: float = 1.0, center=None) -> Field:
     """
     if np.isscalar(width):
         width = (float(width),) * grid.dim
+    elif len(width) != grid.dim:
+        raise ValueError(f"width has {len(width)} entries, grid needs {grid.dim}")
     if center is None:
         center = (0.0,) * grid.dim
     _check_center(center, grid)

@@ -27,9 +27,8 @@ last axis is refused with ``CapabilityError``, and so are blocks above
 * ``eigensystem`` diagonalises the blocks in one batched ``eigh``, computed
   lazily and cached on the operator.  Tiny negative eigenvalues (within
   -1e-10 * lambda_max) are clamped to zero.  ``spectral_map`` applies g(R)
-  as rfft along the last axis, v^H, g(w), v, irfft, for ``semigroup_apply``,
-  ``fractional_power`` and the Duhamel stepper; 0**0 = 1 at the zero
-  eigenvalue, so that fractional powers fix constants for s = 0.
+  as rfft along the last axis, v^H, g(w), v, irfft; ``semigroup_apply``
+  and the Duhamel stepper take g(R) from it and from nowhere else.
 
 * ``resolvent`` applies (I + dt R)^{-1}, built once per dt and cached.  On
   H1 it inverts the blocks of I + dt R.  On R^d the Laplacian is invariant
@@ -55,7 +54,6 @@ __all__ = [
     "build_euclidean_laplacian",
     "build_heisenberg_sublaplacian",
     "build_rockland",
-    "fractional_power",
     "semigroup_apply",
     "spectral_map",
 ]
@@ -311,24 +309,13 @@ def build_rockland(grid: Grid) -> DiscreteRockland:
     return build_heisenberg_sublaplacian(grid)
 
 
-def fractional_power(op: DiscreteRockland, s_over_nu: float, f: Field) -> Field:
-    """Apply R**(s/nu) spectrally.  Requires s/nu >= 0; 0**0 is taken as 1."""
-    if s_over_nu < 0:
-        raise ValueError(f"fractional exponent must be >= 0, got {s_over_nu}")
-    return _spectral_apply(op, lambda w: w**s_over_nu, f)
-
-
 def semigroup_apply(op: DiscreteRockland, t: float, f: Field) -> Field:
     """Apply the heat semigroup exp(-t R) spectrally.  Requires t >= 0."""
     if t < 0:
         raise ValueError(f"semigroup time must be >= 0, got {t}")
-    return _spectral_apply(op, lambda w: np.exp(-t * w), f)
-
-
-def _spectral_apply(op: DiscreteRockland, g, f: Field) -> Field:
-    """g(R) f for a function g of the eigenvalues."""
     op._check_field(f)
-    return Field(op.grid, spectral_map(op, g)(f.values).reshape(op.grid.shape))
+    decay = spectral_map(op, lambda w: np.exp(-t * w))
+    return Field(op.grid, decay(f.values).reshape(op.grid.shape))
 
 
 def spectral_map(op: DiscreteRockland, g):

@@ -5,7 +5,7 @@ import pytest
 from gradedheat import errors, harness
 
 NUMERICAL_ERRORS = [errors.CapabilityError, errors.StabilityError, errors.ConvergenceError,
-                    errors.SupportError, errors.ResolutionError, errors.DegenerateFieldError]
+                    errors.SupportError, errors.ResolutionError]
 
 
 @pytest.fixture(params=NUMERICAL_ERRORS, ids=lambda cls: cls.__name__)

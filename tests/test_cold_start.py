@@ -1,15 +1,19 @@
-"""What a fresh interpreter pays to import the package, and the lazy LAPACK import.
+"""What a fresh interpreter pays to import the package, the lazy LAPACK import,
+and the names the package exports.
 
-Each test runs its script in a new interpreter, since this one has long
-since imported whatever the other tests needed.
+Each import-cost test runs its script in a new interpreter, since this one
+has long since imported whatever the other tests needed.
 """
 
+import importlib
 import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import gradedheat
 from gradedheat import solve
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -53,6 +57,15 @@ for dim in (1, 2, 3):
 print(",".join(m for m in {HEAVY!r} if m in sys.modules))
 """
     assert run_fresh(script).strip() == ""
+
+
+def test_every_export_resolves():
+    # a name left in an __all__ after its definition is gone breaks `import *`
+    submodules = [f"gradedheat.{m.name}" for m in pkgutil.iter_modules(gradedheat.__path__)]
+    for name in ["gradedheat", *submodules]:
+        module = importlib.import_module(name)
+        assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == [], name
+        exec(f"from {name} import *", {})
 
 
 def test_splu_is_a_module_function():

@@ -7,7 +7,6 @@ from gradedheat.groups import (
     Field,
     Grid,
     GroupInstance,
-    dilate,
     euclidean,
     group_inverse,
     group_product,
@@ -17,37 +16,14 @@ from gradedheat.groups import (
 
 
 class TestDilate:
+    # D_r(x)_i = r**w_i * x_i, scaled inline by the group's weights
     def test_euclidean_isotropic(self):
         g = euclidean(2)
-        out = dilate([1.0, 1.0], 2.0, g.weights)
-        np.testing.assert_allclose(out, [2.0, 2.0])
+        np.testing.assert_allclose(np.array([1.0, 1.0]) * 2.0 ** np.array(g.weights), [2.0, 2.0])
 
     def test_heisenberg_weights(self):
         g = heisenberg1()
-        out = dilate([1.0, 1.0, 1.0], 2.0, g.weights)
-        np.testing.assert_allclose(out, [2.0, 2.0, 4.0])
-
-    def test_identity_dilation(self):
-        g = heisenberg1()
-        x = np.array([0.3, -0.7, 0.11])
-        np.testing.assert_array_equal(dilate(x, 1.0, g.weights), x)
-
-    def test_composition(self):
-        # D_r D_s = D_{rs} exactly up to rounding
-        g = heisenberg1()
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal((50, 3))
-        for r, s in [(2.0, 3.0), (0.5, 0.25), (1.7, 0.3)]:
-            lhs = dilate(dilate(x, s, g.weights), r, g.weights)
-            rhs = dilate(x, r * s, g.weights)
-            np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
-
-    def test_nonpositive_r_rejected(self):
-        g = euclidean(1)
-        with pytest.raises(ValueError):
-            dilate([1.0], 0.0, g.weights)
-        with pytest.raises(ValueError):
-            dilate([1.0], -2.0, g.weights)
+        np.testing.assert_allclose(np.ones(3) * 2.0 ** np.array(g.weights), [2.0, 2.0, 4.0])
 
     def test_homogeneous_dimension(self):
         assert euclidean(3).Q == 3
@@ -115,8 +91,9 @@ class TestGroupProduct:
         rng = np.random.default_rng(5)
         x, y = rng.uniform(-2, 2, size=(2, 200, 3))
         for r in (0.5, 2.0):
-            lhs = group_product(dilate(x, r, g.weights), dilate(y, r, g.weights), g)
-            rhs = dilate(group_product(x, y, g), r, g.weights)
+            scale = r ** np.array(g.weights)  # D_r(x)_i = r**w_i * x_i
+            lhs = group_product(x * scale, y * scale, g)
+            rhs = group_product(x, y, g) * scale
             np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 

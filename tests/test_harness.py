@@ -194,6 +194,27 @@ def pooled_config(**overrides):
                        epsilons=EpsilonNet((0.5, 0.4, 0.3, 0.2, 0.125)), **overrides)
 
 
+# for the tests of the pool's shape, its BLAS counts or its bytes across worker
+# counts: a pooled_config at this T has the same verdict, Moderate(N=0.370918),
+# at a fifth of the cost of T = 0.5
+SHORT_T = 1.0 / 16
+
+
+@pytest.fixture(scope="module")
+def pooled_report():
+    """pooled_report(n): the report of a short pooled_config on n cores, run
+    once per module for the tests that only read it."""
+    reports = {}
+
+    def at(n):
+        if n not in reports:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(harness, "_cores", lambda: n)
+                reports[n] = run_experiment(pooled_config(T=SHORT_T))
+        return reports[n]
+    return at
+
+
 class TestExistence:
     def test_u0_norm_is_trajectory_t0_record(self, monkeypatch):
         # the u0 extra is the trajectory's own t = 0 value; on 1024 points a
@@ -512,7 +533,7 @@ class TestSweepDriver:
         # eps from positional argument 1 of the regularize_* calls; a layer
         # called through a local name, or eps passed by keyword, blinds it
         tracing = load_perfbench("tracing")
-        cfg = pooled_config()
+        cfg = pooled_config(T=SHORT_T)
         cores(2)
         with tracing.Tracer() as tracer:
             rep = existence_experiment(cfg)
@@ -527,16 +548,16 @@ class TestSweepDriver:
             assert len(seen) == len(cfg.epsilons) and set(seen) == set(cfg.epsilons), layer
         assert layers["solve.steps"] == len(cfg.epsilons) * round(cfg.T / cfg.dt)
 
-    def test_one_dimensional_sweep_runs_one_worker(self, cores):
+    def test_one_dimensional_sweep_runs_one_worker(self, cores, pooled_report):
         # a second worker only slows a sweep on R, so the cores size the pool elsewhere
         cores(4)
         assert run_experiment(make_config()).workers == 1
-        assert run_experiment(pooled_config()).workers == 4
+        assert pooled_report(4).workers == 4
 
     def test_failure_in_a_pool_of_two_keeps_net_order(self, plant_error, cores):
         plant_error(ResolutionError("planted"), at_eps=0.3)
         cores(2)
-        rep = run_experiment(pooled_config())
+        rep = run_experiment(pooled_config(T=SHORT_T))
         assert rep.workers == 2
         assert str(rep.verdict) == "Fail(epsilon=0.3: ResolutionError: planted)"
         assert [r.epsilon for r in rep.records] == [0.5, 0.4, 0.2, 0.125]
@@ -627,14 +648,16 @@ class TestRunParallelDeterminism:
         return [persist_report(rep, tmp_path / f"r{i}")[0].read_bytes()
                 for i, rep in enumerate(reports)]
 
-    def test_thread_count_does_not_change_report(self, tmp_path, cores):
-        one, four = self.csv_bodies(self.reports_at(pooled_config(), cores, (1, 4)), tmp_path)
+    def test_thread_count_does_not_change_report(self, tmp_path, pooled_report):
+        reports = [pooled_report(n) for n in (1, 4)]
+        assert [rep.workers for rep in reports] == [1, 4]
+        one, four = self.csv_bodies(reports, tmp_path)
         assert one == four
 
     def test_failure_merge_does_not_depend_on_the_workers(self, cores, plant_error):
         # the failing eps and the records that succeeded, merged in net order
         plant_error(ResolutionError("planted"), at_eps=0.4)
-        one, four = self.reports_at(pooled_config(), cores, (1, 4))
+        one, four = self.reports_at(pooled_config(T=SHORT_T), cores, (1, 4))
         assert str(one.verdict) == str(four.verdict) == (
             "Fail(epsilon=0.4: ResolutionError: planted)")
         assert one.records == four.records and len(one.records) == 4
@@ -675,7 +698,7 @@ class TestRunParallelDeterminism:
         # after t = 0 and the report depends on every CG step
         cfg = make_config(group=euclidean(2), half_width=2.0, points=(48, 48),
                           potential=PotentialSpec.dirac_delta(multiplier=-5.0), norm="l2",
-                          epsilons=EpsilonNet((0.5, 0.35, 0.25, 0.18)), T=0.25, dt=1.0 / 64)
+                          epsilons=EpsilonNet((0.5, 0.35, 0.25, 0.18)), T=SHORT_T, dt=1.0 / 64)
         one, two = self.reports_at_1_and_2_workers(cfg, tmp_path, cores)
         assert one == two
 
@@ -762,14 +785,13 @@ class TestBlasThreadCap:
         plural = "" if want == 1 else "s"
         assert f"pool: 4 workers x {want} BLAS thread{plural}\n" in manifest.read_text()
 
-    def test_pool_is_sized_from_the_affinity(self, tmp_path, cores):
+    def test_pool_is_sized_from_the_affinity(self, tmp_path, pooled_report):
         # the real read, one worker under `taskset -c 0`, and the report of two
-        rep = run_experiment(pooled_config())
+        rep = run_experiment(pooled_config(T=SHORT_T))
         assert rep.workers == min(affinity_cores(), 5)
         if rep.blas_threads is not None:
             assert rep.workers * rep.blas_threads <= affinity_cores()
-        cores(2)
-        two = run_experiment(pooled_config())
+        two = pooled_report(2)
         assert two.workers == 2
         csv_path, _ = persist_report(rep, tmp_path / "affinity")
         csv_two, _ = persist_report(two, tmp_path / "two")
@@ -781,7 +803,7 @@ class TestBlasThreadCap:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 10)
         assert harness._cores() == 10
-        rep = run_experiment(pooled_config())
+        rep = run_experiment(pooled_config(T=SHORT_T))
         assert rep.verdict.kind == "Moderate"
         # 5 eps, so 5 workers, each with 10 // 5 BLAS threads
         assert (rep.workers, rep.blas_threads) == (5, min(2, before))
@@ -804,7 +826,7 @@ class TestBlasThreadCap:
         monkeypatch.setattr(harness, "regularize_potential", spy)
         cores(2)
         before = self.count(setter)
-        sweeps = [threading.Thread(target=run_experiment, args=(pooled_config(),))
+        sweeps = [threading.Thread(target=run_experiment, args=(pooled_config(T=SHORT_T),))
                   for _ in range(2)]
         for sweep in sweeps:
             sweep.start()
@@ -886,9 +908,10 @@ dt = 0.015625
 experiment = existence
 """
 
-# the file twin of a pooled_config on a 4-eps net
+# the file twin of a short pooled_config on a 4-eps net
 POOLED_TEXT = (CONFIG_TEXT.replace("euclidean1", "euclidean2").replace("= 128", "= 32")
-               .replace("0.5,0.25,0.125,0.0625,0.03125", "0.5,0.4,0.3,0.2"))
+               .replace("0.5,0.25,0.125,0.0625,0.03125", "0.5,0.4,0.3,0.2")
+               .replace("T = 0.5", f"T = {SHORT_T}"))
 
 
 class TestConfigRoundTrip:

@@ -406,3 +406,11 @@ class TestBumpField:
         grid = make_grid(euclidean(1), 1.0, 16)
         with pytest.raises(SupportError):
             bump_field(grid, 1.5)
+
+    @pytest.mark.parametrize("width", [(1.0,), (1.0, 1.0, 1.0)], ids=["short", "long"])
+    def test_width_needs_one_entry_per_axis(self, width):
+        # zip used to drop the missing axis, leaving a field constant along it
+        grid = make_grid(euclidean(2), 2.0, 16)
+        with pytest.raises(ValueError, match=f"width has {len(width)} entries, grid needs 2"):
+            bump_field(grid, width)
+        assert np.all(bump_field(grid, (1.0, 1.5)).values[0] == 0.0)

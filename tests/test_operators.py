@@ -16,7 +16,6 @@ from gradedheat.operators import (
     build_euclidean_laplacian,
     build_heisenberg_sublaplacian,
     build_rockland,
-    fractional_power,
     semigroup_apply,
     spectral_map,
 )
@@ -112,17 +111,17 @@ class TestHeisenbergAssembly:
         assert build_rockland(make_grid(heisenberg1(), 1.0, 4)).name.startswith("sublaplacian")
 
 
-class TestFractionalPower:
-    def test_zero_power_is_identity_including_kernel(self, lap64):
-        # 0**0 = 1: the constant mode survives s = 0
-        f = Field.from_function(lap64.grid, lambda x: 1.0 + np.sin(x))
-        out = fractional_power(lap64, 0.0, f)
-        np.testing.assert_allclose(out.values, f.values, atol=1e-12)
+def spectral_field(op, g, f):
+    """g(R) f through spectral_map, as a field."""
+    return Field(op.grid, spectral_map(op, g)(f.flat).reshape(op.grid.shape))
 
+
+class TestFractionalPower:
+    # powers of R, g(w) = w**s, through the one spectral path
     def test_full_power_matches_apply(self, lap64):
         for f in random_fields(lap64.grid, 5, seed=11):
             direct = lap64.apply(f)
-            spectral = fractional_power(lap64, 1.0, f)
+            spectral = spectral_field(lap64, lambda w: w, f)
             scale = np.abs(direct.values).max()
             np.testing.assert_allclose(spectral.values, direct.values, atol=1e-10 * scale)
 
@@ -130,7 +129,7 @@ class TestFractionalPower:
         grid = make_grid(euclidean(1), 1.0, 32)
         R = build_euclidean_laplacian(grid)
         for f in random_fields(grid, 20, seed=12):
-            twice = fractional_power(R, 0.5, fractional_power(R, 0.5, f))
+            twice = spectral_field(R, np.sqrt, spectral_field(R, np.sqrt, f))
             direct = R.apply(f)
             scale = np.abs(direct.values).max()
             np.testing.assert_allclose(twice.values, direct.values, atol=1e-8 * scale)
@@ -139,13 +138,9 @@ class TestFractionalPower:
         # <R f, f> = ||R^{1/2} f||^2 in the volume-weighted inner product
         grid = sub8.grid
         for f in random_fields(grid, 10, seed=13):
-            half = fractional_power(sub8, 0.5, f)
+            half = spectral_field(sub8, np.sqrt, f)
             norm_sq = float(np.sum(half.values**2)) * grid.cell_volume
             assert sub8.quad_form(f) == pytest.approx(norm_sq, rel=1e-10, abs=1e-12)
-
-    def test_negative_exponent_rejected(self, lap64):
-        with pytest.raises(ValueError):
-            fractional_power(lap64, -0.5, Field.zeros(lap64.grid))
 
 
 class TestSemigroup:
@@ -252,7 +247,7 @@ class TestBlockSpectralCalculus:
         op, _ = block_and_dense
         for f in random_fields(op.grid, 3, seed=31):
             want = op.apply(f).flat
-            got = fractional_power(op, 1.0, f).flat
+            got = spectral_field(op, lambda w: w, f).flat
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_half_power_matches_dense(self, block_and_dense):
@@ -263,7 +258,7 @@ class TestBlockSpectralCalculus:
         op, (w, v) = block_and_dense
         for f in random_fields(op.grid, 3, seed=32):
             want = v @ (np.sqrt(w) * (v.T @ f.flat))
-            got = fractional_power(op, 0.5, f).flat
+            got = spectral_field(op, np.sqrt, f).flat
             floor = math.sqrt(np.finfo(float).eps * w[-1]) * np.abs(f.flat).max()
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=floor)
 
