@@ -46,9 +46,17 @@ pools of concurrent sweeps in one process take turns.  Every path outside a
 sweep, and a single-worker sweep, keeps its BLAS threads.  Where numpy's BLAS
 does not export openblas_set_num_threads_local (MKL, Accelerate, OpenBLAS
 before 0.3.27), nothing is capped.  The manifest records the split.  scipy's
-own OpenBLAS is not capped: its one user here is LAPACK dpttrf/dpttrs on 1-D
-periodic tridiagonal systems, an unthreaded O(n) loop.  A change whose pool
-workers call threaded scipy.linalg routines must revisit this.
+own OpenBLAS is not capped.  Its users here are LAPACK dpttrf/dpttrs on 1-D
+periodic tridiagonal systems, an unthreaded O(n) loop, and dpptrf/dpptrs,
+the packed Cholesky of the Woodbury step on R^d (solve._woodbury_solver).
+The packed routines are level-2 loops whose bits do not depend on the BLAS
+thread count, so the reports stay byte-identical for any worker count and
+any CPU affinity, which also sets the count scipy's OpenBLAS starts with.
+numpy's Cholesky and the blocked dpotrf change bits with the count from
+s = 128 on.  The cost of leaving it uncapped is small: at s = 512 = 2 sqrt(N)
+on a 256^2 grid, dpptrf took 5.4 ms alone and 12-20 ms each when two
+workers factorised at once (2 cores, scipy 1.17.1), once per eps, against
+0.15-0.45 s for that eps's whole solve in the sweep.
 """
 
 from __future__ import annotations

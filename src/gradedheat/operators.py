@@ -35,7 +35,9 @@ last axis is refused with ``CapabilityError``, and so are blocks above
   under every grid translation, so the resolvent is the Fourier multiplier
   1/(1 + dt lambda), lambda the real FFT of R's row at the origin, applied by
   one rfftn / multiply / irfftn.  The backward-Euler stepper uses it as its
-  CG preconditioner on every grid of dimension two or more.
+  CG preconditioner on every grid of dimension two or more, and on R^d as
+  the (I + dt R)^{-1} of its Woodbury step and, applied to e_0, as the
+  Green's function that step samples on the support of V.
 """
 
 from __future__ import annotations

@@ -142,18 +142,23 @@ class TestStepImplicit:
             bare.final
 
 
-def lu_backward_euler(p):
-    """Every state of backward Euler, each step solved by a sparse LU.
+def lu_step(p):
+    """The backward-Euler step u -> (I + dt(R + V))^{-1} u, by a sparse LU.
 
     No solver in the package uses SuperLU, so it is an independent reference.
     """
     dt = p.dt_effective
     v = p.V.values.ravel()
     system = sp.identity(v.size, format="csr") + dt * (p.op.matrix + sp.diags(v))
-    lu = splu(system.tocsc())
+    return splu(system.tocsc()).solve
+
+
+def lu_backward_euler(p):
+    """Every state of backward Euler, each step solved by lu_step."""
+    step = lu_step(p)
     states = [p.u0.values.ravel()]
     for _ in range(p.steps):
-        states.append(lu.solve(states[-1]))
+        states.append(step(states[-1]))
     return states
 
 
@@ -258,7 +263,8 @@ class TestHeisenbergStepper:
 
 
 class TestEuclidean2Stepper:
-    # on R^2 each step is CG preconditioned with the Fourier multiplier
+    # on R^2 a potential that is sign-changing or whose support is large is
+    # stepped by CG preconditioned with the Fourier multiplier
     # (I + dt R)^{-1}; a sparse LU of the same system is the reference.  The
     # grid is not square, so a transposed multiplier would be caught.
     @pytest.fixture(scope="class")
@@ -296,6 +302,88 @@ class TestEuclidean2Stepper:
         g = lap2.grid
         p = CauchyProblem(lap2, bump_field(g, 1.0), Field.zeros(g), T=0.25, dt=1.0 / 32)
         np.testing.assert_array_equal(step_implicit(p).final.values, 0.0)
+
+
+@pytest.fixture
+def woodbury_calls(monkeypatch):
+    """The arguments of each _woodbury_solver call that step_implicit makes."""
+    calls = []
+    factor = solve_module._woodbury_solver
+
+    def counting_factor(*args):
+        calls.append(args)
+        return factor(*args)
+
+    monkeypatch.setattr(solve_module, "_woodbury_solver", counting_factor)
+    return calls
+
+
+class TestWoodburyStepper:
+    # on R^d a V >= 0 on s cells with s^2 <= 4N is stepped exactly: the
+    # Fourier resolvent plus a Cholesky-factored correction on the support
+    @pytest.fixture(scope="class")
+    def lap64(self):
+        return build_rockland(make_grid(euclidean(2), 2.0, 64))
+
+    @pytest.mark.parametrize("potential, eps", [
+        (PotentialSpec.dirac_delta(multiplier=80.0), 0.25),
+        (PotentialSpec.dirac_delta_squared(multiplier=5.0), 0.2),
+    ], ids=["delta", "delta2"])
+    def test_series_match_cg_and_lu(self, lap64, woodbury_calls, potential, eps):
+        g = lap64.grid
+        V = regularize_potential(potential, eps, OmegaSchedule.polynomial(),
+                                 Mollifier(2, 1.5), g)
+        p = CauchyProblem(lap64, V, bump_field(g, 1.0, center=(0.3, -0.2)),
+                          T=0.25, dt=1.0 / 32)
+        v = V.values.ravel()
+        assert np.count_nonzero(v) ** 2 <= 4 * g.size
+        assert p.dt_effective * float(v.max()) >= 10.0
+        traj = step_implicit(p)
+        assert len(woodbury_calls) == 1
+        cg = solve_module._integrate(p, solve_module._cg_solver(p, p.dt_effective, v, 0.0))
+        step = lu_step(p)
+        lu = solve_module._integrate(p, lambda u, k: step(u))
+        for ref in (cg, lu):
+            for name in ("l2", "sobolev_nu2"):
+                np.testing.assert_allclose(getattr(traj, name), getattr(ref, name),
+                                           rtol=1e-12, atol=0.0, err_msg=name)
+
+    def test_error_against_oracle_halves_with_dt(self, woodbury_calls):
+        # backward Euler is first order: the exact flow is its dt -> 0 limit
+        op = build_rockland(make_grid(euclidean(2), 2.0, 32))
+        g = op.grid
+        V = regularize_potential(PotentialSpec.dirac_delta(multiplier=20.0), 0.3,
+                                 OmegaSchedule.polynomial(), Mollifier(2, 1.5), g)
+        u0 = bump_field(g, 1.0, center=(0.3, -0.2))
+        errs = []
+        for dt in (1.0 / 16, 1.0 / 32, 1.0 / 64):
+            p = CauchyProblem(op, V, u0, T=0.25, dt=dt)
+            diff = step_implicit(p).final.values - oracle_expm(p).final.values
+            errs.append(math.sqrt(np.sum(diff**2) * g.cell_volume))
+        assert len(woodbury_calls) == 3
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 1.6 <= coarse / fine <= 2.4
+
+    def test_zero_potential_is_one_resolvent_per_step(self, lap64, woodbury_calls):
+        g = lap64.grid
+        u0 = bump_field(g, 1.0)
+        p = CauchyProblem(lap64, Field.zeros(g), u0, T=1.0 / 16, dt=1.0 / 32)
+        want = lap64.resolvent(p.dt_effective, lap64.resolvent(p.dt_effective, u0.values))
+        np.testing.assert_array_equal(step_implicit(p).final.values.ravel(), want)
+        assert len(woodbury_calls) == 1
+
+    def test_indefinite_correction_is_stability_error(self):
+        # a negated Laplacian makes the resolvent, and with it I + d G_S d, indefinite
+        op = build_rockland(make_grid(euclidean(2), 1.0, 16))
+        g = op.grid
+        negated = operators.DiscreteRockland(g, -op.matrix, "negated Laplacian")
+        v = np.zeros(g.size)
+        v[[0, 5, 40]] = 100.0
+        dt = 0.4 * g.spacings[0] ** 2
+        p = CauchyProblem(negated, Field(g, v.reshape(g.shape)), bump_field(g, 0.5),
+                          T=4 * dt, dt=dt)
+        with pytest.raises(StabilityError, match="Woodbury matrix .* not positive definite"):
+            step_implicit(p)
 
 
 OVERFLOW_ROWS = pytest.mark.parametrize("group, points, step", [
@@ -378,6 +466,25 @@ class TestStepperRouting:
         step_implicit(CauchyProblem(op, bump_field(g, 1.0), bump_field(g, 1.125),
                                     T=0.125, dt=1.0 / 32))
         assert len(calls) == lu_calls
+
+    # s^2 <= 4N holds for s = 128 and fails for s = 129 on 64^2 (4N = 16384)
+    @pytest.mark.parametrize("group, points, values, woodbury", [
+        (euclidean(2), (64, 64), [1.0] * 128, 1),
+        (euclidean(2), (64, 64), [1.0] * 129, 0),
+        (euclidean(2), (64, 64), [5.0, -1.0], 0),
+        (euclidean(3), (8, 8, 8), [1.0] * 4, 1),
+        (euclidean(1), (64,), [1.0] * 4, 0),
+        (heisenberg1(), (8, 8, 8), [1.0] * 4, 0),
+    ], ids=["r2-s128", "r2-s129", "r2-sign-changing", "r3", "r1", "h1"])
+    def test_woodbury_only_for_a_small_nonnegative_support_on_rd(
+            self, woodbury_calls, group, points, values, woodbury):
+        op = build_rockland(make_grid(group, 1.5, points))
+        g = op.grid
+        v = np.zeros(g.size)
+        v[np.arange(len(values)) * 7] = values  # scattered cells
+        step_implicit(CauchyProblem(op, Field(g, v.reshape(g.shape)), bump_field(g, 1.125),
+                                    T=1.0 / 16, dt=1.0 / 32))
+        assert len(woodbury_calls) == woodbury
 
 
 def dense_duhamel_states(p):
