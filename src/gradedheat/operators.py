@@ -34,14 +34,24 @@ last axis is refused with ``CapabilityError``, and so are blocks above
   H1 it inverts the blocks of I + dt R.  On R^d the Laplacian is invariant
   under every grid translation, so the resolvent is the Fourier multiplier
   1/(1 + dt lambda), lambda the real FFT of R's row at the origin, applied by
-  one rfftn / multiply / irfftn.  The backward-Euler stepper uses it as its
-  CG preconditioner on every grid of dimension two or more, and on R^d as
-  the (I + dt R)^{-1} of its Woodbury step and, applied to e_0, as the
-  Green's function that step samples on the support of V.
+  one rfftn / multiply / irfftn.  ``resolvent_flops`` states the flops of
+  one apply.  The backward-Euler stepper uses the resolvent as its CG
+  preconditioner on every grid of dimension two or more, and as the
+  (I + dt R)^{-1} of its Woodbury step.
+
+* ``green_rows`` yields the rows of the Green's matrix G = (I + dt R)^{-1}
+  between given cells, a chunk of rows at a time, read off the cached
+  resolvent with no solve.  On R^d G is translation invariant: G[x, y] is
+  the multiplier's irfftn at x - y.  On H1 it is invariant along c only:
+  G[(p, c), (q, c')] is the irfft of the inverse blocks' entries B_k[p, q]
+  over k, taken at c - c' mod n_c, so a chunk costs one gather and one
+  length-n_c irfft per pair of its (a, b) columns.  The Woodbury step
+  samples G on the support of V this way.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -67,6 +77,8 @@ __all__ = [
 SPECTRAL_DOF_LIMIT = 6000
 
 _EIG_CLAMP_REL = 1e-10
+# bytes of one chunk of green_rows, and of the table an H1 chunk is read from
+_GREEN_CHUNK_BYTES = 1 << 20
 
 
 class DiscreteRockland:
@@ -148,6 +160,64 @@ class DiscreteRockland:
         if self.grid.group.is_abelian:
             return _apply_multiplier(inverse, values, self.grid.shape)
         return _apply_central_blocks(inverse, np.reshape(values, (-1, self.grid.points[-1])))
+
+    @property
+    def resolvent_flops(self) -> float:
+        """The flops of one ``resolvent`` apply, the unit of the steppers' cost model.
+
+        5 N log2 N for the rfftn / irfftn pair on R^d; 8 (n_c / 2 + 1) m^2
+        for the complex block products on H1, m = N / n_c, whose FFTs along
+        c are the smaller term.
+        """
+        n = self.grid.size
+        if self.grid.group.is_abelian:
+            return 5.0 * n * math.log2(n)
+        n_c = self.grid.points[-1]
+        return 8.0 * (n_c // 2 + 1) * (n // n_c) ** 2
+
+    def green_rows(self, dt: float, cells: np.ndarray):
+        """Yield G[cells][:, cells] for G = (I + dt R)^{-1}, a chunk of rows at a time.
+
+        cells are flat grid indices; each chunk is G[cells[i:j]][:, cells]
+        for the next row range, and the chunks cover cells in order.  G is
+        read off the cached resolvent (module docstring), with no solve, and
+        is exactly the matrix that ``resolvent`` applies.  For ascending
+        cells, as np.flatnonzero gives them, a chunk, and on H1 the table it
+        is gathered from, takes at most about _GREEN_CHUNK_BYTES.
+        """
+        inverse = self._resolvent_blocks(dt)
+        s = cells.size
+        if s == 0:
+            return
+        if self.grid.group.is_abelian:
+            shape = self.grid.shape
+            origin = np.zeros(self.grid.size)
+            origin[0] = 1.0
+            green = _apply_multiplier(inverse, origin, shape)
+            coords = np.unravel_index(cells, shape)
+            rows = max(1, _GREEN_CHUNK_BYTES // (8 * s))
+            for start in range(0, s, rows):
+                chunk = slice(start, start + rows)
+                # the flat index of x_i - x_j, C order, one axis at a time
+                index = np.zeros((min(rows, s - start), s), dtype=np.intp)
+                for x, n in zip(coords, shape):
+                    index *= n
+                    diff = x[chunk, None] - x
+                    diff %= n
+                    index += diff
+                yield green[index]
+            return
+        n_c = self.grid.points[-1]
+        column, c = np.divmod(cells, n_c)
+        columns, q = np.unique(column, return_inverse=True)
+        rows = max(1, _GREEN_CHUNK_BYTES // (8 * n_c * columns.size))
+        for start in range(0, s, rows):
+            chunk = slice(start, start + rows)
+            first, last = int(q[chunk].min()), int(q[chunk].max()) + 1
+            table = np.fft.irfft(inverse[:, columns[first:last, None], columns], n=n_c, axis=0)
+            shift = c[chunk, None] - c
+            shift %= n_c
+            yield table[shift, q[chunk, None] - first, q]
 
     def _resolvent_blocks(self, dt: float) -> np.ndarray:
         """The cached inverse of I + dt R: a multiplier on R^d, blocks on H1."""

@@ -21,21 +21,27 @@ dpttrf factorises the tridiagonal rest once per problem, and each step is
 one dpttrs plus the correction, all O(n).  In two or more dimensions a
 direct factorisation fills in too fast (about 1.1e7 entries on a 256^2
 grid, 1.1e8 on H1 at 32^3).  There V is the only part that breaks the
-translation invariance of M = I + dt R, whose inverse is the operator's
-cached resolvent: a Fourier multiplier on R^d, central-frequency blocks on
-H1.
+invariance of M = I + dt R (under every grid translation on R^d, along the
+central axis c on H1), whose inverse is the operator's cached resolvent: a
+Fourier multiplier on R^d, central-frequency blocks on H1.
 
-On R^d, a V >= 0 supported on s of the N cells with
-s^2 <= WOODBURY_STATES * N is a rank-s correction to M, and the Woodbury
-identity solves the step exactly: an s x s positive definite system built
-from the Green's function of M, factorised once per problem by LAPACK
-dpptrf (s^3/3 flops, and no more memory than WOODBURY_STATES states); each
-step is two resolvent applies and one dpptrs (2 s^2 flops), with no
-tolerance and no iteration.  The mollified delta and delta^2 nets shrink
-onto such supports as eps falls.
+A V >= 0 supported on s of the cells is a rank-s correction to M, and the
+Woodbury identity solves the step exactly: an s x s positive definite
+system built from the Green's rows of M between the cells of the support
+(``DiscreteRockland.green_rows``), factorised once per problem by LAPACK
+dpptrf; each step is two resolvent applies and one dpptrs (2 s^2 flops),
+with no tolerance and no iteration.  The mollified delta and delta^2 nets
+shrink onto such supports as eps falls.  The cost model picks this route
+iff its factor, s^3/3 flops, costs no more than one resolvent apply per
+step: s^3 <= WOODBURY_FLOPS_RATIO * steps * F, with F the operator's
+``resolvent_flops`` (5 N log2 N on R^d, 8 (n_c/2 + 1) m^2 on H1).  CG
+spends 6-10 applies per step on these problems, so the factor is repaid
+well within the run.  A second clause, s <= WOODBURY_MAX_CELLS, keeps the
+packed factor (4 s^2 bytes) under 256 MiB and its bits independent of the
+BLAS thread count (see _woodbury_solver).
 
-Every other problem (a sign-changing V, a larger support, H1) is solved
-by conjugate gradients preconditioned with M^{-1}; the preconditioned
+Every other problem (a sign-changing V, a larger support) is solved by
+conjugate gradients preconditioned with M^{-1}; the preconditioned
 condition number is at most (1 + dt max V^+)/(1 - dt max V^-), which also
 sizes the iteration cap.
 
@@ -60,9 +66,11 @@ from .norms import lp_norm
 from .operators import DiscreteRockland
 
 CG_TOL = 1e-14
-# a V >= 0 on s cells of an N-cell R^d grid is stepped by Woodbury iff
-# s^2 <= WOODBURY_STATES * N, so its dense s x s matrix holds at most that many states
-WOODBURY_STATES = 4
+# a V >= 0 on s cells is stepped by Woodbury iff s^3 <= WOODBURY_FLOPS_RATIO
+# * steps * resolvent_flops (its s^3/3-flop factor costs at most one apply per
+# step) and s <= WOODBURY_MAX_CELLS
+WOODBURY_FLOPS_RATIO = 3
+WOODBURY_MAX_CELLS = 8192
 STATE_THIN_TARGET = 64
 RECORD_BLOCK_BYTES = 1 << 18
 
@@ -254,15 +262,18 @@ def step_implicit(p: CauchyProblem, keep_states: bool = True) -> Trajectory:
     Unconditionally contractive for V >= 0, which is what makes the discrete
     energy inequality hold step by step.  For sign-changing V the factor is
     only defined when dt * max(V^-) < 1.  One-dimensional grids solve each
-    step by a periodic tridiagonal LAPACK solve.  On R^d with d >= 2, a
-    V >= 0 on s cells with s^2 <= WOODBURY_STATES * N is solved exactly by
-    the resolvent plus a Cholesky-factored correction on its support: two
-    resolvent applies and two triangular solves of size s per step.  All
-    other problems run preconditioned CG (see the module docstring).  The
-    route reads only the problem, never the cores, and the Woodbury factor
-    has the same bits at any BLAS thread count, so its series do not depend
-    on the worker count or the CPU affinity.  keep_states=False records
-    the norm series only, as a sweep that reads no state asks.
+    step by a periodic tridiagonal LAPACK solve.  On R^d with d >= 2 and on
+    H1, a V >= 0 on s <= WOODBURY_MAX_CELLS cells with
+    s^3 <= WOODBURY_FLOPS_RATIO * steps * F, F the operator's
+    resolvent_flops, is solved exactly by the resolvent plus a
+    Cholesky-factored correction on its support: two resolvent applies and
+    two triangular solves of size s per step.  V = 0 takes one
+    resolvent apply per step.  All other problems run preconditioned CG
+    (see the module docstring).  The route reads only the problem, never
+    the cores, and the Woodbury factor has the same bits at any BLAS thread
+    count, so its series do not depend on the worker count or the CPU
+    affinity.  keep_states=False records the norm series only, as a sweep
+    that reads no state asks.
     """
     dt = p.dt_effective
     v_flat = p.V.values.ravel()
@@ -270,11 +281,11 @@ def step_implicit(p: CauchyProblem, keep_states: bool = True) -> Trajectory:
     if v_minus > 0.0 and dt * v_minus >= 1.0:
         raise StabilityError(
             f"backward Euler needs dt < 1/max(V^-) = {1.0 / v_minus:.6g}, got dt = {dt:.6g}")
-    grid = p.op.grid
-    if grid.dim == 1:
+    if p.op.grid.dim == 1:
         return _integrate(p, _periodic_tridiagonal_solver(p, dt, v_flat), keep_states)
-    if (grid.group.is_abelian and v_minus == 0.0
-            and np.count_nonzero(v_flat) ** 2 <= WOODBURY_STATES * grid.size):
+    s = np.count_nonzero(v_flat)
+    if (v_minus == 0.0 and s <= WOODBURY_MAX_CELLS
+            and s**3 <= WOODBURY_FLOPS_RATIO * p.steps * p.op.resolvent_flops):
         return _integrate(p, _woodbury_solver(p, dt, v_flat), keep_states)
     return _integrate(p, _cg_solver(p, dt, v_flat, v_minus), keep_states)
 
@@ -338,52 +349,45 @@ def _periodic_tridiagonal_solver(p: CauchyProblem, dt: float, v_flat: np.ndarray
 
 
 def _woodbury_solver(p: CauchyProblem, dt: float, v_flat: np.ndarray):
-    """Each step of backward Euler on R^d for V >= 0, exact on the support S of V.
+    """Each step of backward Euler for V >= 0, exact on the support S of V.
 
     With M = I + dt R, P the injection of S's s cells and d = sqrt(dt V_S),
     I + dt(R + V) = M + P d^2 P^T, and the Woodbury identity gives
     (I + dt(R + V))^{-1} u = y - M^{-1} P d C^{-1} d y_S, with y = M^{-1} u and
-    C = I + d G_S d.  M commutes with the grid translations, so
-    G_S = P^T M^{-1} P is its Green's function G = M^{-1} e_0 sampled at the
-    periodic differences x_i - x_j.  C is positive definite because M^{-1}
-    is; LAPACK dpptrf factorises it once per problem in packed storage
-    (info != 0 is a StabilityError), and each step is two resolvent applies
-    and one dpptrs.  The packed routines run level-2 BLAS whose results do
-    not depend on the BLAS thread count; dpotrf's blocked factor does, from
-    s = 128 on, and scipy's OpenBLAS takes its count from the CPU affinity.
-    scipy.linalg.lapack is imported on the first call, not with the package.
+    C = I + d G_S d, G_S = P^T M^{-1} P the operator's Green's rows between
+    the cells of S.  C is positive definite because M^{-1} is; its packed
+    upper triangle is written a chunk of Green's rows at a time, and LAPACK
+    dpptrf factorises it once per problem (info != 0 is a StabilityError).
+    Each step is two resolvent applies and one dpptrs.  The upper packed
+    routines run dtpsv and ddot, which OpenBLAS runs on the calling thread
+    (ddot up to 10000 elements, so for s <= WOODBURY_MAX_CELLS): their bits
+    do not depend on the BLAS thread count, and they wake no BLAS threads
+    to spin against numpy's on H1.  The lower packed dpptrf threads its
+    dspr, which made an H1 solve outside a sweep pool about twice as slow;
+    dpotrf's blocked factor changes bits with the thread count from
+    s = 128 on.  scipy.linalg.lapack is imported on the first call, not
+    with the package.
     """
     from scipy.linalg.lapack import dpptrf, dpptrs
 
-    op, shape = p.op, p.op.grid.shape
+    op = p.op
     support = np.flatnonzero(v_flat)
     s = support.size
     if s == 0:
         return lambda u, k: op.resolvent(dt, u)
     d = np.sqrt(dt * v_flat[support])
-    e0 = np.zeros(op.grid.size)
-    e0[0] = 1.0
-    green = op.resolvent(dt, e0)
-    # the flat grid index of x_i - x_j, built axis by axis in int32
-    index = np.zeros((s, s), dtype=np.int32)
-    stride = 1
-    for coord, n in zip(np.unravel_index(support, shape)[::-1], shape[::-1]):
-        coord = coord.astype(np.int32)
-        diff = np.subtract.outer(coord, coord)
-        diff %= n
-        diff *= stride
-        index += diff
-        stride *= n
-    del diff
-    gram = green[index]
-    del index
-    gram *= d
-    gram *= d[:, None]
-    gram.flat[::s + 1] += 1.0
-    # C is symmetric: its upper triangle by rows is its packed lower triangle
-    packed = gram[np.triu(np.ones((s, s), dtype=bool))]
-    del gram
-    factor, info = dpptrf(s, packed, lower=1, overwrite_ap=1)
+    # C is symmetric: row i of its lower triangle is column i of its packed upper triangle
+    packed = np.empty(s * (s + 1) // 2)
+    i = at = 0
+    for rows in op.green_rows(dt, support):
+        rows *= d
+        rows *= d[i:i + len(rows), None]
+        for row in rows:
+            row[i] += 1.0
+            packed[at:at + i + 1] = row[:i + 1]
+            at += i + 1
+            i += 1
+    factor, info = dpptrf(s, packed, lower=0, overwrite_ap=1)
     if info != 0:
         raise StabilityError(
             "implicit system could not be factorised: the Woodbury matrix I + d G_S d "
@@ -392,7 +396,7 @@ def _woodbury_solver(p: CauchyProblem, dt: float, v_flat: np.ndarray):
 
     def solve(u: np.ndarray, k: int) -> np.ndarray:
         y = op.resolvent(dt, u)
-        w = dpptrs(s, factor, d * y[support], lower=1)[0]
+        w = dpptrs(s, factor, d * y[support], lower=0)[0]
         correction[support] = d * w
         y -= op.resolvent(dt, correction)
         return y

@@ -672,11 +672,7 @@ class TestRunParallelDeterminism:
 
     def test_heisenberg_thread_count_does_not_change_report(self, tmp_path, cores):
         # the pool's workers share the operator's cached resolvent blocks
-        cfg = make_config(group=heisenberg1(), half_width=1.5, points=(8, 8, 16),
-                          schedule=OmegaSchedule.logarithmic(1),
-                          epsilons=EpsilonNet((0.25, 0.22, 0.19, 0.17)),
-                          mollifier_radius=2.0, T=0.25, dt=1.0 / 32)
-        one, two = self.reports_at_1_and_2_workers(cfg, tmp_path, cores)
+        one, two = self.reports_at_1_and_2_workers(heisenberg_pool_config(), tmp_path, cores)
         assert one == two
 
     def test_heisenberg_benchmark_grid_blas_split_does_not_change_report(self, cores):
@@ -710,6 +706,16 @@ class TestRunParallelDeterminism:
         rep = run_experiment(cfg)
         assert rep.config.experiment == "existence"
         assert rep.verdict.kind == "Moderate"
+
+
+def heisenberg_pool_config():
+    """An H1 net whose two coarser eps (s = 343, 245 support cells) are
+    stepped by CG and whose two finer (s = 163, 131) by Woodbury: the cost
+    model admits s <= 192 at 8 steps on 8 x 8 x 16."""
+    return make_config(group=heisenberg1(), half_width=1.5, points=(8, 8, 16),
+                       schedule=OmegaSchedule.logarithmic(1),
+                       epsilons=EpsilonNet((0.25, 0.22, 0.19, 0.17)),
+                       mollifier_radius=2.0, T=0.25, dt=1.0 / 32)
 
 
 def affinity_cores():
@@ -756,7 +762,7 @@ class TestBlasThreadCap:
 
         monkeypatch.setattr("builtins.open", refuse_maps(real_open))
         monkeypatch.setattr(Path, "open", refuse_maps(real_path_open))
-        harness._blas_thread_setter.cache_clear()
+        harness._openblas_setter.cache_clear()
         try:
             setter = harness._blas_thread_setter()
             assert setter is not None
@@ -764,7 +770,7 @@ class TestBlasThreadCap:
             assert before >= 1
             assert setter(before) == 1
         finally:
-            harness._blas_thread_setter.cache_clear()
+            harness._openblas_setter.cache_clear()
 
     def test_workers_get_their_share_and_the_caller_keeps_its_count(
             self, setter, monkeypatch, tmp_path, cores):
@@ -787,6 +793,32 @@ class TestBlasThreadCap:
         _, manifest = persist_report(rep, tmp_path)
         plural = "" if want == 1 else "s"
         assert f"pool: 4 workers x {want} BLAS thread{plural}\n" in manifest.read_text()
+
+    def test_scipys_openblas_gets_the_same_cap_and_its_count_back(self, monkeypatch, cores):
+        # scipy bundles its own OpenBLAS, which runs the Woodbury step's
+        # packed Cholesky; it starts at 2 threads here, so 2 workers on 2
+        # cores must lower it to 1
+        setter = harness._scipy_blas_thread_setter()
+        if setter is None:
+            pytest.skip("scipy's BLAS exports no openblas_set_num_threads_local")
+        seen, reading = [], threading.Lock()
+
+        def spy(*args):
+            with reading:
+                seen.append(self.count(setter))
+            return regularize_potential(*args)
+
+        monkeypatch.setattr(harness, "regularize_potential", spy)
+        cores(2)
+        original = setter(2)
+        try:
+            rep = run_experiment(parse_sweep_config(POOLED_TEXT))
+            after = self.count(setter)
+        finally:
+            setter(original)
+        assert rep.workers == 2
+        assert seen == [1] * 4
+        assert after == 2
 
     def test_pool_is_sized_from_the_affinity(self, tmp_path, pooled_report):
         # the real read, one worker under `taskset -c 0`, and the report of two
@@ -845,7 +877,8 @@ class TestBlasThreadCap:
 
 
 # one eps of a 2-D net whose delta sits on s = 241 cells: s >= 128, where a
-# blocked Cholesky threads, and s^2 <= 4N, so it takes the Woodbury step
+# blocked Cholesky threads, and s <= 479, where the cost model at 32 steps
+# on 128^2 takes the Woodbury step
 WOODBURY_TEXT = """
 group = euclidean2
 half_width = 2.0
@@ -884,7 +917,7 @@ class TestWoodburyFactorDeterminism:
                             lambda *args: calls.append(args) or factor(*args))
         problem = harness.problem_builder(parse_sweep_config(WOODBURY_TEXT))(0.18)
         s = np.count_nonzero(problem.V.values)
-        assert 128 <= s and s * s <= 4 * problem.op.grid.size
+        assert 128 <= s and s**3 <= 3 * problem.steps * problem.op.resolvent_flops
         before = setter(1)
         try:
             one = harness.step_implicit(problem, keep_states=False)
@@ -895,6 +928,35 @@ class TestWoodburyFactorDeterminism:
         assert len(calls) == 2
         for name in ("l2", "sobolev_nu2", "energy"):
             assert np.array_equal(getattr(one, name), getattr(two, name)), name
+
+    def test_heisenberg_sweep_series_do_not_depend_on_the_workers(
+            self, monkeypatch, tmp_path, cores):
+        # every eps's series and the report, at 1 and at 2 workers, with two
+        # eps on the Woodbury step built from the H1 blocks
+        calls, factor = [], solve_module._woodbury_solver
+        monkeypatch.setattr(solve_module, "_woodbury_solver",
+                            lambda *args: calls.append(args) or factor(*args))
+        series, lock = {}, threading.Lock()
+
+        def recording(p, **kwargs):
+            traj = solve_module.step_implicit(p, **kwargs)
+            with lock:
+                series[p.V.values.tobytes()] = traj.l2.tobytes() + traj.sobolev_nu2.tobytes()
+            return traj
+
+        monkeypatch.setattr(harness, "step_implicit", recording)
+        cfg = heisenberg_pool_config()
+        runs = []
+        for n in (1, 2):
+            series.clear()
+            cores(n)
+            rep = run_experiment(cfg)
+            assert rep.workers == n and rep.verdict.kind == "Moderate"
+            csv = persist_report(rep, tmp_path / f"w{n}")[0].read_bytes()
+            runs.append((dict(series), csv))
+        assert len(calls) == 4
+        assert len(runs[0][0]) == 4
+        assert runs[0] == runs[1]
 
     def test_series_do_not_depend_on_the_openblas_thread_count_at_start(self):
         # OpenBLAS fixes its count when it loads, so each count needs a fresh

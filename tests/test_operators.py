@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from gradedheat import operators
 from gradedheat.errors import CapabilityError
@@ -406,3 +407,33 @@ class TestResolvent:
     def test_nonpositive_step_rejected(self, sub8):
         with pytest.raises(ValueError):
             sub8.resolvent(0.0, np.ones(sub8.grid.size))
+
+
+class TestGreenRows:
+    # the rows of G = (I + dt R)^{-1} between cells equal the inverse
+    # restricted to them, whose columns a sparse LU gives.  The R^2 grid is
+    # not square and the H1 blocks are complex, so a transposed index or a
+    # wrong sign of c - c' fails.
+    @pytest.mark.parametrize("chunk_bytes", [None, 1], ids=["default", "row-by-row"])
+    @pytest.mark.parametrize("group, points", [
+        (euclidean(2), (40, 24)),
+        (euclidean(3), (8, 6, 10)),
+        (heisenberg1(), (8, 8, 16)),
+        (heisenberg1(), (12, 12, 24)),
+    ], ids=["r2", "r3", "h1-8", "h1-12"])
+    def test_rows_match_the_dense_inverse(self, monkeypatch, group, points, chunk_bytes):
+        if chunk_bytes is not None:
+            monkeypatch.setattr(operators, "_GREEN_CHUNK_BYTES", chunk_bytes)
+        op = build_rockland(make_grid(group, 1.5, points))
+        g = op.grid
+        dt = 1.0 / 32
+        cells = np.sort(np.random.default_rng(8).choice(g.size, 150, replace=False))
+        system = sp.identity(g.size, format="csc") + dt * op.matrix.tocsc()
+        columns = splu(system.tocsc()).solve(np.eye(g.size)[:, cells])
+        chunks = list(op.green_rows(dt, cells))
+        if chunk_bytes is not None:
+            assert [len(rows) for rows in chunks] == [1] * len(cells)
+        np.testing.assert_allclose(np.vstack(chunks), columns[cells], rtol=0, atol=1e-13)
+
+    def test_no_cells_no_rows(self, sub8):
+        assert list(sub8.green_rows(0.1, np.array([], dtype=int))) == []

@@ -218,8 +218,9 @@ class TestEuclidean1Stepper:
 
 
 class TestHeisenbergStepper:
-    # the Heisenberg stepper solves each step by preconditioned CG; a sparse
-    # LU of the same system is the reference
+    # on H1 a potential that is sign-changing or whose support is large is
+    # stepped by CG preconditioned with the block resolvent; a sparse LU of
+    # the same system is the reference
     def test_delta_potential_matches_lu(self, sub12):
         g = sub12.grid
         V = regularize_potential(PotentialSpec.dirac_delta(multiplier=80.0), 0.8,
@@ -253,11 +254,13 @@ class TestHeisenbergStepper:
 
     def test_iteration_cap_names_step(self):
         # without the preconditioner CG needs far more iterations than the
-        # cap sized for the preconditioned system
+        # cap sized for the preconditioned system; a sign-changing V keeps
+        # the step on CG
         op = build_rockland(make_grid(heisenberg1(), 1.5, 12))
         op.resolvent = lambda dt, values: np.ravel(values).copy()
-        p = CauchyProblem(op, Field.zeros(op.grid), bump_field(op.grid, 1.125),
-                          T=0.25, dt=1.0 / 32)
+        V = Field.from_function(op.grid, lambda a, b, c: np.cos(2.0 * a) * np.exp(-b * b))
+        assert float(V.values.min()) < 0.0
+        p = CauchyProblem(op, V, bump_field(op.grid, 1.125), T=0.25, dt=1.0 / 32)
         with pytest.raises(ConvergenceError, match=r"step 1 of 8.*residual.*after \d+ iterations"):
             step_implicit(p)
 
@@ -319,24 +322,34 @@ def woodbury_calls(monkeypatch):
 
 
 class TestWoodburyStepper:
-    # on R^d a V >= 0 on s cells with s^2 <= 4N is stepped exactly: the
-    # Fourier resolvent plus a Cholesky-factored correction on the support
+    # a V >= 0 on a support small enough for the cost model is stepped
+    # exactly: the resolvent plus a Cholesky-factored correction on the
+    # support, built from the Green's rows (R^2: the Fourier multiplier; H1:
+    # the central-frequency blocks)
     @pytest.fixture(scope="class")
     def lap64(self):
         return build_rockland(make_grid(euclidean(2), 2.0, 64))
 
-    @pytest.mark.parametrize("potential, eps", [
-        (PotentialSpec.dirac_delta(multiplier=80.0), 0.25),
-        (PotentialSpec.dirac_delta_squared(multiplier=5.0), 0.2),
-    ], ids=["delta", "delta2"])
-    def test_series_match_cg_and_lu(self, lap64, woodbury_calls, potential, eps):
-        g = lap64.grid
+    @pytest.fixture(scope="class")
+    def sub_12_24(self):
+        return build_rockland(make_grid(heisenberg1(), 1.5, (12, 12, 24)))
+
+    @pytest.mark.parametrize("geometry, potential, eps", [
+        ("r2", PotentialSpec.dirac_delta(multiplier=80.0), 0.25),
+        ("r2", PotentialSpec.dirac_delta_squared(multiplier=5.0), 0.2),
+        ("h1", PotentialSpec.dirac_delta(multiplier=200.0), 0.6),
+        ("h1", PotentialSpec.dirac_delta_squared(multiplier=60.0), 0.6),
+    ], ids=["delta", "delta2", "h1-delta", "h1-delta2"])
+    def test_series_match_cg_and_lu(self, lap64, sub_12_24, woodbury_calls,
+                                    geometry, potential, eps):
+        op = lap64 if geometry == "r2" else sub_12_24
+        g = op.grid
         V = regularize_potential(potential, eps, OmegaSchedule.polynomial(),
-                                 Mollifier(2, 1.5), g)
-        p = CauchyProblem(lap64, V, bump_field(g, 1.0, center=(0.3, -0.2)),
-                          T=0.25, dt=1.0 / 32)
+                                 Mollifier(g.dim, 1.5 if geometry == "r2" else 1.4), g)
+        u0 = bump_field(g, 1.0, center=(0.3, -0.2, 0.1)[:g.dim])
+        p = CauchyProblem(op, V, u0, T=0.25, dt=1.0 / 32)
         v = V.values.ravel()
-        assert np.count_nonzero(v) ** 2 <= 4 * g.size
+        assert np.count_nonzero(v) ** 3 <= 3 * p.steps * op.resolvent_flops
         assert p.dt_effective * float(v.max()) >= 10.0
         traj = step_implicit(p)
         assert len(woodbury_calls) == 1
@@ -364,13 +377,14 @@ class TestWoodburyStepper:
         for coarse, fine in zip(errs, errs[1:]):
             assert 1.6 <= coarse / fine <= 2.4
 
-    def test_zero_potential_is_one_resolvent_per_step(self, lap64, woodbury_calls):
-        g = lap64.grid
-        u0 = bump_field(g, 1.0)
-        p = CauchyProblem(lap64, Field.zeros(g), u0, T=1.0 / 16, dt=1.0 / 32)
-        want = lap64.resolvent(p.dt_effective, lap64.resolvent(p.dt_effective, u0.values))
-        np.testing.assert_array_equal(step_implicit(p).final.values.ravel(), want)
-        assert len(woodbury_calls) == 1
+    def test_zero_potential_is_one_resolvent_per_step(self, lap64, sub_12_24, woodbury_calls):
+        for op in (lap64, sub_12_24):
+            g = op.grid
+            u0 = bump_field(g, 1.0)
+            p = CauchyProblem(op, Field.zeros(g), u0, T=1.0 / 16, dt=1.0 / 32)
+            want = op.resolvent(p.dt_effective, op.resolvent(p.dt_effective, u0.values))
+            np.testing.assert_array_equal(step_implicit(p).final.values.ravel(), want)
+        assert len(woodbury_calls) == 2
 
     def test_indefinite_correction_is_stability_error(self):
         # a negated Laplacian makes the resolvent, and with it I + d G_S d, indefinite
@@ -467,24 +481,43 @@ class TestStepperRouting:
                                     T=0.125, dt=1.0 / 32))
         assert len(calls) == lu_calls
 
-    # s^2 <= 4N holds for s = 128 and fails for s = 129 on 64^2 (4N = 16384)
+    # at 4 steps the cost model s^3 <= 3 * 4 * F admits s <= 128 on 64 x 48
+    # (F = 5 N log2 N = 177945), s <= 65 on 8^3 (F = 23040) and s <= 125 on
+    # H1 8^3 (F = 8 * 5 * 64^2 = 163840)
     @pytest.mark.parametrize("group, points, values, woodbury", [
-        (euclidean(2), (64, 64), [1.0] * 128, 1),
-        (euclidean(2), (64, 64), [1.0] * 129, 0),
-        (euclidean(2), (64, 64), [5.0, -1.0], 0),
-        (euclidean(3), (8, 8, 8), [1.0] * 4, 1),
+        (euclidean(2), (64, 48), [1.0] * 128, 1),
+        (euclidean(2), (64, 48), [1.0] * 129, 0),
+        (euclidean(2), (64, 48), [5.0, -1.0], 0),
+        (euclidean(3), (8, 8, 8), [1.0] * 65, 1),
+        (euclidean(3), (8, 8, 8), [1.0] * 66, 0),
         (euclidean(1), (64,), [1.0] * 4, 0),
-        (heisenberg1(), (8, 8, 8), [1.0] * 4, 0),
-    ], ids=["r2-s128", "r2-s129", "r2-sign-changing", "r3", "r1", "h1"])
+        (heisenberg1(), (8, 8, 8), [1.0] * 125, 1),
+        (heisenberg1(), (8, 8, 8), [1.0] * 126, 0),
+    ], ids=["r2-s128", "r2-s129", "r2-sign-changing", "r3", "r3-s66", "r1", "h1",
+            "h1-s126"])
     def test_woodbury_only_for_a_small_nonnegative_support_on_rd(
             self, woodbury_calls, group, points, values, woodbury):
         op = build_rockland(make_grid(group, 1.5, points))
         g = op.grid
         v = np.zeros(g.size)
-        v[np.arange(len(values)) * 7] = values  # scattered cells
-        step_implicit(CauchyProblem(op, Field(g, v.reshape(g.shape)), bump_field(g, 1.125),
-                                    T=1.0 / 16, dt=1.0 / 32))
+        v[np.arange(len(values)) * (g.size // len(values))] = values  # scattered cells
+        p = CauchyProblem(op, Field(g, v.reshape(g.shape)), bump_field(g, 1.125),
+                          T=1.0 / 8, dt=1.0 / 32)
+        assert p.steps == 4
+        step_implicit(p)
         assert len(woodbury_calls) == woodbury
+
+    def test_support_above_the_cell_cap_runs_cg(self, monkeypatch, woodbury_calls):
+        # the flop rule admits s <= 128 here; a cap of 100 cells sends s = 101 to CG
+        monkeypatch.setattr(solve_module, "WOODBURY_MAX_CELLS", 100)
+        op = build_rockland(make_grid(euclidean(2), 1.5, (64, 48)))
+        g = op.grid
+        for s in (100, 101):
+            v = np.zeros(g.size)
+            v[np.arange(s) * (g.size // s)] = 1.0
+            step_implicit(CauchyProblem(op, Field(g, v.reshape(g.shape)),
+                                        bump_field(g, 1.125), T=1.0 / 8, dt=1.0 / 32))
+        assert len(woodbury_calls) == 1
 
 
 def dense_duhamel_states(p):
