@@ -33,6 +33,7 @@ from .mollify import EpsilonNet, OmegaSchedule, PotentialSpec, _even_points_requ
 _GROUP_TOKENS = {
     "euclidean1": lambda: euclidean(1),
     "euclidean2": lambda: euclidean(2),
+    "euclidean3": lambda: euclidean(3),
     "heisenberg1": heisenberg1,
 }
 

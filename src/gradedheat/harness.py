@@ -35,28 +35,22 @@ The pool runs min(cores, number of eps) workers, cores being the CPUs this
 process may run on (its affinity, else os.cpu_count()); a 1-D sweep, whose O(n)
 steps hold the GIL, runs one worker, since a second only slows it.  The cores
 are split between the workers and BLAS: while the pool runs, the OpenBLAS that
-numpy links and the one scipy bundles are each held at cores // workers
-threads (at least 1, and never above the count each had), so workers x BLAS
-threads <= cores.  numpy's BLAS runs the resolvent's H1 block products and
-inverses; scipy's runs LAPACK dpttrf/dpttrs on 1-D periodic tridiagonal
-systems, an unthreaded O(n) loop, and dpptrf/dpptrs, the packed Cholesky of
-the Woodbury step (solve._woodbury_solver).  The upper packed factor that
-the step uses runs on the calling thread: the in-process sweep of perfbench's
-h1_existence config took a median of 0.47 s with scipy's cap and without it
-(12 alternating pairs, 2 cores, scipy 1.17.1).  A lower packed factor threads
-its dspr, and there the cap took the same sweep from 0.62 s to 0.47 s.  The
-pthreads OpenBLAS that both bundle keeps one thread count for the whole
-process, so other threads share the cap while the pool runs and each count is
-put back when the pool exits.  Each pool claims all the cores, so the pools of
-concurrent sweeps in one process take turns.  Every path outside a sweep, and
-a single-worker sweep, keeps its BLAS threads.  A library that does not
-export openblas_set_num_threads_local (MKL, Accelerate, OpenBLAS before
-0.3.27) is not capped.  scipy.linalg is imported when a pool opens, not with
-the package.  The manifest records numpy's split.  The packed Cholesky's
-bits do not depend on the BLAS thread count, so the reports stay
-byte-identical for any worker count and any CPU affinity, which also sets
-the count each OpenBLAS starts with; numpy's Cholesky and the blocked dpotrf
-change bits with the count from s = 128 on.
+numpy links, which runs the resolvent's H1 block products and inverses, is held
+at cores // workers threads (at least 1, and never above the count it had), so
+workers x BLAS threads <= cores.  The pthreads OpenBLAS that numpy bundles
+keeps one thread count for the whole process, so other threads share the cap
+while the pool runs and the count is put back when the pool exits.  Each pool
+claims all the cores, so the pools of concurrent sweeps in one process take
+turns.  Every path outside a sweep, and a single-worker sweep, keeps its BLAS
+threads.  A BLAS that does not export openblas_set_num_threads_local (MKL,
+Accelerate, OpenBLAS before 0.3.27) is not capped.  The manifest records the
+split.  The LAPACK routines of the steps, dpttrf/dpttrs on 1-D periodic
+tridiagonal systems and the upper packed dpptrf/dpptrs of the Woodbury step
+(solve._woodbury_solver), link another OpenBLAS, which is not capped: they run
+on the calling thread.  The packed Cholesky's bits do not depend on the BLAS
+thread count, so the reports stay byte-identical for any worker count and any
+CPU affinity; numpy's Cholesky and the blocked dpotrf change bits with the
+count from s = 128 on.
 """
 
 from __future__ import annotations
@@ -238,32 +232,21 @@ def _l2_state_distance(a: Trajectory, b: Trajectory) -> float:
 
 
 @functools.cache
-def _openblas_setter(extension: str):
-    """openblas_set_num_threads_local of the OpenBLAS an extension module links, or None.
+def _blas_thread_setter():
+    """openblas_set_num_threads_local of the OpenBLAS numpy links, or None.
 
-    Loading the extension resolves the symbol in the library it links.  The
-    setter returns the count it replaces.  It sets openblas_set_num_threads'
-    count, which is the calling thread's in an OpenMP build but the whole
-    process's in the pthreads build that numpy and scipy ship.
+    Loading numpy's own linalg extension resolves the symbol in the library
+    that extension links.  The setter returns the count it replaces.  It
+    sets openblas_set_num_threads' count, which is the calling thread's in an
+    OpenMP build but the whole process's in the pthreads build numpy ships.
     """
     try:
-        setter = ctypes.CDLL(extension).openblas_set_num_threads_local
+        setter = ctypes.CDLL(np.linalg._umath_linalg.__file__).openblas_set_num_threads_local
     except (OSError, AttributeError):
         return None
     setter.argtypes = [ctypes.c_int]
     setter.restype = ctypes.c_int
     return setter
-
-
-def _blas_thread_setter():
-    """The setter of the OpenBLAS numpy links, found through numpy's linalg extension."""
-    return _openblas_setter(np.linalg._umath_linalg.__file__)
-
-
-def _scipy_blas_thread_setter():
-    """The setter of the OpenBLAS scipy bundles, found through its LAPACK extension."""
-    from scipy.linalg import _flapack
-    return _openblas_setter(_flapack.__file__)
 
 
 def _cores() -> int:
@@ -282,30 +265,24 @@ _POOL_LOCK = threading.Lock()
 def _capped_pool(workers: int, cores: int):
     """A thread pool whose workers split the cores with BLAS (module docstring).
 
-    numpy's and scipy's OpenBLAS are each lowered, never raised, to
-    cores // workers threads (at least 1) in the calling thread and, by the
-    pool initializer, in each worker, and get their counts back, in reverse
-    order, when the pool has exited.  Yields the pool and numpy's BLAS
-    threads per worker, None where numpy's setter was not found.
+    numpy's OpenBLAS is lowered, never raised, to cores // workers threads
+    (at least 1) in the calling thread and, by the pool initializer, in each
+    worker, and gets its count back when the pool has exited.  Yields the
+    pool and the BLAS threads per worker, None where no setter was found.
     """
-    found = (_blas_thread_setter(), _scipy_blas_thread_setter())
-    setters = [setter for setter in found if setter is not None]
+    setter = _blas_thread_setter()
     with _POOL_LOCK:
-        befores, caps = [], []
-        for setter in setters:
-            # one at a time, so that a library both link is capped once
-            befores.append(setter(1))  # the setter is the only getter
-            caps.append(min(befores[-1], max(1, cores // workers)))
-            setter(caps[-1])
-
-        def cap_worker():
-            for setter, cap in zip(setters, caps):
-                setter(cap)
+        before = cap = None
+        if setter is not None:
+            before = setter(1)  # the setter is the only getter
+            cap = min(before, max(1, cores // workers))
+            setter(cap)
         try:
-            with ThreadPoolExecutor(max_workers=workers, initializer=cap_worker) as pool:
-                yield pool, caps[0] if found[0] is not None else None
+            with ThreadPoolExecutor(max_workers=workers, initializer=setter,
+                                    initargs=(cap,)) as pool:
+                yield pool, cap
         finally:
-            for setter, before in zip(reversed(setters), reversed(befores)):
+            if setter is not None:
                 setter(before)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from gradedheat import harness
 from gradedheat.cli import main
-from gradedheat.config import parse_solve_config_file
+from gradedheat.config import config_hash, parse_solve_config_file, parse_sweep_config
 from gradedheat.harness import consistency_experiment, problem_builder
 from gradedheat.solve import solve_duhamel, step_implicit
 from gradedheat.groups import euclidean, make_grid
@@ -36,6 +36,11 @@ epsilons = 0.5,0.25,0.125,0.0625,0.03125
 T = 0.5
 dt = 0.015625
 """
+
+# a small R^3 net: 16^3 cells still resolve the mollified delta at eps = 0.25
+R3_CFG = (SWEEP_CFG.replace("euclidean1", "euclidean3").replace("points = 128", "points = 16")
+          .replace("0.5,0.25,0.125,0.0625,0.03125", "0.5,0.4,0.3,0.25")
+          .replace("T = 0.5", "T = 0.25").replace("dt = 0.015625", "dt = 0.03125"))
 
 
 def write(tmp_path, name, text):
@@ -212,6 +217,28 @@ class TestSweep:
         assert "Moderate" in capsys.readouterr().out
         manifest = (out / "manifest.txt").read_text()
         assert "VERDICT: Moderate" in manifest
+
+    def test_euclidean3_existence_pass(self, tmp_path, capsys):
+        cfg = write(tmp_path, "run.cfg", R3_CFG)
+        out = tmp_path / "results"
+        assert main(["sweep", "--experiment", "existence",
+                     "--config", cfg, "--out", str(out)]) == 0
+        assert "Moderate" in capsys.readouterr().out
+        manifest = dict(line.split(": ", 1)
+                        for line in (out / "manifest.txt").read_text().splitlines())
+        assert manifest["config_hash"] == (
+            "e010c4781d9a2e68c8888175d96e7efca8c766e226ed2637b42cd3f5056389cc")
+        # ||V_eps||_inf grows like omega^-Q, and Q = 3 on R^3
+        assert float(manifest["extra_fit_v_linf"].split()[0]) == pytest.approx(3.0)
+        # the new group token moves no other group's hash
+        pinned = {
+            "euclidean1": "da42dcc3210e1051c3c39ac307959f9e6f773fe5e65ae5e9546e43a21a4221cc",
+            "euclidean2": "5fdde0b0637e129ab4777d55561cc035e316219a6fcff339bccffa4d3126e305",
+            "heisenberg1": "857eb848f13271eb5f2ae10d526fbe3999cb20b087eb2dc98f087a94de7c497b",
+        }
+        for group, want in pinned.items():
+            text = R3_CFG.replace("euclidean3", group)
+            assert config_hash(parse_sweep_config(text, experiment="existence")) == want, group
 
     def test_failing_verdict_exits_one(self, tmp_path, capsys):
         # omega-sized perturbation: deliberately non-negligible

@@ -50,7 +50,8 @@ import gradedheat, gradedheat.cli
 from gradedheat.config import parse_sweep_config
 from gradedheat.mollify import Mollifier
 text = {SWEEP_TEXT!r}
-for group, points in (("euclidean1", "64"), ("euclidean2", "16,16"), ("heisenberg1", "8,8,16")):
+for group, points in (("euclidean1", "64"), ("euclidean2", "16,16"), ("euclidean3", "8,8,8"),
+                      ("heisenberg1", "8,8,16")):
     parse_sweep_config(text.format(group=group, points=points))
 for dim in (1, 2, 3):
     Mollifier(dim, 1.5)
@@ -135,3 +136,18 @@ assert "scipy.linalg.lapack" in sys.modules
 print("scipy.sparse.linalg" in sys.modules)
 """
     assert run_fresh(script, config, tmp_path / "out").splitlines()[-1] == "False"
+
+
+def test_pooled_cg_sweep_leaves_out_scipy_linalg():
+    # only the LAPACK steps need scipy.linalg: a pool of two on R^2 whose
+    # every eps runs CG (a constant V covers the whole grid) never imports it
+    script = f"""
+import sys
+from gradedheat import harness
+from gradedheat.config import parse_sweep_config
+harness._cores = lambda: 2
+text = {SWEEP_TEXT.format(group="euclidean2", points="16,16")!r}
+rep = harness.run_experiment(parse_sweep_config(text.replace("delta", "constant:1")))
+print(rep.workers, rep.verdict.kind, "scipy.linalg" in sys.modules)
+"""
+    assert run_fresh(script).split() == ["2", "Moderate", "False"]

@@ -762,7 +762,7 @@ class TestBlasThreadCap:
 
         monkeypatch.setattr("builtins.open", refuse_maps(real_open))
         monkeypatch.setattr(Path, "open", refuse_maps(real_path_open))
-        harness._openblas_setter.cache_clear()
+        harness._blas_thread_setter.cache_clear()
         try:
             setter = harness._blas_thread_setter()
             assert setter is not None
@@ -770,7 +770,7 @@ class TestBlasThreadCap:
             assert before >= 1
             assert setter(before) == 1
         finally:
-            harness._openblas_setter.cache_clear()
+            harness._blas_thread_setter.cache_clear()
 
     def test_workers_get_their_share_and_the_caller_keeps_its_count(
             self, setter, monkeypatch, tmp_path, cores):
@@ -794,30 +794,28 @@ class TestBlasThreadCap:
         plural = "" if want == 1 else "s"
         assert f"pool: 4 workers x {want} BLAS thread{plural}\n" in manifest.read_text()
 
-    def test_scipys_openblas_gets_the_same_cap_and_its_count_back(self, monkeypatch, cores):
-        # scipy bundles its own OpenBLAS, which runs the Woodbury step's
-        # packed Cholesky; it starts at 2 threads here, so 2 workers on 2
-        # cores must lower it to 1
-        setter = harness._scipy_blas_thread_setter()
-        if setter is None:
-            pytest.skip("scipy's BLAS exports no openblas_set_num_threads_local")
-        seen, reading = [], threading.Lock()
+    def test_a_fault_in_the_pool_gives_the_count_back(
+            self, setter, plant_error, monkeypatch, cores):
+        # the count starts at 2 here, so 2 workers on 2 cores lower it to 1,
+        # and a fault that propagates out of the pool must not keep it there
+        plant_error(TypeError("planted"), at_eps=0.3)
+        seen, reading, planted = [], threading.Lock(), harness.regularize_potential
 
         def spy(*args):
             with reading:
                 seen.append(self.count(setter))
-            return regularize_potential(*args)
+            return planted(*args)
 
         monkeypatch.setattr(harness, "regularize_potential", spy)
         cores(2)
         original = setter(2)
         try:
-            rep = run_experiment(parse_sweep_config(POOLED_TEXT))
+            with pytest.raises(TypeError, match="planted"):
+                run_experiment(pooled_config(T=SHORT_T))
             after = self.count(setter)
         finally:
             setter(original)
-        assert rep.workers == 2
-        assert seen == [1] * 4
+        assert seen and set(seen) == {1}
         assert after == 2
 
     def test_pool_is_sized_from_the_affinity(self, tmp_path, pooled_report):
