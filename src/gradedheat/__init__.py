@@ -19,8 +19,6 @@ from gradedheat.groups import (
     Grid,
     GroupInstance,
     euclidean,
-    group_inverse,
-    group_product,
     heisenberg1,
     make_grid,
 )
@@ -38,7 +36,6 @@ from gradedheat.mollify import (
 )
 from gradedheat.norms import lp_norm
 from gradedheat.operators import (
-    SPECTRAL_DOF_LIMIT,
     DiscreteRockland,
     build_rockland,
     semigroup_apply,
@@ -78,8 +75,6 @@ __all__ = [
     "Grid",
     "GroupInstance",
     "euclidean",
-    "group_inverse",
-    "group_product",
     "heisenberg1",
     "make_grid",
     "EpsilonNet",
@@ -93,7 +88,6 @@ __all__ = [
     "regularize_field",
     "regularize_potential",
     "lp_norm",
-    "SPECTRAL_DOF_LIMIT",
     "DiscreteRockland",
     "build_rockland",
     "semigroup_apply",

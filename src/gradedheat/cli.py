@@ -84,10 +84,9 @@ def cmd_solve(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = parse_sweep_config_file(args.config, experiment=args.experiment)
     report = run_experiment(cfg)
-    if report.records:
-        csv_path, manifest_path = persist_report(report, args.out)
-        print(f"wrote {csv_path}")
-        print(f"wrote {manifest_path}")
+    csv_path, manifest_path = persist_report(report, args.out)
+    print(f"wrote {csv_path}")
+    print(f"wrote {manifest_path}")
     print(str(report.verdict))
     return EXIT_OK if report.verdict.passed else EXIT_FAIL_VERDICT
 

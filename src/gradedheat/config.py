@@ -238,16 +238,14 @@ def _potential(token: str, grid, base_dir: Path) -> PotentialSpec:
 
 def _potential_fingerprint(pot: PotentialSpec) -> str:
     """V as hashed: a sampled V contributes a digest of its raw bytes, so the
-    hash pins the data actually used and not just a file name; a delta's
-    center follows an @ when it is set."""
+    hash pins the data actually used and not just a file name."""
     if pot.kind == "sampled":
         digest = hashlib.sha256(np.ascontiguousarray(pot.sample.values).tobytes())
         return f"sampled:sha256:{digest.hexdigest()}"
     if pot.kind == "constant":
         return f"constant:{pot.value!r}"
     base = "delta" if pot.kind == "dirac_delta" else "delta2"
-    at = "" if pot.center is None else "@" + ",".join(repr(float(c)) for c in pot.center)
-    return f"{base}:{pot.value!r}{at}"
+    return f"{base}:{pot.value!r}"
 
 
 def _joined(render):

@@ -29,8 +29,6 @@ __all__ = [
     "GroupInstance",
     "euclidean",
     "heisenberg1",
-    "group_product",
-    "group_inverse",
     "Grid",
     "Field",
     "make_grid",
@@ -81,32 +79,6 @@ def euclidean(d: int) -> GroupInstance:
 def heisenberg1() -> GroupInstance:
     """The first Heisenberg group, coordinates (a, b, c), weights (1, 1, 2)."""
     return GroupInstance("heisenberg1", 3)
-
-
-def group_product(x, y, group: GroupInstance) -> np.ndarray:
-    """Group product x * y; broadcasts over leading axes."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape[-1] != group.dim or y.shape[-1] != group.dim:
-        raise ValueError(
-            f"points must have {group.dim} coordinates, got {x.shape} and {y.shape}"
-        )
-    if group.is_abelian:
-        return x + y
-    # Heisenberg: central coordinate picks up the symplectic area term.
-    out = x + y
-    twist = 0.5 * (x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0])
-    out = out.copy()
-    out[..., 2] += twist
-    return out
-
-
-def group_inverse(x, group: GroupInstance) -> np.ndarray:
-    """Group inverse; for both families this is coordinate negation."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != group.dim:
-        raise ValueError(f"points must have {group.dim} coordinates, got {x.shape}")
-    return -x
 
 
 @dataclass(frozen=True)

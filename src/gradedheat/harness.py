@@ -16,11 +16,11 @@ Every Cauchy problem comes from problem_builder, the one recipe from a
 config and an eps to the regularised problem; `gradedheat solve` uses it
 too.  All three experiments run through one driver, _sweep.  It refuses a
 config written for another experiment, calls the builder once, builds and
-measures each eps's problem on a thread pool and keeps one SweepRecord per
-measured eps, merged in net order.  An experiment supplies only two pieces:
-measure(eps, problem) -> (value, extras), run per eps on the pool, and
-judge(records) -> (fit, verdict, extra_fits), run once on the merged
-records.  Only a numerical error (errors.NumericalError) fails an eps: the
+measures each eps's problem, on a thread pool where it runs more than one
+worker, and keeps one SweepRecord per measured eps, merged in net order.  An
+experiment supplies only two pieces: measure(eps, problem) -> (value, extras),
+run per eps, and judge(records) -> (fit, verdict, extra_fits), run once on the
+merged records.  Only a numerical error (errors.NumericalError) fails an eps: the
 first in net order turns the report into Fail and keeps the records that
 succeeded.  Any other exception is a fault, not a verdict, and propagates.
 After the judge, a record's fitted_flag is set iff the main fit exists and
@@ -33,15 +33,16 @@ the error net (negative; its magnitude is the empirical convergence order).
 
 The pool runs min(cores, number of eps) workers, cores being the CPUs this
 process may run on (its affinity, else os.cpu_count()); a 1-D sweep, whose O(n)
-steps hold the GIL, runs one worker, since a second only slows it.  The cores
-are split between the workers and BLAS: while the pool runs, the OpenBLAS that
-numpy links, which runs the resolvent's H1 block products and inverses, is held
-at cores // workers threads (at least 1, and never above the count it had), so
-workers x BLAS threads <= cores.  The pthreads OpenBLAS that numpy bundles
-keeps one thread count for the whole process, so other threads share the cap
-while the pool runs and the count is put back when the pool exits.  Each pool
-claims all the cores, so the pools of concurrent sweeps in one process take
-turns.  Every path outside a sweep, and a single-worker sweep, keeps its BLAS
+steps hold the GIL, runs one worker, since a second only slows it.  One worker
+is no pool: the eps are solved in turn on the calling thread.  The cores of a
+pool are split between the workers and BLAS: while the pool runs, the OpenBLAS
+that numpy links, which runs the resolvent's H1 block products and inverses, is
+held at cores // workers threads (at least 1, and never above the count it
+had), so workers x BLAS threads <= cores.  The pthreads OpenBLAS that numpy
+bundles keeps one thread count for the whole process, so other threads share
+the cap while the pool runs and the count is put back when the pool exits.
+Each pool claims all the cores, so the pools of concurrent sweeps in one process
+take turns.  Every path outside a pool, a one-worker sweep too, keeps its BLAS
 threads.  A BLAS that does not export openblas_set_num_threads_local (MKL,
 Accelerate, OpenBLAS before 0.3.27) is not capped.  The manifest records the
 split.  The LAPACK routines of the steps, dpttrf/dpttrs on 1-D periodic
@@ -263,13 +264,18 @@ _POOL_LOCK = threading.Lock()
 
 @contextmanager
 def _capped_pool(workers: int, cores: int):
-    """A thread pool whose workers split the cores with BLAS (module docstring).
+    """A map over the eps whose workers split the cores with BLAS (module docstring).
 
-    numpy's OpenBLAS is lowered, never raised, to cores // workers threads
-    (at least 1) in the calling thread and, by the pool initializer, in each
-    worker, and gets its count back when the pool has exited.  Yields the
-    pool and the BLAS threads per worker, None where no setter was found.
+    One worker maps on the calling thread: no pool, and BLAS keeps its
+    count.  More map on a thread pool, and numpy's OpenBLAS is lowered,
+    never raised, to cores // workers threads (at least 1) in the calling
+    thread and, by the pool initializer, in each worker, and gets its count
+    back when the pool has exited.  Yields the map and the BLAS threads per
+    worker, None where they were left alone.
     """
+    if workers == 1:
+        yield map, None
+        return
     setter = _blas_thread_setter()
     with _POOL_LOCK:
         before = cap = None
@@ -280,7 +286,7 @@ def _capped_pool(workers: int, cores: int):
         try:
             with ThreadPoolExecutor(max_workers=workers, initializer=setter,
                                     initargs=(cap,)) as pool:
-                yield pool, cap
+                yield pool.map, cap
         finally:
             if setter is not None:
                 setter(before)
@@ -320,23 +326,21 @@ def _sweep(cfg: SweepConfig, experiment: str, measure_on, judge) -> SweepReport:
     measure = measure_on(problem)
 
     def solve(eps):
-        value, extras = measure(eps, problem(eps))
+        """eps's record, or the text of the numerical error that failed it."""
+        try:
+            value, extras = measure(eps, problem(eps))
+        except NumericalError as exc:
+            return f"epsilon={eps:g}: {type(exc).__name__}: {exc}"
         return SweepRecord(eps, omega(cfg.schedule, eps), value, fitted_flag=False,
                            extras=tuple(extras.items()))
 
     cores = _cores()
     workers = 1 if cfg.group.dim == 1 else min(cores, len(cfg.epsilons))
-    rows, failure = [], None
-    with _capped_pool(workers, cores) as (pool, blas_threads):
-        futures = [pool.submit(solve, eps) for eps in cfg.epsilons]
-        for eps, fut in zip(cfg.epsilons, futures):
-            try:
-                rows.append(fut.result())
-            except NumericalError as exc:
-                failure = failure or f"epsilon={eps:g}: {type(exc).__name__}: {exc}"
-            except BaseException:
-                pool.shutdown(cancel_futures=True)  # solve no eps after a fault
-                raise
+    with _capped_pool(workers, cores) as (mapper, blas_threads):
+        # a fault propagates at once, and Executor.map cancels the eps behind it
+        results = list(mapper(solve, cfg.epsilons))
+    rows = [r for r in results if isinstance(r, SweepRecord)]
+    failure = next((r for r in results if isinstance(r, str)), None)
     if failure is None:
         fit, verdict, extra_fits = judge(rows)
     else:
@@ -494,10 +498,10 @@ def persist_report(report: SweepReport, out_dir: str | Path) -> tuple[Path, Path
 
     The CSV body is a pure function of the configuration, so re-running an
     identical config reproduces it byte for byte; the manifest additionally
-    carries wall-clock time and is not expected to be stable.
+    carries wall-clock time and is not expected to be stable.  A report with
+    no records, a sweep whose every eps failed, writes the CSV header alone
+    and a manifest with its Fail verdict, so no earlier run's files remain.
     """
-    if not report.records:
-        raise ValueError("nothing to persist: the report has no epsilon records")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "report.csv"

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from gradedheat.errors import ResolutionError, SupportError
-from gradedheat.groups import Field, Grid, group_inverse, group_product
+from gradedheat.groups import Field, Grid
 
 __all__ = [
     "MIN_CELLS_PER_AXIS",
@@ -192,21 +192,15 @@ def _support_extents(psi: Mollifier, eps: float, schedule: OmegaSchedule,
     return w, extents
 
 
-def _sample_net(psi: Mollifier, w: float, extents, grid: Grid, center=None) -> Field:
-    """omega^{-Q} psi(D_{1/omega}(c^{-1} x)) on the grid."""
-    axes = grid.broadcast_axes()
-    if center is not None:
-        x = np.stack(np.broadcast_arrays(*axes), axis=-1)
-        z = group_product(group_inverse(center, grid.group), x, grid.group)
-        axes = np.moveaxis(z, -1, 0)
-    r2 = sum((ax / ext) ** 2 for ax, ext in zip(axes, extents))
+def _sample_net(psi: Mollifier, w: float, extents, grid: Grid) -> Field:
+    """omega^{-Q} psi(D_{1/omega} x) on the grid."""
+    r2 = sum((ax / ext) ** 2 for ax, ext in zip(grid.broadcast_axes(), extents))
     values = w ** (-grid.group.Q) * psi.evaluate_r2(r2)
     return Field(grid, np.broadcast_to(values, grid.shape))
 
 
-def mollifier_net(psi: Mollifier, eps: float, schedule: OmegaSchedule, grid: Grid,
-                  center=None) -> Field:
-    """Sample psi_eps = omega^{-Q} psi(D_{1/omega} x) on the grid.
+def mollifier_net(psi: Mollifier, eps: float, schedule: OmegaSchedule, grid: Grid) -> Field:
+    """Sample psi_eps = omega^{-Q} psi(D_{1/omega} x), centred at the identity.
 
     Raises SupportError if the scaled support does not fit in the box and
     ResolutionError if it covers fewer than MIN_CELLS_PER_AXIS cells along
@@ -220,7 +214,7 @@ def mollifier_net(psi: Mollifier, eps: float, schedule: OmegaSchedule, grid: Gri
                 f"scaled mollifier support covers {cells:.2f} cells on an axis but "
                 f"{MIN_CELLS_PER_AXIS} are required; refine the grid or stop the net earlier"
             )
-    return _sample_net(psi, w, extents, grid, center)
+    return _sample_net(psi, w, extents, grid)
 
 
 def discrete_integral(f: Field) -> float:
@@ -298,17 +292,17 @@ class PotentialSpec:
     kind is one of "dirac_delta", "dirac_delta_squared", "sampled",
     "constant".  For the delta kinds ``value`` is a signed, nonzero
     multiplier (default 1), so value * delta covers attractive wells as
-    well.  sign_class is derived, never declared: "nonneg" if the
-    multiplier, the constant or the sample minimum is >= 0, else "real".  It
-    picks only the default norm of a config (hnu2 for "nonneg", l2 for
-    "real") and enters the config hash; whether a solve records the energy
-    is decided from the minimum of the V it is given.
+    well.  A delta sits at the identity, where psi_eps is centred.
+    sign_class is derived, never declared: "nonneg" if the multiplier, the
+    constant or the sample minimum is >= 0, else "real".  It picks only the
+    default norm of a config (hnu2 for "nonneg", l2 for "real") and enters
+    the config hash; whether a solve records the energy is decided from the
+    minimum of the V it is given.
     """
 
     kind: str
     value: float | None = None
     sample: Field | None = None
-    center: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in ("dirac_delta", "dirac_delta_squared", "sampled", "constant"):
@@ -329,14 +323,12 @@ class PotentialSpec:
         return "nonneg" if lowest >= 0 else "real"
 
     @classmethod
-    def dirac_delta(cls, center=None, multiplier: float = 1.0) -> "PotentialSpec":
-        return cls("dirac_delta", value=float(multiplier),
-                   center=None if center is None else tuple(center))
+    def dirac_delta(cls, multiplier: float = 1.0) -> "PotentialSpec":
+        return cls("dirac_delta", value=float(multiplier))
 
     @classmethod
-    def dirac_delta_squared(cls, center=None, multiplier: float = 1.0) -> "PotentialSpec":
-        return cls("dirac_delta_squared", value=float(multiplier),
-                   center=None if center is None else tuple(center))
+    def dirac_delta_squared(cls, multiplier: float = 1.0) -> "PotentialSpec":
+        return cls("dirac_delta_squared", value=float(multiplier))
 
     @classmethod
     def constant(cls, value: float) -> "PotentialSpec":
@@ -348,8 +340,6 @@ class PotentialSpec:
 
 
 def _check_center(center, grid: Grid):
-    if center is None:
-        return
     if len(center) != grid.dim:
         raise ValueError(f"center has {len(center)} coordinates, grid needs {grid.dim}")
     for c, L in zip(center, grid.half_widths):
@@ -398,12 +388,11 @@ def regularize_potential(pot: PotentialSpec, eps: float, schedule: OmegaSchedule
     """
     if pot.kind == "constant":
         return classical_potential(pot, grid)
-    _check_center(pot.center, grid)
     if pot.kind == "dirac_delta":
-        net = mollifier_net(psi, eps, schedule, grid, center=pot.center)
+        net = mollifier_net(psi, eps, schedule, grid)
         return Field(grid, pot.value * net.values)
     if pot.kind == "dirac_delta_squared":
-        net = mollifier_net(psi, eps, schedule, grid, center=pot.center)
+        net = mollifier_net(psi, eps, schedule, grid)
         return Field(grid, pot.value * net.values**2)
     if pot.sample.grid != grid:
         raise ValueError("sampled potential lives on a different grid")

@@ -1,6 +1,5 @@
 """CLI subcommands, output files and exit codes, driven in-process."""
 
-import threading
 from dataclasses import replace
 
 import numpy as np
@@ -92,18 +91,19 @@ class TestSolve:
     def test_classical_solve_is_the_consistency_reference(self, tmp_path, monkeypatch):
         cfg = write(tmp_path, "run.cfg", SOLVE_CFG)
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-        # the sweep solves each eps on a pool worker and the reference on its own thread
+        # the reference is the one solve of the unregularised datum; each eps mollifies it
+        sweep_cfg = replace(parse_solve_config_file(cfg)[0], experiment="consistency")
+        datum = problem_builder(sweep_cfg)().u0.values
         references = []
         real_step = harness.step_implicit
 
         def spy(problem, **kwargs):
             traj = real_step(problem, **kwargs)
-            if threading.current_thread() is threading.main_thread():
+            if np.array_equal(problem.u0.values, datum):
                 references.append(traj)
             return traj
 
         monkeypatch.setattr(harness, "step_implicit", spy)
-        sweep_cfg = replace(parse_solve_config_file(cfg)[0], experiment="consistency")
         assert consistency_experiment(sweep_cfg).verdict.kind == "Moderate"
         assert len(references) == 1
         assert written_l2(tmp_path / "o") == [f"{x:.17g}" for x in references[0].l2]
@@ -252,6 +252,23 @@ class TestSweep:
         assert "Fail" in capsys.readouterr().out
         # the partial data is still persisted for inspection
         assert (out / "report.csv").exists()
+
+    def test_a_sweep_with_no_record_replaces_the_last_verdict(self, tmp_path, capsys):
+        # 4 points resolve no eps, and the second run must not leave the first's files
+        text = SWEEP_CFG.replace("0.5,0.25,0.125,0.0625,0.03125", "0.5,0.25,0.125,0.0625")
+        out = tmp_path / "out"
+        fine = write(tmp_path, "fine.cfg", text)
+        assert main(["sweep", "--experiment", "existence", "--config", fine,
+                     "--out", str(out)]) == 0
+        assert "VERDICT: Moderate" in (out / "manifest.txt").read_text()
+        coarse = write(tmp_path, "coarse.cfg", text.replace("points = 128", "points = 4"))
+        assert main(["sweep", "--experiment", "existence", "--config", coarse,
+                     "--out", str(out)]) == 1
+        assert "Fail(epsilon=0.5: ResolutionError: " in capsys.readouterr().out
+        assert (out / "report.csv").read_text() == "epsilon,omega,norm_sup_t,fitted_flag\n"
+        manifest = (out / "manifest.txt").read_text()
+        assert "records: 0\n" in manifest
+        assert "VERDICT: Fail(epsilon=0.5: ResolutionError: " in manifest
 
     def test_uniqueness_pass(self, tmp_path, capsys):
         text = SWEEP_CFG.replace("potential = delta", "potential = delta2")

@@ -229,25 +229,10 @@ class TestMollifierNet:
         with pytest.raises(ValueError):
             mollifier_net(Mollifier(1, 1.0), 0.5, POLY, grid)
 
-    def test_off_center_euclidean_net_is_a_translate(self):
-        # 0.25 is 8 nodes of the 1/32 spacing, so every shifted node is exact
-        grid = make_grid(euclidean(1), 1.0, 64)
-        psi = Mollifier(1, 1.0)
-        centred = mollifier_net(psi, 0.5, POLY, grid)
-        shifted = mollifier_net(psi, 0.5, POLY, grid, center=(0.25,))
-        np.testing.assert_array_equal(shifted.values, np.roll(centred.values, 8))
-
     @pytest.mark.parametrize("radius", [math.nan, math.inf])
     def test_nonfinite_support_radius_rejected(self, radius):
         with pytest.raises(ValueError, match="support radius"):
             Mollifier(1, radius)
-
-    def test_off_center_net_keeps_mass(self):
-        grid = make_grid(heisenberg1(), 1.5, (32, 32, 64))
-        psi = Mollifier(3, 1.0)
-        f = mollifier_net(psi, 0.5, POLY, grid, center=(0.25, -0.125, 0.5))
-        assert discrete_integral(f) == pytest.approx(1.0, abs=1e-3)
-        assert f.values.max() == pytest.approx(0.5**-4 * psi.peak, rel=0.05)
 
 
 class TestConvolve:
@@ -378,10 +363,10 @@ class TestRegularize:
             pot()
 
     def test_center_outside_box_rejected(self):
+        # an off-centre datum must lie in the box it is sampled on
         grid = make_grid(euclidean(1), 1.0, 64)
-        pot = PotentialSpec.dirac_delta(center=(1.5,))
         with pytest.raises(ValueError, match="outside"):
-            regularize_potential(pot, 0.5, POLY, Mollifier(1), grid)
+            bump_field(grid, 0.5, center=(1.5,))
 
     def test_unit_mass_kernel_exact_mass(self):
         grid = make_grid(heisenberg1(), 1.0, 8)

@@ -300,6 +300,12 @@ class TestSpectralLimit:
         with pytest.raises(CapabilityError, match="smaller grid"):
             semigroup_apply(R, 0.1, Field.zeros(grid))
 
+    def test_package_exports_no_copy_of_the_limit(self):
+        # a package-level copy bound at import would not move the cap every call reads
+        import gradedheat
+        assert not hasattr(gradedheat, "SPECTRAL_DOF_LIMIT")
+        assert "SPECTRAL_DOF_LIMIT" not in gradedheat.__all__
+
     def test_large_grid_with_small_blocks(self):
         # 9216 dof, refused by the former whole-grid limit: 96-dof blocks now
         grid = make_grid(euclidean(2), np.pi, 96)
