@@ -7,7 +7,9 @@ field is on SweepConfig, or on SolveOptions for the keys only `gradedheat
 solve` reads.  A key missing from the file is missing from the constructor
 call, so each dataclass default is the only default, and value checks live
 in __post_init__; the parsers only turn tokens into values.  The sign class
-of V (nonneg or real) is derived by PotentialSpec, never declared.
+of V (nonneg or real) is derived by PotentialSpec, never declared.  norm is
+l2 or hnu2, the norms of the paper's energy estimates, and only the existence
+experiment reads it: uniqueness and consistency measure an L2 distance.
 
 canonical_text renders the effective configuration back in a normalised form
 (sorted keys, repr-formatted numbers) whose SHA-256 is the provenance hash
@@ -90,7 +92,8 @@ class SweepConfig:
                 f"perturbation must be one of {_PERTURBATIONS}, got {self.perturbation!r}")
         if not (0 < self.dt <= self.T and math.isfinite(self.T / self.dt)):
             raise ConfigError(f"need 0 < dt <= T, T/dt finite, got dt = {self.dt}, T = {self.T}")
-        parse_norm_token(self.norm)
+        if self.norm not in ("l2", "hnu2"):  # the norms of the paper's energy estimates
+            raise ConfigError(f"norm must be l2|hnu2, got {self.norm!r}")
         with _config_error():
             grid = self.make_grid()
         half_width = min(grid.half_widths)
@@ -142,21 +145,6 @@ class SolveOptions:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
-
-
-def parse_norm_token(token: str):
-    """Return ('l2'|'hnu2'|'linf'|'lp', p or None); raises ConfigError."""
-    if token in ("l2", "hnu2", "linf"):
-        return token, None
-    if token.startswith("lp:"):
-        try:
-            p = float(token[3:])
-        except ValueError:
-            p = math.nan
-        if not 1.0 <= p < math.inf:
-            raise ConfigError(f"lp norm needs a finite p >= 1, got {token!r}")
-        return "lp", p
-    raise ConfigError(f"norm must be l2|hnu2|linf|lp:<p>, got {token!r}")
 
 
 @contextmanager

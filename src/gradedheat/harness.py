@@ -25,11 +25,13 @@ first in net order turns the report into Fail and keeps the records that
 succeeded.  Any other exception is a fault, not a verdict, and propagates.
 After the judge, a record's fitted_flag is set iff the main fit exists and
 its value is positive.  Every state and V norm is norms.lp_norm or a series the
-trajectory recorded; an existence sweep under l2 or hnu2 reads only the series
-and keeps no states.  The per-eps solves are independent and the report is a
-deterministic ordered reduction, so CSV output is byte-identical for any worker
-count.  A passing consistency run reports Moderate carrying the fitted slope of
-the error net (negative; its magnitude is the empirical convergence order).
+trajectory recorded.  Only existence reads the config's norm, l2 or hnu2, and
+only as a series, so it keeps no states; uniqueness and consistency read the
+L2 distance between thinned states, whatever the norm.  The per-eps solves are
+independent and the report is a deterministic ordered reduction, so CSV output
+is byte-identical for any worker count.  A passing consistency run reports
+Moderate carrying the fitted slope of the error net (negative; its magnitude
+is the empirical convergence order).
 
 The pool runs min(cores, number of eps) workers, cores being the CPUs this
 process may run on (its affinity, else os.cpu_count()); a 1-D sweep, whose O(n)
@@ -71,7 +73,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .config import MIN_FIT_POINTS, SweepConfig, config_hash, parse_norm_token
+from .config import MIN_FIT_POINTS, SweepConfig, config_hash
 from .errors import NumericalError
 from .groups import Field
 from .mollify import (
@@ -209,20 +211,6 @@ class SweepReport:
             if key == name:
                 return fit
         raise KeyError(name)
-
-
-def _sup_norm(traj: Trajectory, norm_token: str) -> float:
-    """Sup over recorded times of the configured norm.
-
-    l2 and hnu2 read the per-step series; linf and lp:<p> are evaluated on
-    the stored (thinned) states.
-    """
-    kind, p = parse_norm_token(norm_token)
-    if kind == "l2":
-        return float(np.max(traj.l2))
-    if kind == "hnu2":
-        return float(np.max(traj.h_nu2))
-    return max(lp_norm(s, math.inf if kind == "linf" else p) for s in traj.states)
 
 
 def _l2_state_distance(a: Trajectory, b: Trajectory) -> float:
@@ -372,17 +360,16 @@ def existence_experiment(cfg: SweepConfig) -> SweepReport:
     """Moderateness of the solution net sup_t ||u_eps(t)||.
 
     Each eps regularises the potential (under the V-schedule) and the bump
-    initial datum (under the u0-schedule), integrates by backward Euler and
-    records the sup of the configured norm.  The fit always regresses
+    initial datum (under the u0-schedule), integrates by backward Euler with
+    no stored states and records the sup over every step of the configured
+    norm, l2 or hnu2: the sup_l2 or sup_hnu2 extra.  The fit always regresses
     against the main schedule's omega.  Auxiliary nets (L2 and H^{nu/2}
     sups, ||V_eps||_inf under both schedules, the a-priori majorant
     (1 + ||V_eps||_inf) ||u0_eps||_{H^{nu/2}}) are fitted alongside and
     reported in extra_fits.
     """
-    keep_states = parse_norm_token(cfg.norm)[0] in ("linf", "lp")
-
     def measure(eps, p):
-        traj = step_implicit(p, keep_states=keep_states)
+        traj = step_implicit(p, keep_states=False)
         v_linf = lp_norm(p.V, math.inf)
         u0_h = float(traj.h_nu2[0])
         extras = {
@@ -392,7 +379,7 @@ def existence_experiment(cfg: SweepConfig) -> SweepReport:
             "u0_hnu2": u0_h,
             "majorant": (1.0 + v_linf) * u0_h,
         }
-        return _sup_norm(traj, cfg.norm), extras
+        return extras["sup_" + cfg.norm], extras
 
     def judge(rows):
         fit = fit_exponent([(r.omega, r.norm_sup_t) for r in rows])
@@ -423,8 +410,10 @@ def uniqueness_experiment(cfg: SweepConfig) -> SweepReport:
     Solves the configured problem and its perturbed twin
     V_eps + sigma, u0_eps + sigma * (unit-L2 bump) with
     sigma = e^{-1/eps} (or omega(eps) for the negative control), and applies
-    check_negligible to the net sup_t ||u_eps - u~_eps||_{L2}.  With
-    sigma = 0 the twin is the problem itself and is not solved again.
+    check_negligible to the net sup_t ||u_eps - u~_eps||_{L2}, the sup over
+    the thinned states both trajectories keep.  This is the L2 distance
+    whatever the config's norm says.  With sigma = 0 the twin is the problem
+    itself and is not solved again.
     """
     probe = bump_field(cfg.make_grid(), cfg.u0_width)
     probe = Field(probe.grid, probe.values / lp_norm(probe, 2))
@@ -450,8 +439,10 @@ def consistency_experiment(cfg: SweepConfig) -> SweepReport:
     boundary (the compactly supported continuous surrogate) or a constant.
     The classical reference solves with the unregularised V; each eps then
     solves with V * psi_eps and u0 * psi_eps.  Pass requires the error net
-    e(eps) = sup_t ||u_eps - u||_{L2} to decrease strictly and to end below
-    CONSISTENCY_FLOOR_FACTOR times its first value.
+    e(eps) = sup_t ||u_eps - u||_{L2}, the sup over the thinned states both
+    trajectories keep, to decrease strictly and to end below
+    CONSISTENCY_FLOOR_FACTOR times its first value.  The error is the L2
+    distance whatever the config's norm says.
     """
     def measure_on(problem):
         classical = problem()

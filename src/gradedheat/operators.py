@@ -22,7 +22,8 @@ H1), so a real FFT along that axis splits R into one dense Hermitian
 of the twisted Laplacians.  The blocks are read off the assembled matrix
 and checked against it on a fixed probe; an operator that varies along the
 last axis is refused with ``CapabilityError``, and so are blocks above
-``SPECTRAL_DOF_LIMIT`` dof, before any block is built.
+``SPECTRAL_DOF_LIMIT`` dof and a block set that, with its inverse or
+eigenvectors, exceeds the physical memory, before any block is built.
 
 * ``eigensystem`` diagonalises the blocks in one batched ``eigh``, computed
   lazily and cached on the operator.  Tiny negative eigenvalues (within
@@ -52,6 +53,7 @@ last axis is refused with ``CapabilityError``, and so are blocks above
 from __future__ import annotations
 
 import math
+import os
 import threading
 
 import numpy as np
@@ -79,6 +81,15 @@ SPECTRAL_DOF_LIMIT = 6000
 _EIG_CLAMP_REL = 1e-10
 # bytes of one chunk of green_rows, and of the table an H1 chunk is read from
 _GREEN_CHUNK_BYTES = 1 << 20
+
+
+def _physical_memory() -> int | None:
+    """The bytes of physical memory, or None where the platform does not report them."""
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return memory if memory > 0 else None
 
 
 class DiscreteRockland:
@@ -241,15 +252,25 @@ class DiscreteRockland:
     def _checked_blocks(self) -> np.ndarray:
         """The central-frequency blocks of R, verified against R on a probe.
 
-        Blocks larger than ``SPECTRAL_DOF_LIMIT`` (read at call time) are
-        refused with ``CapabilityError`` before any block is built.
+        Blocks larger than ``SPECTRAL_DOF_LIMIT`` (read at call time), and
+        a block set that with its inverse or eigenvectors exceeds the
+        physical memory, are refused with ``CapabilityError`` before any
+        block is built.
         """
-        block = self.grid.size // self.grid.points[-1]
+        n_c = self.grid.points[-1]
+        block = self.grid.size // n_c
         if block > SPECTRAL_DOF_LIMIT:
             raise CapabilityError(
                 f"dense central-frequency blocks of {block} dof exceed the limit of "
                 f"{SPECTRAL_DOF_LIMIT}; use a smaller grid")
-        blocks = _central_blocks(self.matrix, self.grid.points[-1])
+        need = 2 * (n_c // 2 + 1) * block**2 * 16  # complex128
+        memory = _physical_memory()
+        if memory is not None and need > memory:
+            raise CapabilityError(
+                f"{n_c // 2 + 1} dense central-frequency blocks of {block} dof and their "
+                f"inverse or eigenvectors need {need} bytes, more than the {memory} bytes "
+                f"of physical memory; use a smaller grid")
+        blocks = _central_blocks(self.matrix, n_c)
         self._check_invariance(
             lambda x: _apply_central_blocks(blocks, x.reshape(blocks.shape[1], -1)),
             "along the last grid axis; it has no central-frequency block form")

@@ -54,7 +54,6 @@ the states: at each stored state and each block of norms.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,12 +228,9 @@ class _Recorder:
 
 def _check_series_fit(steps: int):
     """Refuse a step count whose norm series alone exceed the physical memory."""
-    try:
-        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return  # the platform does not report it
+    memory = operators._physical_memory()
     series_bytes = 32 * (steps + 1)  # times, l2, sobolev_nu2 and energy
-    if 0 < memory < series_bytes:
+    if memory is not None and memory < series_bytes:
         raise CapabilityError(
             f"{steps} steps need {series_bytes} bytes of norm series, more than the "
             f"{memory} bytes of physical memory; lengthen dt or shorten T")

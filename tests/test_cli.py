@@ -385,8 +385,15 @@ class TestConfigErrors:
         pytest.param("solve", "T", "T = 1e308", "T/dt finite", id="solve-step-count-overflows"),
         pytest.param("sweep", "k_max", "k_max = 0", "k_max must be a positive",
                      id="k_max-zero"),
-        pytest.param("sweep", "norm", "norm = lp:0.5", "p >= 1", id="lp-below-one"),
-        pytest.param("sweep", "norm", "norm = l3", "norm must be", id="norm-token"),
+        # the retired norms, whose sups read only the thinned states
+        pytest.param("sweep", "norm", "norm = linf", "norm must be l2|hnu2, got 'linf'",
+                     id="retired-linf"),
+        pytest.param("sweep", "norm", "norm = lp:3", "norm must be l2|hnu2, got 'lp:3'",
+                     id="retired-lp"),
+        pytest.param("sweep", "norm", "norm = lp:0.5", "norm must be l2|hnu2, got 'lp:0.5'",
+                     id="lp-below-one"),
+        pytest.param("sweep", "norm", "norm = l3", "norm must be l2|hnu2, got 'l3'",
+                     id="norm-token"),
         pytest.param("sweep", "potential", "potential = gaussian", "potential must be",
                      id="potential-token"),
         pytest.param("sweep", "potential", "potential = sampled:", "needs a path",

@@ -300,6 +300,35 @@ class TestSpectralLimit:
         with pytest.raises(CapabilityError, match="smaller grid"):
             semigroup_apply(R, 0.1, Field.zeros(grid))
 
+    @pytest.mark.parametrize("call", ["eigensystem", "resolvent"])
+    def test_blocks_beyond_physical_memory_refused(self, monkeypatch, call):
+        # 5 blocks of 64 dof and their inverse or eigenvectors: 2 * 5 * 64^2 complex128
+        R = build_rockland(make_grid(heisenberg1(), 1.5, 8))
+        run = R.eigensystem if call == "eigensystem" else lambda: R.resolvent(0.1, np.zeros(512))
+        with monkeypatch.context() as m:
+            m.setattr(operators, "_physical_memory", lambda: 655360 - 1)
+            m.setattr(operators, "_central_blocks", lambda *args: pytest.fail(
+                "blocks were built before their memory was checked"))
+            with pytest.raises(CapabilityError, match=r"^5 dense central-frequency blocks of "
+                               r"64 dof and their inverse or eigenvectors need 655360 bytes"):
+                run()
+        monkeypatch.setattr(operators, "_physical_memory", lambda: 655360)
+        run()  # a block set that just fits is built
+
+    # on 8.2 GB the block limit alone admits 257 H1 blocks of 4096^2 (69 GB) and 33 on R^3
+    # (8.9 GB); an identity stands in for the H1 operator, whose blocks are never read
+    @pytest.mark.parametrize("grid, matrix, need", [
+        (make_grid(heisenberg1(), 1.5, (64, 64, 512)), "identity", 2 * 257 * 4096**2 * 16),
+        (make_grid(euclidean(3), 1.0, 64), "laplacian", 2 * 33 * 4096**2 * 16),
+    ], ids=["heisenberg1-64x64x512", "euclidean3-64^3"])
+    def test_large_block_sets_refused(self, no_blocks, monkeypatch, grid, matrix, need):
+        monkeypatch.setattr(operators, "_physical_memory", lambda: 8_200_000_000)
+        R = (DiscreteRockland(grid, sp.identity(grid.size, format="csr"), "identity")
+             if matrix == "identity" else build_euclidean_laplacian(grid))
+        with pytest.raises(CapabilityError, match=f"need {need} bytes, more than the "
+                           "8200000000 bytes of physical memory"):
+            R.eigensystem()
+
     def test_package_exports_no_copy_of_the_limit(self):
         # a package-level copy bound at import would not move the cap every call reads
         import gradedheat
