@@ -521,12 +521,15 @@ def _pool_text(workers: int, blas_threads: int | None) -> str:
 
 def _manifest_text(report: SweepReport) -> str:
     fit = report.fit
+    config = report.config
+    # only existence reads the norm; the other nets are L2 distances and errors
+    norm = [f"norm: {config.norm}"] if config.experiment == "existence" else []
     lines = [
-        f"config_hash: {config_hash(report.config)}",
+        f"config_hash: {config_hash(config)}",
         f"version: {__version__}",
-        f"experiment: {report.config.experiment}",
-        f"schedule: {report.config.schedule}",
-        f"norm: {report.config.norm}",
+        f"experiment: {config.experiment}",
+        f"schedule: {config.schedule}",
+        *norm,
         f"records: {len(report.records)}",
         f"wall_clock_seconds: {report.wall_clock:.3f}",
         f"pool: {_pool_text(report.workers, report.blas_threads)}",

@@ -23,7 +23,8 @@ of the twisted Laplacians.  The blocks are read off the assembled matrix
 and checked against it on a fixed probe; an operator that varies along the
 last axis is refused with ``CapabilityError``, and so are blocks above
 ``SPECTRAL_DOF_LIMIT`` dof and a block set that, with its inverse or
-eigenvectors, exceeds the physical memory, before any block is built.
+eigenvectors and the blocks the operator already caches, exceeds the
+physical memory, before any block is built.
 
 * ``eigensystem`` diagonalises the blocks in one batched ``eigh``, computed
   lazily and cached on the operator.  Tiny negative eigenvalues (within
@@ -35,7 +36,8 @@ eigenvectors, exceeds the physical memory, before any block is built.
   H1 it inverts the blocks of I + dt R.  On R^d the Laplacian is invariant
   under every grid translation, so the resolvent is the Fourier multiplier
   1/(1 + dt lambda), lambda the real FFT of R's row at the origin, applied by
-  one rfftn / multiply / irfftn.  ``resolvent_flops`` states the flops of
+  one rfft, the complex passes in place, a multiply and one irfft, with the
+  bits of rfftn / multiply / irfftn.  ``resolvent_flops`` states the flops of
   one apply.  The backward-Euler stepper uses the resolvent as its CG
   preconditioner on every grid of dimension two or more, and as the
   (I + dt R)^{-1} of its Woodbury step.
@@ -161,8 +163,9 @@ class DiscreteRockland:
     def resolvent(self, dt: float, values) -> np.ndarray:
         """(I + dt R)^{-1} applied to grid values; returns a flat array.
 
-        On R^d one rfftn, one multiply and one irfftn; on H1 one real FFT
-        along the last axis, one batched block product and one inverse FFT.
+        On R^d the bits of one rfftn, one multiply and one irfftn
+        (``_apply_multiplier``); on H1 one real FFT along the last axis, one
+        batched block product and one inverse FFT.
         The multiplier or the inverted blocks are built on the first call
         for each dt and cached; concurrent callers share them.  H1 blocks
         larger than ``SPECTRAL_DOF_LIMIT`` are refused (``_checked_blocks``).
@@ -253,9 +256,9 @@ class DiscreteRockland:
         """The central-frequency blocks of R, verified against R on a probe.
 
         Blocks larger than ``SPECTRAL_DOF_LIMIT`` (read at call time), and
-        a block set that with its inverse or eigenvectors exceeds the
-        physical memory, are refused with ``CapabilityError`` before any
-        block is built.
+        a block set that with its inverse or eigenvectors and the blocks the
+        operator already caches exceeds the physical memory, are refused
+        with ``CapabilityError`` before any block is built.
         """
         n_c = self.grid.points[-1]
         block = self.grid.size // n_c
@@ -263,13 +266,18 @@ class DiscreteRockland:
             raise CapabilityError(
                 f"dense central-frequency blocks of {block} dof exceed the limit of "
                 f"{SPECTRAL_DOF_LIMIT}; use a smaller grid")
-        need = 2 * (n_c // 2 + 1) * block**2 * 16  # complex128
+        # the operator keeps its eigensystem and each dt's inverse blocks
+        cached = sum(inverse.nbytes for inverse in self._resolvents.values())
+        if self._eigensystem is not None:
+            cached += sum(part.nbytes for part in self._eigensystem)
+        need = 2 * (n_c // 2 + 1) * block**2 * 16 + cached  # complex128
         memory = _physical_memory()
         if memory is not None and need > memory:
+            held = f" with the {cached} bytes this operator caches" if cached else ""
             raise CapabilityError(
                 f"{n_c // 2 + 1} dense central-frequency blocks of {block} dof and their "
-                f"inverse or eigenvectors need {need} bytes, more than the {memory} bytes "
-                f"of physical memory; use a smaller grid")
+                f"inverse or eigenvectors need {need} bytes{held}, more than the {memory} "
+                f"bytes of physical memory; use a smaller grid")
         blocks = _central_blocks(self.matrix, n_c)
         self._check_invariance(
             lambda x: _apply_central_blocks(blocks, x.reshape(blocks.shape[1], -1)),
@@ -327,11 +335,21 @@ def _apply_central_blocks(blocks: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _apply_multiplier(multiplier: np.ndarray, values, shape: tuple[int, ...]) -> np.ndarray:
-    """Apply a real Fourier multiplier on the rfftn grid to values of ``shape``."""
-    axes = range(len(shape))
-    spectrum = np.fft.rfftn(np.reshape(values, shape), axes=axes)
+    """Apply a real Fourier multiplier on the rfftn grid to values of ``shape``.
+
+    One complex array carries the spectrum through every pass: rfft along
+    the last axis, then the complex passes in place, in the order of
+    np.fft.rfftn (axes d-2 .. 0) and np.fft.irfftn (axes 0 .. d-2), so the
+    bits equal those of rfftn / multiply / irfftn.
+    """
+    spectrum = np.fft.rfft(np.reshape(values, shape), axis=-1)
+    inner = range(len(shape) - 1)
+    for axis in reversed(inner):
+        np.fft.fft(spectrum, axis=axis, out=spectrum)
     spectrum *= multiplier
-    return np.fft.irfftn(spectrum, s=shape, axes=axes).ravel()
+    for axis in inner:
+        np.fft.ifft(spectrum, axis=axis, out=spectrum)
+    return np.fft.irfft(spectrum, n=shape[-1], axis=-1).ravel()
 
 
 def _shift(n: int):

@@ -35,15 +35,24 @@ shrink onto such supports as eps falls.  The cost model picks this route
 iff its factor, s^3/3 flops, costs no more than one resolvent apply per
 step: s^3 <= WOODBURY_FLOPS_RATIO * steps * F, with F the operator's
 ``resolvent_flops`` (5 N log2 N on R^d, 8 (n_c/2 + 1) m^2 on H1).  CG
-spends 6-10 applies per step on these problems, so the factor is repaid
-well within the run.  A second clause, s <= WOODBURY_MAX_CELLS, keeps the
+spent 6-10 applies per step on these problems when the ratio was chosen and
+spends about 4-5 from its Galerkin start, so the factor is still repaid
+within the run.  A second clause, s <= WOODBURY_MAX_CELLS, keeps the
 packed factor (4 s^2 bytes) under 256 MiB and its bits independent of the
 BLAS thread count (see _woodbury_solver).
 
 Every other problem (a sign-changing V, a larger support) is solved by
 conjugate gradients preconditioned with M^{-1}; the preconditioned
 condition number is at most (1 + dt max V^+)/(1 - dt max V^-), which also
-sizes the iteration cap.
+sizes the iteration cap.  Each step solves the same system for the last
+state, so CG starts from the Galerkin projection of the solution onto the
+span of the last _CG_WINDOW states (the projection start for successive
+right-hand sides), read off their inner products with no resolvent apply.
+Since the resolvent is M^{-1} exactly, M d is carried by recurrence, and an
+iteration costs one resolvent apply and no sparse product; one sparse
+product at exit checks the true residual b - A x, which a resolvent that is
+not M^{-1} fails (see _cg_solver).  The window keeps _CG_WINDOW + 1 states
+of each CG problem alive, 16.8 MB per state on a 64 x 64 x 512 grid.
 
 scipy.linalg.lapack is imported on the first 1-D or Woodbury solve, not
 with the package.  A state whose norms leave float64 range is reported as a
@@ -72,6 +81,11 @@ WOODBURY_FLOPS_RATIO = 3
 WOODBURY_MAX_CELLS = 8192
 STATE_THIN_TARGET = 64
 RECORD_BLOCK_BYTES = 1 << 18
+# CG starts from the Galerkin projection onto this many last states.  Resolvent
+# applies per step on the CG eps of e2_existence (1/2, 1/4) and h1_existence
+# (0.25): 4.12, 4.81, 5.25 with 3 states; 3.81, 4.28, 5.19 with 4; 3.59, 4.19,
+# 4.62 with 5; 3.44, 4.16, 4.62 with 6 and 3.44, 4.28, 4.62 with 8
+_CG_WINDOW = 5
 
 
 @dataclass(frozen=True)
@@ -400,53 +414,147 @@ def _woodbury_solver(p: CauchyProblem, dt: float, v_flat: np.ndarray):
     return solve
 
 
-def _cg_solver(p: CauchyProblem, dt: float, v_flat: np.ndarray, v_minus: float):
-    """CG on I + dt(R + V), preconditioned with M = I + dt R.
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The inner product by a reduction that calls no BLAS, so its bits do not
+    depend on the BLAS thread count."""
+    return float(np.einsum("i,i->", a, b))
 
-    M^{-1}(I + dt(R + V)) = I + dt M^{-1} V has its spectrum in
+
+def _cg_solver(p: CauchyProblem, dt: float, v_flat: np.ndarray, v_minus: float):
+    """CG on A = I + dt(R + V), preconditioned with M = I + dt R.
+
+    M^{-1} A = I + dt M^{-1} V has its spectrum in
     [1 - dt max V^-, 1 + dt max V^+] because M >= I, so kappa is at most
-    their ratio.  From x0 = 0 the residual then obeys
-    |r_k| / |b| <= 2 sqrt(kappa |M|) ((sqrt(kappa) - 1)/(sqrt(kappa) + 1))^k,
-    with |M| bounded by its largest absolute row sum (Gershgorin).  The cap
-    is the k that guarantees CG_TOL in exact arithmetic, using
-    log(1/rho) >= 2/sqrt(kappa).  Inner products use np.sum, as _Recorder
-    does, so trajectories are bit-stable across thread counts.
+    their ratio.  The A-norm error then obeys
+    |e_k|_A <= 2 rho^k |e_0|_A, rho = (sqrt(kappa) - 1)/(sqrt(kappa) + 1),
+    and from |e_0|_A <= |x*|_A the residual obeys
+    |r_k| / |b| <= 2 sqrt(kappa |M|) rho^k, with |M| bounded by its largest
+    absolute row sum (Gershgorin).  The cap is the k that guarantees CG_TOL
+    in exact arithmetic, using log(1/rho) >= 2/sqrt(kappa).
+
+    Start.  The step's right-hand side is the last state, and the stored
+    states satisfy A u^{j+1} = u^j (to CG_TOL), so CG starts from the
+    A-orthogonal projection x0 of x* = A^{-1} b onto the span of the last
+    _CG_WINDOW states.  Its K x K Galerkin system is read off the inner
+    products of the K + 1 stored states, with no resolvent apply, and is
+    solved by lstsq; r0 = b - A x0 is one sparse product.  Since 0 lies in
+    the span, |x* - x0|_A <= |x*|_A, so the cap's bound still holds.  The
+    window keeps K + 1 states alive per CG problem (16.8 MB per state on a
+    64 x 64 x 512 grid); it holds the returned states themselves, which are
+    never written to, as the recorder keeps views of them.
+
+    Iteration.  The resolvent applies M^{-1} exactly, so with z_k = M^{-1} r_k
+    and d_k = z_k + beta_k d_{k-1}, M d_k = r_k + beta_k M d_{k-1}: the
+    product A d = M d + dt V d needs no sparse product, and V is applied on
+    its support only.  One resolvent apply per iteration is the whole cost.
+
+    Exit check.  The recurrence is exact only when the resolvent is.  Once
+    the recursive residual meets CG_TOL, b - A x is evaluated once with one
+    sparse product; if it exceeds
+    CG_TOL |b| + gamma_w (|M|_inf + dt max|V|) |x|, the rounding bound of
+    that product (gamma_w = w u / (1 - w u), w the nonzeros in a row of R
+    plus the three other terms of a row of b - A x), CG goes on from that
+    residual within the same cap.  So a resolvent that is not M^{-1} ends in
+    ConvergenceError, never in a wrong state.  Inner products use _dot, as
+    the recorder's norms use np.sum, so trajectories are bit-stable across
+    thread counts.
     """
     op = p.op
     mat = op.matrix
-    dt_v = dt * v_flat
+    support = np.flatnonzero(v_flat)
+    dt_v = dt * v_flat[support]
     kappa = (1.0 + dt * max(float(v_flat.max()), 0.0)) / (1.0 - dt * v_minus)
     m_norm = 1.0 + dt * float(abs(mat).sum(axis=1).max())
     cap = math.ceil(0.5 * math.sqrt(kappa)
                     * math.log(2.0 * math.sqrt(kappa * m_norm) / CG_TOL))
+    w = int(np.diff(mat.indptr).max()) + 3
+    unit = np.finfo(float).eps / 2.0
+    slack = w * unit / (1.0 - w * unit) * (m_norm + dt * float(np.abs(v_flat).max()))
+    # the last states, each the right-hand side of the next, with their Gram matrix
+    states: list[np.ndarray] = []
+    gram = np.empty((_CG_WINDOW + 1, _CG_WINDOW + 1))
+    r, d, md, q, work = (np.empty(v_flat.size) for _ in range(5))
+
+    def residual(b: np.ndarray, x: np.ndarray) -> float:
+        """r = b - A x by one sparse product; returns |r|."""
+        np.multiply(mat @ x, dt, out=r)
+        np.add(r, x, out=r)
+        r[support] += dt_v * x[support]
+        np.subtract(b, r, out=r)
+        return math.sqrt(_dot(r, r))
+
+    def start(b: np.ndarray) -> np.ndarray:
+        """x0, the Galerkin start, with r = b - A x0."""
+        if not states or states[-1] is not b:
+            states[:] = [b]
+            gram[0, 0] = _dot(b, b)
+        m = len(states) - 1  # basis states[1:], their images states[:-1]
+        if m == 0:
+            np.copyto(r, b)
+            return np.zeros_like(b)
+        c = np.linalg.lstsq(gram[1:m + 1, :m], gram[1:m + 1, m], rcond=None)[0]
+        x = states[1] * c[0]
+        for ci, state in zip(c[1:], states[2:]):
+            np.multiply(state, ci, out=work)
+            x += work
+        residual(b, x)
+        return x
+
+    def keep(x: np.ndarray) -> np.ndarray:
+        if len(states) > _CG_WINDOW:
+            del states[0]
+            gram[:_CG_WINDOW, :_CG_WINDOW] = gram[1:, 1:].copy()
+        states.append(x)
+        last = len(states) - 1
+        for i, state in enumerate(states):
+            gram[last, i] = gram[i, last] = _dot(x, state)
+        return x
 
     def solve(b: np.ndarray, k: int) -> np.ndarray:
-        x = np.zeros_like(b)
-        b_norm = math.sqrt(float(np.sum(b * b)))
+        b_norm = math.sqrt(_dot(b, b))
         if b_norm == 0.0:
-            return x
+            return np.zeros_like(b)
         if not math.isfinite(b_norm):
             # u left float64 range: pass that on for the recorder to report
             return np.full_like(b, np.nan)
-        r = b.copy()
-        z = op.resolvent(dt, r)
-        d = z
-        rz = float(np.sum(r * z))
+        x = start(b)
+        tol = CG_TOL * b_norm
+        r_norm = math.sqrt(_dot(r, r))
+        if r_norm <= tol:
+            return keep(x)
+        fresh = True
         for _ in range(cap):
-            q = d + dt * (mat @ d) + dt_v * d
-            alpha = rz / float(np.sum(d * q))
-            x += alpha * d
-            r -= alpha * q
-            residual = math.sqrt(float(np.sum(r * r))) / b_norm
-            if residual <= CG_TOL:
-                return x
+            if fresh:
+                z = op.resolvent(dt, r)
+                np.copyto(d, z)
+                np.copyto(md, r)
+                rz = _dot(r, z)
+                fresh = False
+            np.copyto(q, md)
+            q[support] += dt_v * d[support]
+            alpha = rz / _dot(d, q)
+            np.multiply(d, alpha, out=work)
+            x += work
+            np.multiply(q, alpha, out=work)
+            np.subtract(r, work, out=r)
+            r_norm = math.sqrt(_dot(r, r))
+            if r_norm <= tol:
+                r_norm = residual(b, x)
+                if r_norm <= tol + slack * math.sqrt(_dot(x, x)):
+                    return keep(x)
+                fresh = True
+                continue
             z = op.resolvent(dt, r)
-            rz_next = float(np.sum(r * z))
-            d = z + (rz_next / rz) * d
+            rz_next = _dot(r, z)
+            beta = rz_next / rz
+            np.multiply(d, beta, out=d)
+            np.add(d, z, out=d)
+            np.multiply(md, beta, out=md)
+            np.add(md, r, out=md)
             rz = rz_next
         raise ConvergenceError(
             f"preconditioned CG stalled at step {k} of {p.steps}: relative residual "
-            f"{residual:.3e} > {CG_TOL:g} after {cap} iterations")
+            f"{r_norm / b_norm:.3e} > {CG_TOL:g} after {cap} iterations")
 
     return solve
 

@@ -968,6 +968,32 @@ class TestWoodburyFactorDeterminism:
         assert len(digests) == 1
 
 
+class TestCgStepDeterminism:
+    # the CG step's inner products, Galerkin start and exit check call no
+    # threaded BLAS, so a CG eps has one series on the calling thread and in
+    # a pool whose BLAS is capped
+    def test_series_equal_on_the_calling_thread_and_in_a_pool(self, monkeypatch):
+        calls, solver = [], solve_module._cg_solver
+        monkeypatch.setattr(solve_module, "_cg_solver",
+                            lambda *args: calls.append(args) or solver(*args))
+        repulsive = make_config(group=euclidean(2), half_width=2.0, points=(64, 64),
+                                T=0.25, epsilons=EpsilonNet((0.5, 0.45, 0.4, 0.35)))
+        attractive = make_config(group=euclidean(2), half_width=2.0, points=(48, 48),
+                                 potential=PotentialSpec.dirac_delta(multiplier=-5.0),
+                                 norm="l2", T=0.25, epsilons=EpsilonNet((0.5, 0.35, 0.25, 0.18)))
+        problems = [harness.problem_builder(cfg)(0.5) for cfg in (repulsive, attractive)]
+
+        def series(p):
+            traj = solve_module.step_implicit(p, keep_states=False)
+            return traj.l2.tobytes() + traj.sobolev_nu2.tobytes()
+
+        alone = [series(p) for p in problems]
+        with harness._capped_pool(2, harness._cores()) as (mapper, _):
+            pooled = list(mapper(series, problems))
+        assert len(calls) == 4
+        assert pooled == alone
+
+
 class TestPersistReport:
     def test_empty_report_writes_its_fail_verdict(self, tmp_path):
         # a sweep whose every eps failed still replaces the files of the last run
@@ -1017,6 +1043,15 @@ class TestPersistReport:
         assert report.extra_fit("sup_l2") == FitResult(0.1, 0.01)
         with pytest.raises(KeyError, match="majorant"):
             report.extra_fit("majorant")
+
+    def test_only_an_existence_manifest_names_its_norm(self, tmp_path):
+        # uniqueness and consistency nets are L2 distances and errors, whatever the norm
+        unique = uniqueness_experiment(make_config(experiment="uniqueness", perturbation="none"))
+        manifest = persist_report(unique, tmp_path / "uniqueness")[1].read_text()
+        assert "experiment: uniqueness\n" in manifest and "\nnorm:" not in manifest
+        exists = SweepReport(config=make_config(), records=(), fit=None,
+                             verdict=Verdict("Fail", reason="nothing ran"))
+        assert "\nnorm: hnu2\n" in persist_report(exists, tmp_path / "existence")[1].read_text()
 
     def test_manifest_carries_extra_fits(self, tmp_path):
         rep = consistency_experiment(bump_potential_config())

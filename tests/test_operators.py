@@ -315,6 +315,27 @@ class TestSpectralLimit:
         monkeypatch.setattr(operators, "_physical_memory", lambda: 655360)
         run()  # a block set that just fits is built
 
+    @pytest.mark.parametrize("first, second", [("eigensystem", "resolvent"),
+                                               ("resolvent", "eigensystem")])
+    def test_cached_blocks_count_against_physical_memory(self, monkeypatch, first, second):
+        # one set of 5 blocks of 64 dof is 327680 bytes; a build needs two
+        # sets, and the operator keeps one of them (the eigenvectors, with
+        # 2560 bytes of eigenvalues, or the inverse), so a second build
+        # needs more than 3 sets where 2.5 are at hand
+        R = build_rockland(make_grid(heisenberg1(), 1.5, 8))
+        block_set = 5 * 64**2 * 16
+        calls = {"eigensystem": R.eigensystem,
+                 "resolvent": lambda: R.resolvent(0.1, np.zeros(R.grid.size))}
+        monkeypatch.setattr(operators, "_physical_memory", lambda: 5 * block_set // 2)
+        calls[first]()
+        cached = block_set + (5 * 64 * 8 if first == "eigensystem" else 0)
+        monkeypatch.setattr(operators, "_central_blocks", lambda *args: pytest.fail(
+            "blocks were built before their memory was checked"))
+        with pytest.raises(CapabilityError, match=f"need {2 * block_set + cached} bytes with "
+                           f"the {cached} bytes this operator caches, more than the "
+                           f"{5 * block_set // 2} bytes"):
+            calls[second]()
+
     # on 8.2 GB the block limit alone admits 257 H1 blocks of 4096^2 (69 GB) and 33 on R^3
     # (8.9 GB); an identity stands in for the H1 operator, whose blocks are never read
     @pytest.mark.parametrize("grid, matrix, need", [
@@ -442,6 +463,19 @@ class TestResolvent:
     def test_nonpositive_step_rejected(self, sub8):
         with pytest.raises(ValueError):
             sub8.resolvent(0.0, np.ones(sub8.grid.size))
+
+    @pytest.mark.parametrize("shape", [(256,), (40, 24), (16, 16, 16), (12, 10, 8)],
+                             ids=["256", "40x24", "16^3", "12x10x8"])
+    def test_multiplier_has_the_bits_of_rfftn(self, shape):
+        # the in-place passes run in numpy's own axis order; any other order
+        # changes the bits on R^3
+        rng = np.random.default_rng(8)
+        values = rng.standard_normal(shape)
+        multiplier = rng.standard_normal(shape[:-1] + (shape[-1] // 2 + 1,))
+        axes = range(len(shape))
+        want = np.fft.irfftn(np.fft.rfftn(values, axes=axes) * multiplier, s=shape, axes=axes)
+        got = operators._apply_multiplier(multiplier, values.ravel(), shape)
+        np.testing.assert_array_equal(got, want.ravel())
 
 
 class TestGreenRows:

@@ -307,6 +307,61 @@ class TestEuclidean2Stepper:
         np.testing.assert_array_equal(step_implicit(p).final.values, 0.0)
 
 
+class TestCgStep:
+    # CG starts from the Galerkin projection onto the last states and tracks
+    # M d by a recurrence that only the exact resolvent M^{-1} makes exact
+    @pytest.fixture
+    def cg_calls(self, monkeypatch):
+        calls, solver = [], solve_module._cg_solver
+        monkeypatch.setattr(solve_module, "_cg_solver",
+                            lambda *args: calls.append(args) or solver(*args))
+        return calls
+
+    @pytest.mark.parametrize("group, half_width, points, schedule, radius, eps, dt", [
+        (euclidean(2), 2.0, 64, OmegaSchedule.polynomial(), 1.5, 0.5, 1.0 / 64),
+        (heisenberg1(), 1.5, (8, 8, 16), OmegaSchedule.logarithmic(1), 2.0, 0.25, 1.0 / 32),
+    ], ids=["r2", "h1"])
+    def test_galerkin_start_saves_resolvent_applies(
+            self, monkeypatch, cg_calls, group, half_width, points, schedule, radius, eps, dt):
+        # from a zero start both took 6.0 applies per step; from the window
+        # 4.44 (R^2, s = 437) and 4.31 (H1, s = 343)
+        op = build_rockland(make_grid(group, half_width, points))
+        g = op.grid
+        V = regularize_potential(PotentialSpec.dirac_delta(), eps, schedule,
+                                 Mollifier(g.dim, radius), g)
+        p = CauchyProblem(op, V, bump_field(g, 1.0), T=16 * dt, dt=dt)
+        applies, resolvent = [], op.resolvent
+        monkeypatch.setattr(op, "resolvent",
+                            lambda dt, values: applies.append(1) or resolvent(dt, values))
+        step_implicit(p, keep_states=False)
+        assert len(cg_calls) == 1
+        assert len(applies) / p.steps <= 5.0
+
+    @pytest.mark.parametrize("scale", [0.5, 2.0])
+    def test_inexact_resolvent_never_returns_a_wrong_state(self, monkeypatch, cg_calls, scale):
+        # the recurrence for M d is off when the resolvent is; the exit
+        # check's true residual then refuses the state
+        op = build_rockland(make_grid(euclidean(2), 2.0, (40, 24)))
+        g = op.grid
+        raw = Field.from_function(g, lambda x, y: np.cos(2.0 * x) * np.exp(-y * y)
+                                  + 0.5 * np.sin(np.pi * y / 2.0))
+        dt = 1.0 / 32
+        V = raw * (0.5 / (dt * float(-raw.values.min())))
+        p = CauchyProblem(op, V, bump_field(g, 1.0), T=0.25, dt=dt)
+        exact = step_implicit(p)
+        resolvent = op.resolvent
+        monkeypatch.setattr(op, "resolvent", lambda dt, values: scale * resolvent(dt, values))
+        try:
+            scaled = step_implicit(p)
+        except ConvergenceError:
+            scaled = None
+        assert len(cg_calls) == 2
+        if scaled is not None:
+            for name in ("l2", "sobolev_nu2"):
+                np.testing.assert_allclose(getattr(scaled, name), getattr(exact, name),
+                                           rtol=1e-12, atol=0.0, err_msg=name)
+
+
 @pytest.fixture
 def woodbury_calls(monkeypatch):
     """The arguments of each _woodbury_solver call that step_implicit makes."""
