@@ -26,8 +26,12 @@ succeeded.  Any other exception is a fault, not a verdict, and propagates.
 After the judge, a record's fitted_flag is set iff the main fit exists and
 its value is positive.  Every state and V norm is norms.lp_norm or a series the
 trajectory recorded.  Only existence reads the config's norm, l2 or hnu2, and
-only as a series, so it keeps no states; uniqueness and consistency read the
-L2 distance between thinned states, whatever the norm.  The per-eps solves are
+only as a series, so it solves with keep_states=False and keeps no states;
+uniqueness and consistency read the L2 distance between thinned states,
+whatever the norm, so their solves (base, twin, reference and each eps) use
+series=False and record no series.  A state that leaves float64 range in
+those solves fails the eps with a CapabilityError naming the first kept step
+at or after it (solve._integrate).  The per-eps solves are
 independent and the report is a deterministic ordered reduction, so CSV output
 is byte-identical for any worker count.  A passing consistency run reports
 Moderate carrying the fitted slope of the error net (negative; its magnitude
@@ -420,9 +424,9 @@ def uniqueness_experiment(cfg: SweepConfig) -> SweepReport:
 
     def measure(eps, p):
         sigma = _perturbation_size(cfg, eps)
-        base = step_implicit(p)
+        base = step_implicit(p, series=False)
         tilde = base if sigma == 0.0 else step_implicit(
-            replace(p, V=p.V + sigma, u0=p.u0 + sigma * probe))
+            replace(p, V=p.V + sigma, u0=p.u0 + sigma * probe), series=False)
         return _l2_state_distance(base, tilde), {}
 
     def judge(rows):
@@ -446,11 +450,12 @@ def consistency_experiment(cfg: SweepConfig) -> SweepReport:
     """
     def measure_on(problem):
         classical = problem()
-        reference = step_implicit(classical)
+        reference = step_implicit(classical, series=False)
 
         def measure(eps, p):
             v_err = lp_norm(p.V - classical.V, math.inf)
-            return _l2_state_distance(step_implicit(p), reference), {"v_error_linf": v_err}
+            distance = _l2_state_distance(step_implicit(p, series=False), reference)
+            return distance, {"v_error_linf": v_err}
         return measure
 
     def judge(rows):

@@ -4,14 +4,21 @@ Three routes to the same trajectory: a backward-Euler stepper (the
 workhorse), a trapezoid-rule Duhamel stepper that applies e^{-dt R} through
 ``operators.spectral_map``, and a dense eigendecomposition oracle for
 cross-checks on small grids.  Each one only builds its step map
-u^k = advance(u^{k-1}, k); one loop runs it and records L2, homogeneous
-order-nu/2 Sobolev and (for nonnegative V) energy series at every step,
-through one recorder that buffers the states and reduces them a block at a
-time (at most RECORD_BLOCK_BYTES of states per block).  The block sums are
-row-wise reductions of C-contiguous arrays, so each value is bit-equal to
-the one-state-at-a-time reduction.  A step count whose series alone exceed
-the physical memory is refused as a CapabilityError before any of them is
-allocated.
+u^k = advance(u^{k-1}, k); one loop runs it and, by default, records L2,
+homogeneous order-nu/2 Sobolev and (for nonnegative V) energy series at
+every step, through one recorder that buffers the states and reduces them a
+block at a time (at most RECORD_BLOCK_BYTES of states per block), and keeps
+about STATE_THIN_TARGET thinned states.  The block sums are row-wise
+reductions of C-contiguous arrays, so each value is bit-equal to the
+one-state-at-a-time reduction.  Callers of backward Euler ask for what they
+read: an existence sweep for the series only (keep_states=False), a
+uniqueness or consistency sweep, which reads the L2 distance between
+thinned states, for the states only (series=False), which skips the
+recorder: no state is copied and no norm is reduced but one sum(u*u) per
+kept state.  `gradedheat solve`, the demos and the Duhamel and oracle
+routes record both.  A step count whose series alone exceed the physical
+memory is refused as a CapabilityError before any of them is allocated,
+with or without series.
 
 Backward Euler solves I + dt(R + V) once per step, by one of three routes
 chosen from the problem alone.  On R that system is periodic tridiagonal,
@@ -57,7 +64,10 @@ of each CG problem alive, 16.8 MB per state on a 64 x 64 x 512 grid.
 scipy.linalg.lapack is imported on the first 1-D or Woodbury solve, not
 with the package.  A state whose norms leave float64 range is reported as a
 CapabilityError naming the step, found where the recorder already reads
-the states: at each stored state and each block of norms.
+the states: at each stored state and each block of norms.  Without series
+only the kept states are read, and the error names the first kept step at
+or after the overflow (at most thin - 1 steps later): every step map
+carries a non-finite state forward, and the last state is always kept.
 """
 
 from __future__ import annotations
@@ -121,16 +131,17 @@ class CauchyProblem:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Norm series at every step plus a thinned sequence of states, or none.
+    """Norm series at every step plus a thinned sequence of states, or one of the two.
 
     energy is None when the potential takes negative values; the energy
     functional is only defined for V >= 0 and the sign-changing case is
-    monitored through Gronwall ratios instead.
+    monitored through Gronwall ratios instead.  A trajectory solved with
+    series=False records no series: l2, sobolev_nu2 and energy are None.
     """
 
     times: np.ndarray
-    l2: np.ndarray
-    sobolev_nu2: np.ndarray
+    l2: np.ndarray | None
+    sobolev_nu2: np.ndarray | None
     energy: np.ndarray | None
     state_times: np.ndarray
     states: tuple[Field, ...]
@@ -138,10 +149,10 @@ class Trajectory:
     def __post_init__(self):
         if self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0):
             raise ValueError("times must increase strictly from 0")
-        series = {"l2": self.l2, "sobolev_nu2": self.sobolev_nu2}
-        if self.energy is not None:
-            series["energy"] = self.energy
+        series = {"l2": self.l2, "sobolev_nu2": self.sobolev_nu2, "energy": self.energy}
         for name, values in series.items():
+            if values is None:
+                continue
             if len(values) != len(self.times):
                 raise ValueError(
                     f"{name} has {len(values)} values for {len(self.times)} times")
@@ -154,6 +165,7 @@ class Trajectory:
     @property
     def h_nu2(self) -> np.ndarray:
         """The inhomogeneous H^{nu/2} series: l2 + sobolev_nu2."""
+        _require_series(self)
         return self.l2 + self.sobolev_nu2
 
     @property
@@ -161,6 +173,11 @@ class Trajectory:
         if not self.states:
             raise ValueError("the trajectory keeps no states (solved with keep_states=False)")
         return self.states[-1]
+
+
+def _require_series(traj: Trajectory):
+    if traj.l2 is None or traj.sobolev_nu2 is None:
+        raise ValueError("the trajectory records no norm series (solved with series=False)")
 
 
 class _Recorder:
@@ -220,9 +237,7 @@ class _Recorder:
             finite &= np.isfinite(e)
         if not finite.all():
             k = start + int(np.argmin(finite))
-            raise CapabilityError(
-                f"the state's norms leave float64 range at step {k} of {self.steps} "
-                f"(t = {self.times[k]:.6g}); shorten T or weaken the potential")
+            raise _overflow(k, self.steps, self.times[k])
         span = slice(start, self.k)
         self.l2[span] = l2
         self.sob[span] = np.sqrt(quad)
@@ -250,23 +265,57 @@ def _check_series_fit(steps: int):
             f"{memory} bytes of physical memory; lengthen dt or shorten T")
 
 
-def _integrate(p: CauchyProblem, advance, keep_states: bool = True) -> Trajectory:
-    """The recorded trajectory of u = advance(u, k), k = 1 .. p.steps, from u0.
+def _overflow(k: int, steps: int, t: float) -> CapabilityError:
+    return CapabilityError(
+        f"the state's norms leave float64 range at step {k} of {steps} "
+        f"(t = {t:.6g}); shorten T or weaken the potential")
 
-    The steps raise no floating-point warning: the recorder reports a state
-    that overflows, at each stored state and each block of norms.
+
+def _integrate(p: CauchyProblem, advance, keep_states: bool = True,
+               series: bool = True) -> Trajectory:
+    """The trajectory of u = advance(u, k), k = 1 .. p.steps, from u0.
+
+    With series, the recorder reduces the norm series of every state and
+    reports a state that overflows, at each stored state and each block of
+    norms.  Without series, only every thin-th state and the last one are
+    kept, thin = max(1, p.steps // STATE_THIN_TARGET), with no copy and no
+    reduction of the others; a kept state whose sum(u*u) is not finite is
+    reported as a CapabilityError naming its step.  The steppers carry a
+    non-finite state forward (CG returns NaN for a non-finite right-hand
+    side), and the last state is always kept, so an overflow is never
+    missed, only named at the first kept step at or after it.  Either way
+    the steps raise no floating-point warning, and a step count whose
+    series would not fit the physical memory is refused up front.
     """
-    rec = _Recorder(p, keep_states)
     u = p.u0.values.ravel().astype(float)
-    rec.push(u)
+    if series:
+        rec = _Recorder(p, keep_states)
+        rec.push(u)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, p.steps + 1):
+                u = advance(u, k)
+                rec.push(u)
+        return rec.build()
+    _check_series_fit(p.steps)
+    steps, grid = p.steps, p.u0.grid
+    thin = max(1, steps // STATE_THIN_TARGET)
+    times = np.arange(steps + 1) * p.dt_effective
+    kept, states = [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, p.steps + 1):
-            u = advance(u, k)
-            rec.push(u)
-    return rec.build()
+        for k in range(steps + 1):
+            if k:
+                u = advance(u, k)
+            if k % thin == 0 or k == steps:
+                if not math.isfinite(np.sum(u * u)):
+                    raise _overflow(k, steps, times[k])
+                kept.append(k)
+                states.append(Field(grid, u.reshape(grid.shape)))
+    return Trajectory(times=times, l2=None, sobolev_nu2=None, energy=None,
+                      state_times=times[kept], states=tuple(states))
 
 
-def step_implicit(p: CauchyProblem, keep_states: bool = True) -> Trajectory:
+def step_implicit(p: CauchyProblem, keep_states: bool = True,
+                  series: bool = True) -> Trajectory:
     """Backward Euler: u^{n+1} = (I + dt(R + V))^{-1} u^n.
 
     Unconditionally contractive for V >= 0, which is what makes the discrete
@@ -282,9 +331,13 @@ def step_implicit(p: CauchyProblem, keep_states: bool = True) -> Trajectory:
     (see the module docstring).  The route reads only the problem, never
     the cores, and the Woodbury factor has the same bits at any BLAS thread
     count, so its series do not depend on the worker count or the CPU
-    affinity.  keep_states=False records the norm series only, as a sweep
-    that reads no state asks.
+    affinity.  keep_states=False records the norm series only, as an
+    existence sweep asks; series=False keeps the thinned states only, with
+    no norm series, as uniqueness and consistency ask (see _integrate).
+    Asking for neither is a ValueError.
     """
+    if not (keep_states or series):
+        raise ValueError("a trajectory needs its states, its norm series or both")
     dt = p.dt_effective
     v_flat = p.V.values.ravel()
     v_minus = max(0.0, -float(v_flat.min()))
@@ -292,12 +345,12 @@ def step_implicit(p: CauchyProblem, keep_states: bool = True) -> Trajectory:
         raise StabilityError(
             f"backward Euler needs dt < 1/max(V^-) = {1.0 / v_minus:.6g}, got dt = {dt:.6g}")
     if p.op.grid.dim == 1:
-        return _integrate(p, _periodic_tridiagonal_solver(p, dt, v_flat), keep_states)
+        return _integrate(p, _periodic_tridiagonal_solver(p, dt, v_flat), keep_states, series)
     s = np.count_nonzero(v_flat)
     if (v_minus == 0.0 and s <= WOODBURY_MAX_CELLS
             and s**3 <= WOODBURY_FLOPS_RATIO * p.steps * p.op.resolvent_flops):
-        return _integrate(p, _woodbury_solver(p, dt, v_flat), keep_states)
-    return _integrate(p, _cg_solver(p, dt, v_flat, v_minus), keep_states)
+        return _integrate(p, _woodbury_solver(p, dt, v_flat), keep_states, series)
+    return _integrate(p, _cg_solver(p, dt, v_flat, v_minus), keep_states, series)
 
 
 def splu(matrix):
@@ -350,9 +403,13 @@ def _periodic_tridiagonal_solver(p: CauchyProblem, dt: float, v_flat: np.ndarray
             "implicit system could not be factorised: I + dt(R + V) is not positive definite")
     z /= denom
 
+    buf = np.empty(n)
+
     def solve(u: np.ndarray, k: int) -> np.ndarray:
         y = dpttrs(d, e, u)[0]
-        y += (beta * y[0] - c * y[-1]) * z
+        # y += (w . y) z with no temporary, in the same operations and order
+        np.multiply(z, beta * float(y[0]) - c * float(y[-1]), out=buf)
+        np.add(y, buf, out=y)
         return y
 
     return solve
@@ -441,7 +498,7 @@ def _cg_solver(p: CauchyProblem, dt: float, v_flat: np.ndarray, v_minus: float):
     the span, |x* - x0|_A <= |x*|_A, so the cap's bound still holds.  The
     window keeps K + 1 states alive per CG problem (16.8 MB per state on a
     64 x 64 x 512 grid); it holds the returned states themselves, which are
-    never written to, as the recorder keeps views of them.
+    never written to, as a trajectory keeps views of them.
 
     Iteration.  The resolvent applies M^{-1} exactly, so with z_k = M^{-1} r_k
     and d_k = z_k + beta_k d_{k-1}, M d_k = r_k + beta_k M d_{k-1}: the
@@ -634,6 +691,7 @@ def apriori_ratios(traj: Trajectory, V: Field, u0: Field, which: str,
     """
     if which not in _RATIO_KINDS:
         raise ValueError(f"which must be one of {_RATIO_KINDS}, got {which!r}")
+    _require_series(traj)
     if which == "RealGronwall":
         # past exp's range the majorant is +inf and the ratio 0 (nan for a
         # zero datum, where the ratio is 0 as well)

@@ -1,5 +1,6 @@
 """CLI subcommands, output files and exit codes, driven in-process."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from gradedheat import harness
 from gradedheat.cli import main
 from gradedheat.config import config_hash, parse_solve_config_file, parse_sweep_config
 from gradedheat.harness import consistency_experiment, problem_builder
-from gradedheat.solve import solve_duhamel, step_implicit
+from gradedheat.solve import STATE_THIN_TARGET, solve_duhamel, step_implicit
 from gradedheat.groups import euclidean, make_grid
 from gradedheat.mollify import bump_field
 
@@ -100,13 +101,18 @@ class TestSolve:
         def spy(problem, **kwargs):
             traj = real_step(problem, **kwargs)
             if np.array_equal(problem.u0.values, datum):
-                references.append(traj)
+                references.append((problem, traj))
             return traj
 
         monkeypatch.setattr(harness, "step_implicit", spy)
         assert consistency_experiment(sweep_cfg).verdict.kind == "Moderate"
         assert len(references) == 1
-        assert written_l2(tmp_path / "o") == [f"{x:.17g}" for x in references[0].l2]
+        # the reference keeps states only; its problem, solved with series, is what solve wrote
+        problem, reference = references[0]
+        full = step_implicit(problem)
+        assert written_l2(tmp_path / "o") == [f"{x:.17g}" for x in full.l2]
+        assert all(np.array_equal(a.values, b.values)
+                   for a, b in zip(reference.states, full.states, strict=True))
 
     def test_delta_needs_epsilon(self, tmp_path, capsys):
         cfg = write(tmp_path, "run.cfg",
@@ -194,6 +200,23 @@ class TestSweep:
         assert code == 1
         assert ("Fail(epsilon=0.5: CapabilityError: the state's norms leave float64 range "
                 "at step 233 of 1280 (t = 3.64062)") in capsys.readouterr().out
+
+    def test_overflowing_state_fails_a_uniqueness_epsilon(self, tmp_path, capsys):
+        # a uniqueness solve reads only the thinned states, so it may find the
+        # overflow first at the kept step after 233, never in the fit
+        text = (SWEEP_CFG.replace("potential = delta", "potential = constant:-50")
+                .replace("T = 0.5", "T = 20"))
+        cfg = write(tmp_path, "run.cfg", text)
+        code = main(["sweep", "--experiment", "uniqueness",
+                     "--config", cfg, "--out", str(tmp_path / "r")])
+        assert code == 1
+        verdict = capsys.readouterr().out.strip().splitlines()[-1]
+        match = re.fullmatch(r"Fail\(epsilon=0\.5: CapabilityError: the state's norms leave "
+                             r"float64 range at step (\d+) of 1280 \(t = [^)]*\); "
+                             r"shorten T or weaken the potential\)", verdict)
+        assert match, verdict
+        thin = 1280 // STATE_THIN_TARGET
+        assert 233 <= int(match[1]) < 233 + thin
 
     def test_huge_step_count_fails_the_epsilon(self, tmp_path, capsys):
         text = (SWEEP_CFG.replace("points = 128", "points = 4")

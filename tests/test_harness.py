@@ -1,6 +1,9 @@
 """Sweep engine: exponent fits, verdict rules, the three experiments."""
 
+import contextlib
+import hashlib
 import importlib.util
+import io
 import math
 import os
 import subprocess
@@ -22,6 +25,7 @@ from gradedheat.config import (
     parse_sweep_config,
 )
 from gradedheat import harness, operators
+from gradedheat.cli import main
 from gradedheat import solve as solve_module
 from gradedheat.errors import ConfigError, NumericalError, ResolutionError
 from gradedheat.harness import (
@@ -440,6 +444,42 @@ class TestConsistency:
         assert all(b < a for a, b in zip(errors, errors[1:]))
         assert rep.verdict.kind == "Fail"
         assert rep.verdict.reason.startswith("final error 0.134 is not below 0.1 of the first")
+
+
+@pytest.fixture
+def reductions(monkeypatch):
+    """The blocks of norm series that every _Recorder reduces, counted."""
+    count = [0]
+
+    class CountingRecorder(solve_module._Recorder):
+        def _flush(self):
+            count[0] += 1
+            super()._flush()
+
+    monkeypatch.setattr(solve_module, "_Recorder", CountingRecorder)
+    return count
+
+
+class TestSeriesRecordedWhereRead:
+    # uniqueness and consistency read thinned states only, so they record no
+    # series; existence reads the series, and gradedheat solve writes them
+    @pytest.mark.parametrize("run, reduces", [
+        (lambda: uniqueness_experiment(make_config(
+            experiment="uniqueness", norm="l2", potential=PotentialSpec.dirac_delta_squared())),
+         False),
+        (lambda: consistency_experiment(bump_potential_config()), False),
+        (lambda: existence_experiment(make_config()), True),
+    ], ids=["uniqueness", "consistency", "existence"])
+    def test_sweeps(self, reductions, run, reduces):
+        assert run().verdict.passed
+        assert (reductions[0] > 0) == reduces
+
+    def test_solve(self, reductions, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEXT.replace("experiment = existence\n", "") + "epsilon = 0.25\n")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert reductions[0] > 0
 
 
 class TestSweepDriver:
@@ -1194,6 +1234,20 @@ method = duhamel
         workload = load_perfbench("workloads").WORKLOADS[name]
         cfg = parse_sweep_config(workload.config, experiment=workload.experiment)
         assert config_hash(cfg) == self.BENCHMARK_HASHES[name]
+
+    def test_e1_uniqueness_report_bytes_match_the_benchmark_reference(self, tmp_path):
+        # the benchmark's e1 sweep, as it runs it: report.csv is the reference's bytes
+        workloads = load_perfbench("workloads")
+        workload = workloads.WORKLOADS["e1_uniqueness"]
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(workload.config)
+        out = tmp_path / "report"
+        argv = ["sweep", "--experiment", workload.experiment,
+                "--config", str(cfg_path), "--out", str(out)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        sha = hashlib.sha256((out / "report.csv").read_bytes()).hexdigest()
+        assert sha == workloads.load_reference()["e1_uniqueness"]["report_sha256"]
 
     def test_all_keys_config_leaves_no_default(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -141,6 +141,43 @@ class TestStepImplicit:
         with pytest.raises(ValueError, match="keeps no states"):
             bare.final
 
+    # 200 steps keep every 3rd state; the values are V on scattered cells
+    @pytest.mark.parametrize("group, points, values, route", [
+        (euclidean(1), (64,), [1.0, -0.5], "_periodic_tridiagonal_solver"),
+        (euclidean(2), (32, 32), [1.0] * 8, "_woodbury_solver"),
+        (euclidean(2), (32, 32), [5.0, -1.0], "_cg_solver"),
+        (heisenberg1(), (8, 8, 8), [1.0] * 8, "_woodbury_solver"),
+        (heisenberg1(), (8, 8, 8), [5.0, -1.0], "_cg_solver"),
+    ], ids=["r1", "r2-woodbury", "r2-cg", "h1-woodbury", "h1-cg"])
+    def test_series_false_keeps_the_same_states(self, monkeypatch, group, points, values, route):
+        op = build_rockland(make_grid(group, 1.5, points))
+        g = op.grid
+        v = np.zeros(g.size)
+        v[np.arange(len(values)) * (g.size // len(values))] = values
+        p = CauchyProblem(op, Field(g, v.reshape(g.shape)), bump_field(g, 1.125),
+                          T=1.0, dt=1.0 / 200)
+        calls, solver = [], getattr(solve_module, route)
+        monkeypatch.setattr(solve_module, route, lambda *args: calls.append(args) or solver(*args))
+        full, bare = step_implicit(p), step_implicit(p, series=False)
+        assert len(calls) == 2
+        assert np.array_equal(bare.times, full.times)
+        assert np.array_equal(bare.state_times, full.state_times)
+        assert len(bare.states) == 68
+        for got, want in zip(bare.states, full.states, strict=True):
+            assert np.array_equal(got.values, want.values)
+        assert bare.l2 is None and bare.sobolev_nu2 is None and bare.energy is None
+        with pytest.raises(ValueError, match="records no norm series"):
+            bare.h_nu2
+        for which in ("PosLinf", "RealGronwall"):
+            with pytest.raises(ValueError, match="records no norm series"):
+                apriori_ratios(bare, p.V, p.u0, which)
+
+    def test_neither_states_nor_series_refused(self, lap32):
+        g = lap32.grid
+        p = CauchyProblem(lap32, Field.zeros(g), bump_field(g, 1.0), T=0.5, dt=0.125)
+        with pytest.raises(ValueError, match="its states, its norm series or both"):
+            step_implicit(p, keep_states=False, series=False)
+
 
 def lu_step(p):
     """The backward-Euler step u -> (I + dt(R + V))^{-1} u, by a sparse LU.
@@ -480,6 +517,13 @@ class TestOverflow:
     def test_step_implicit_names_step(self, group, points, step):
         # 1 / (1 - 0.9) = 10
         assert_overflow_names_step(step_implicit, group, points, step, 0.9)
+
+    @OVERFLOW_ROWS
+    def test_step_implicit_without_series_names_the_next_kept_step(self, group, points, step):
+        # the 400 steps keep every 6th state, and only the kept ones are checked
+        kept = -(-step // 6) * 6
+        assert_overflow_names_step(lambda p: step_implicit(p, series=False),
+                                   group, points, kept, 0.9)
 
     @OVERFLOW_ROWS
     def test_solve_duhamel_names_step(self, group, points, step):
