@@ -42,7 +42,7 @@ process may run on (its affinity, else os.cpu_count()); a 1-D sweep, whose O(n)
 steps hold the GIL, runs one worker, since a second only slows it.  One worker
 is no pool: the eps are solved in turn on the calling thread.  The cores of a
 pool are split between the workers and BLAS: while the pool runs, the OpenBLAS
-that numpy links, which runs the resolvent's H1 block products and inverses, is
+that numpy links, which runs the resolvent's H1 block products, is
 held at cores // workers threads (at least 1, and never above the count it
 had), so workers x BLAS threads <= cores.  The pthreads OpenBLAS that numpy
 bundles keeps one thread count for the whole process, so other threads share
@@ -53,16 +53,18 @@ threads.  A BLAS that does not export openblas_set_num_threads_local (MKL,
 Accelerate, OpenBLAS before 0.3.27) is not capped.  The manifest records the
 split.  The LAPACK routines of the steps, dpttrf/dpttrs on 1-D periodic
 tridiagonal systems and the upper packed dpptrf/dpptrs of the Woodbury step
-(solve._woodbury_solver), link another OpenBLAS, which is not capped: they run
-on the calling thread.  The packed Cholesky's bits do not depend on the BLAS
-thread count, so the reports stay byte-identical for any worker count and any
-CPU affinity; numpy's Cholesky and the blocked dpotrf change bits with the
-count from s = 128 on.
+(solve._woodbury_solver), link another OpenBLAS, which the pool does not cap:
+they run on the calling thread.  The zpotrf/zpotri that invert the H1
+resolvent's blocks link it too, and the build holds it at one thread itself
+(operators.DiscreteRockland.resolvent), through the same setter-finder
+(operators.openblas_thread_setter).  The packed Cholesky's and the held
+inverse's bits do not depend on the BLAS thread count, so the reports stay
+byte-identical for any worker count and any CPU affinity; numpy's Cholesky
+and the blocked dpotrf change bits with the count from s = 128 on.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import math
 import os
@@ -89,7 +91,7 @@ from .mollify import (
     regularize_potential,
 )
 from .norms import lp_norm
-from .operators import build_rockland
+from .operators import build_rockland, openblas_thread_setter
 from .solve import CauchyProblem, Trajectory, step_implicit
 
 CONSISTENCY_FLOOR_FACTOR = 0.1
@@ -226,20 +228,11 @@ def _l2_state_distance(a: Trajectory, b: Trajectory) -> float:
 
 @functools.cache
 def _blas_thread_setter():
-    """openblas_set_num_threads_local of the OpenBLAS numpy links, or None.
+    """The thread setter of the OpenBLAS numpy links, or None.
 
-    Loading numpy's own linalg extension resolves the symbol in the library
-    that extension links.  The setter returns the count it replaces.  It
-    sets openblas_set_num_threads' count, which is the calling thread's in an
-    OpenMP build but the whole process's in the pthreads build numpy ships.
+    See operators.openblas_thread_setter, which also finds scipy's.
     """
-    try:
-        setter = ctypes.CDLL(np.linalg._umath_linalg.__file__).openblas_set_num_threads_local
-    except (OSError, AttributeError):
-        return None
-    setter.argtypes = [ctypes.c_int]
-    setter.restype = ctypes.c_int
-    return setter
+    return openblas_thread_setter(np.linalg._umath_linalg.__file__)
 
 
 def _cores() -> int:

@@ -22,9 +22,10 @@ H1), so a real FFT along that axis splits R into one dense Hermitian
 of the twisted Laplacians.  The blocks are read off the assembled matrix
 and checked against it on a fixed probe; an operator that varies along the
 last axis is refused with ``CapabilityError``, and so are blocks above
-``SPECTRAL_DOF_LIMIT`` dof and a block set that, with its inverse or
-eigenvectors and the blocks the operator already caches, exceeds the
-physical memory, before any block is built.
+``SPECTRAL_DOF_LIMIT`` dof and a block set whose peak, with the blocks the
+operator already caches, exceeds the physical memory, before any block is
+built.  The resolvent's peak is one block set and the coupling table the
+blocks are summed from; the eigensystem's is two block sets.
 
 * ``eigensystem`` diagonalises the blocks in one batched ``eigh``, computed
   lazily and cached on the operator.  Tiny negative eigenvalues (within
@@ -33,27 +34,42 @@ physical memory, before any block is built.
   and the Duhamel stepper take g(R) from it and from nowhere else.
 
 * ``resolvent`` applies (I + dt R)^{-1}, built once per dt and cached.  On
-  H1 it inverts the blocks of I + dt R.  On R^d the Laplacian is invariant
-  under every grid translation, so the resolvent is the Fourier multiplier
-  1/(1 + dt lambda), lambda the real FFT of R's row at the origin, applied by
-  one rfft, the complex passes in place, a multiply and one irfft, with the
-  bits of rfftn / multiply / irfftn.  ``resolvent_flops`` states the flops of
+  H1 each block of I + dt R is factorised by LAPACK zpotrf and inverted by
+  zpotri in place, n^3 flops a block, and its lower triangle is mirrored.
+  scipy's OpenBLAS is held at one thread meanwhile, so the inverse has the
+  same bits at any BLAS thread count and wakes no threads to spin against
+  a sweep's workers.  On R^d the Laplacian is invariant under every grid
+  translation, so the resolvent is the Fourier multiplier 1/(1 + dt lambda),
+  lambda the real FFT of R's row at the origin, applied by one rfft, the
+  complex passes in place, a multiply and one irfft, with the bits of
+  rfftn / multiply / irfftn.  An I + dt R that is not positive definite (a
+  zpotrf info naming the central frequency on H1, a 1 + dt lambda <= 0 on
+  R^d) is a ``StabilityError``.  ``resolvent_flops`` states the flops of
   one apply.  The backward-Euler stepper uses the resolvent as its CG
   preconditioner on every grid of dimension two or more, and as the
-  (I + dt R)^{-1} of its Woodbury step.
+  (I + dt R)^{-1} of its Woodbury step.  scipy.linalg.lapack is imported on
+  the first H1 resolvent, not with the package.
 
-* ``green_rows`` yields the rows of the Green's matrix G = (I + dt R)^{-1}
-  between given cells, a chunk of rows at a time, read off the cached
-  resolvent with no solve.  On R^d G is translation invariant: G[x, y] is
-  the multiplier's irfftn at x - y.  On H1 it is invariant along c only:
+* ``support_resolvent`` maps values on given cells to the flat
+  (I + dt R)^{-1} of their scatter: on R^d the scatter and the multiplier,
+  with the bits of ``resolvent``; on H1 the product with the cells' columns
+  of the inverse blocks, gathered once, 8 (n_c/2 + 1) m u flops for u
+  distinct (a, b) columns instead of 8 (n_c/2 + 1) m^2.  It also yields the
+  rows of the Green's matrix G = (I + dt R)^{-1} between the cells, a chunk
+  at a time, read off the cached resolvent with no solve; ``green_rows``
+  yields those alone.  On R^d G is translation invariant: G[x, y] is the
+  multiplier's irfftn at x - y.  On H1 it is invariant along c only:
   G[(p, c), (q, c')] is the irfft of the inverse blocks' entries B_k[p, q]
-  over k, taken at c - c' mod n_c, so a chunk costs one gather and one
-  length-n_c irfft per pair of its (a, b) columns.  The Woodbury step
-  samples G on the support of V this way.
+  over k, taken at c - c' mod n_c, so a chunk costs one length-n_c irfft
+  per pair of its (a, b) columns, read from the same gather.  The Woodbury
+  step samples G on the support of V this way, and applies its correction
+  by the column product.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import os
 import threading
@@ -61,7 +77,7 @@ import threading
 import numpy as np
 import scipy.sparse as sp
 
-from gradedheat.errors import CapabilityError
+from gradedheat.errors import CapabilityError, StabilityError
 from gradedheat.groups import Field, Grid
 
 __all__ = [
@@ -83,6 +99,36 @@ SPECTRAL_DOF_LIMIT = 6000
 _EIG_CLAMP_REL = 1e-10
 # bytes of one chunk of green_rows, and of the table an H1 chunk is read from
 _GREEN_CHUNK_BYTES = 1 << 20
+
+
+def openblas_thread_setter(extension: str):
+    """openblas_set_num_threads_local of the OpenBLAS an extension module links, or None.
+
+    Loading the extension resolves the symbol in the library it links.  The
+    setter returns the count it replaces.  It sets openblas_set_num_threads'
+    count, which is the calling thread's in an OpenMP build but the whole
+    process's in the pthreads builds numpy and scipy ship.  A BLAS that does
+    not export it (MKL, Accelerate, OpenBLAS before 0.3.27) gives None.
+    """
+    try:
+        setter = ctypes.CDLL(extension).openblas_set_num_threads_local
+    except (OSError, AttributeError):
+        return None
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = ctypes.c_int
+    return setter
+
+
+@functools.cache
+def _lapack_thread_setter():
+    """The thread setter of the OpenBLAS scipy.linalg.lapack links, or None."""
+    from scipy.linalg import _flapack
+    return openblas_thread_setter(_flapack.__file__)
+
+
+# where the count is the process's, two holds at once would restore each
+# other's counts out of order
+_LAPACK_THREADS_LOCK = threading.Lock()
 
 
 def _physical_memory() -> int | None:
@@ -146,7 +192,7 @@ class DiscreteRockland:
         """
         with self._lock:
             if self._eigensystem is None:
-                w, v = np.linalg.eigh(self._checked_blocks())
+                w, v = np.linalg.eigh(self._checked_blocks(copies=2))
                 lam_max = max(float(w.max()), 0.0)
                 floor = -_EIG_CLAMP_REL * (lam_max or 1.0)
                 if float(w.min()) < floor:
@@ -168,7 +214,8 @@ class DiscreteRockland:
         batched block product and one inverse FFT.
         The multiplier or the inverted blocks are built on the first call
         for each dt and cached; concurrent callers share them.  H1 blocks
-        larger than ``SPECTRAL_DOF_LIMIT`` are refused (``_checked_blocks``).
+        larger than ``SPECTRAL_DOF_LIMIT`` are refused (``_checked_blocks``),
+        and an I + dt R that is not positive definite is a StabilityError.
         """
         inverse = self._resolvent_blocks(dt)
         if self.grid.group.is_abelian:
@@ -189,49 +236,51 @@ class DiscreteRockland:
         n_c = self.grid.points[-1]
         return 8.0 * (n_c // 2 + 1) * (n // n_c) ** 2
 
-    def green_rows(self, dt: float, cells: np.ndarray):
-        """Yield G[cells][:, cells] for G = (I + dt R)^{-1}, a chunk of rows at a time.
+    def support_resolvent(self, dt: float, cells: np.ndarray):
+        """(apply, rows) for G = (I + dt R)^{-1} and distinct flat grid indices cells.
 
-        cells are flat grid indices; each chunk is G[cells[i:j]][:, cells]
-        for the next row range, and the chunks cover cells in order.  G is
-        read off the cached resolvent (module docstring), with no solve, and
-        is exactly the matrix that ``resolvent`` applies.  For ascending
-        cells, as np.flatnonzero gives them, a chunk, and on H1 the table it
-        is gathered from, takes at most about _GREEN_CHUNK_BYTES.
+        apply(values) is the flat G x for the x that holds values on cells and
+        zero elsewhere: on R^d that scatter and ``resolvent``'s multiplier,
+        with its bits; on H1 the product with the cells' columns of the
+        inverse blocks, gathered here once (module docstring).  rows yields
+        G[cells][:, cells] a chunk of rows at a time (``green_rows``), on H1
+        from the same gather.
         """
         inverse = self._resolvent_blocks(dt)
-        s = cells.size
-        if s == 0:
-            return
         if self.grid.group.is_abelian:
             shape = self.grid.shape
-            origin = np.zeros(self.grid.size)
-            origin[0] = 1.0
-            green = _apply_multiplier(inverse, origin, shape)
-            coords = np.unravel_index(cells, shape)
-            rows = max(1, _GREEN_CHUNK_BYTES // (8 * s))
-            for start in range(0, s, rows):
-                chunk = slice(start, start + rows)
-                # the flat index of x_i - x_j, C order, one axis at a time
-                index = np.zeros((min(rows, s - start), s), dtype=np.intp)
-                for x, n in zip(coords, shape):
-                    index *= n
-                    diff = x[chunk, None] - x
-                    diff %= n
-                    index += diff
-                yield green[index]
-            return
+            scattered = np.zeros(self.grid.size)
+
+            def apply(values) -> np.ndarray:
+                scattered[cells] = values
+                return _apply_multiplier(inverse, scattered, shape)
+
+            return apply, _multiplier_green_rows(inverse, cells, shape)
         n_c = self.grid.points[-1]
         column, c = np.divmod(cells, n_c)
         columns, q = np.unique(column, return_inverse=True)
-        rows = max(1, _GREEN_CHUNK_BYTES // (8 * n_c * columns.size))
-        for start in range(0, s, rows):
-            chunk = slice(start, start + rows)
-            first, last = int(q[chunk].min()), int(q[chunk].max()) + 1
-            table = np.fft.irfft(inverse[:, columns[first:last, None], columns], n=n_c, axis=0)
-            shift = c[chunk, None] - c
-            shift %= n_c
-            yield table[shift, q[chunk, None] - first, q]
+        gathered = np.take(inverse, columns, axis=2)
+        scattered = np.zeros((columns.size, n_c))
+
+        def apply(values) -> np.ndarray:
+            scattered[q, c] = values
+            return _apply_central_blocks(gathered, scattered)
+
+        return apply, _block_green_rows(gathered, columns, q, c, n_c)
+
+    def green_rows(self, dt: float, cells: np.ndarray):
+        """Yield G[cells][:, cells] for G = (I + dt R)^{-1}, a chunk of rows at a time.
+
+        cells are distinct flat grid indices; each chunk is
+        G[cells[i:j]][:, cells] for the next row range, and the chunks cover
+        cells in order.  G is read off the cached resolvent (module
+        docstring), with no solve, and is exactly the matrix that
+        ``resolvent`` applies.  For ascending cells, as np.flatnonzero gives
+        them, a chunk, and on H1 the table it is read from, takes at most
+        about _GREEN_CHUNK_BYTES, besides the columns ``support_resolvent``
+        gathers.
+        """
+        return self.support_resolvent(dt, cells)[1]
 
     def _resolvent_blocks(self, dt: float) -> np.ndarray:
         """The cached inverse of I + dt R: a multiplier on R^d, blocks on H1."""
@@ -241,24 +290,33 @@ class DiscreteRockland:
             inverse = self._resolvents.get(dt)
             if inverse is None:
                 if self.grid.group.is_abelian:
-                    inverse = 1.0 / (1.0 + dt * self._checked_symbol())
+                    shifted = 1.0 + dt * self._checked_symbol()
+                    lowest = float(shifted.min())
+                    if not lowest > 0.0:
+                        raise StabilityError(
+                            f"I + dt R is not positive definite at dt = {dt:g}: "
+                            f"the multiplier 1 + dt lambda reaches {lowest:.6g}")
+                    inverse = 1.0 / shifted
                 else:
-                    blocks = self._checked_blocks()
-                    blocks *= dt
-                    idx = np.arange(blocks.shape[1])
-                    blocks[:, idx, idx] += 1.0
-                    inverse = np.linalg.inv(blocks)
+                    inverse = self._checked_blocks(copies=1)
+                    inverse *= dt
+                    idx = np.arange(inverse.shape[1])
+                    inverse[:, idx, idx] += 1.0
+                    _invert_in_place(inverse, dt)
                 inverse.setflags(write=False)
                 self._resolvents[dt] = inverse
             return inverse
 
-    def _checked_blocks(self) -> np.ndarray:
+    def _checked_blocks(self, copies: int) -> np.ndarray:
         """The central-frequency blocks of R, verified against R on a probe.
 
         Blocks larger than ``SPECTRAL_DOF_LIMIT`` (read at call time), and
-        a block set that with its inverse or eigenvectors and the blocks the
-        operator already caches exceeds the physical memory, are refused
-        with ``CapabilityError`` before any block is built.
+        a build whose peak with the blocks the operator already caches
+        exceeds the physical memory, are refused with ``CapabilityError``
+        before any block is built.  The peak is the larger of the caller's
+        copies of the block set (one for the in-place resolvent, two for
+        the eigensystem) and one set with the coupling table the blocks are
+        summed from (``_central_blocks``).
         """
         n_c = self.grid.points[-1]
         block = self.grid.size // n_c
@@ -270,14 +328,17 @@ class DiscreteRockland:
         cached = sum(inverse.nbytes for inverse in self._resolvents.values())
         if self._eigensystem is not None:
             cached += sum(part.nbytes for part in self._eigensystem)
-        need = 2 * (n_c // 2 + 1) * block**2 * 16 + cached  # complex128
+        offsets = np.unique(self.matrix[::n_c].indices % n_c).size
+        block_set = (n_c // 2 + 1) * block**2 * 16  # complex128
+        need = max(copies * block_set, block_set + offsets * block**2 * 16) + cached
         memory = _physical_memory()
         if memory is not None and need > memory:
             held = f" with the {cached} bytes this operator caches" if cached else ""
+            what = "the resolvent" if copies == 1 else "the eigensystem"
             raise CapabilityError(
-                f"{n_c // 2 + 1} dense central-frequency blocks of {block} dof and their "
-                f"inverse or eigenvectors need {need} bytes{held}, more than the {memory} "
-                f"bytes of physical memory; use a smaller grid")
+                f"{n_c // 2 + 1} dense central-frequency blocks of {block} dof for {what} "
+                f"need {need} bytes{held}, more than the {memory} bytes of physical memory; "
+                f"use a smaller grid")
         blocks = _central_blocks(self.matrix, n_c)
         self._check_invariance(
             lambda x: _apply_central_blocks(blocks, x.reshape(blocks.shape[1], -1)),
@@ -315,17 +376,89 @@ def _central_blocks(matrix, n_c: int) -> np.ndarray:
 
     The rows at c = 0 hold the coupling A_m[p, q] of column (p, 0) to
     (q, m); translation invariance along c repeats it at every c, so
-    B_k = sum_m A_m exp(2 pi i k m / n_c) for k = 0 .. n_c // 2.
+    B_k = sum_m A_m exp(2 pi i k m / n_c) for k = 0 .. n_c // 2.  The
+    coupling table is complex, so the product makes no complex copy of it.
     """
     n_ab = matrix.shape[0] // n_c
     rows = matrix[::n_c].tocoo()
     q, m = np.divmod(rows.col, n_c)
     offsets, which = np.unique(m, return_inverse=True)
-    coupling = np.zeros((offsets.size, n_ab, n_ab))
+    coupling = np.zeros((offsets.size, n_ab, n_ab), dtype=complex)
     np.add.at(coupling, (which, rows.row, q), rows.data)
     k = np.arange(n_c // 2 + 1)
     phases = np.exp(2j * np.pi * (np.outer(k, offsets) % n_c) / n_c)
     return np.tensordot(phases, coupling, axes=1)
+
+
+def _invert_in_place(blocks: np.ndarray, dt: float):
+    """Invert Hermitian positive definite blocks in place by LAPACK zpotrf and zpotri.
+
+    A C-order block is the transpose, so the conjugate, of the Fortran matrix
+    LAPACK sees, so the upper triangle LAPACK writes is the block's lower
+    triangle; it is mirrored into the upper.  scipy's OpenBLAS is held at one
+    thread meanwhile and gets its count back after, also after a failure.  A
+    block with no Cholesky factor is a StabilityError naming its central
+    frequency.
+    """
+    from scipy.linalg.lapack import zpotrf, zpotri
+
+    upper = ~np.tri(blocks.shape[1], dtype=bool)
+    setter = _lapack_thread_setter()
+    with _LAPACK_THREADS_LOCK:
+        before = None if setter is None else setter(1)
+        try:
+            for k, block in enumerate(blocks):
+                factor, info = zpotrf(block.T, lower=0, clean=0, overwrite_a=1)
+                if info == 0:
+                    info = zpotri(factor, lower=0, overwrite_c=1)[1]
+                if info != 0:
+                    raise StabilityError(
+                        f"I + dt R is not positive definite at dt = {dt:g}: its block at "
+                        f"central frequency k = {k} has no Cholesky factor (LAPACK info {info})")
+                np.copyto(block, block.T.conj(), where=upper)
+        finally:
+            if before is not None:
+                setter(before)
+
+
+def _multiplier_green_rows(multiplier: np.ndarray, cells: np.ndarray, shape):
+    """G[cells][:, cells] a chunk of rows at a time, G the multiplier's (module docstring)."""
+    s = cells.size
+    if s == 0:
+        return
+    origin = np.zeros(math.prod(shape))
+    origin[0] = 1.0
+    green = _apply_multiplier(multiplier, origin, shape)
+    coords = np.unravel_index(cells, shape)
+    rows = max(1, _GREEN_CHUNK_BYTES // (8 * s))
+    for start in range(0, s, rows):
+        chunk = slice(start, start + rows)
+        # the flat index of x_i - x_j, C order, one axis at a time
+        index = np.zeros((min(rows, s - start), s), dtype=np.intp)
+        for x, n in zip(coords, shape):
+            index *= n
+            diff = x[chunk, None] - x
+            diff %= n
+            index += diff
+        yield green[index]
+
+
+def _block_green_rows(gathered: np.ndarray, columns: np.ndarray, q: np.ndarray,
+                      c: np.ndarray, n_c: int):
+    """G[cells][:, cells] a chunk of rows at a time from the cells' gathered columns.
+
+    gathered[k, p, j] is B_k[p, columns[j]]; cell i sits at column columns[q[i]]
+    and at c[i] along the last axis (module docstring).
+    """
+    s = c.size
+    rows = max(1, _GREEN_CHUNK_BYTES // (8 * n_c * max(columns.size, 1)))
+    for start in range(0, s, rows):
+        chunk = slice(start, start + rows)
+        first, last = int(q[chunk].min()), int(q[chunk].max()) + 1
+        table = np.fft.irfft(gathered[:, columns[first:last]], n=n_c, axis=0)
+        shift = c[chunk, None] - c
+        shift %= n_c
+        yield table[shift, q[chunk, None] - first, q]
 
 
 def _apply_central_blocks(blocks: np.ndarray, values: np.ndarray) -> np.ndarray:

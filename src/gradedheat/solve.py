@@ -35,9 +35,11 @@ Fourier multiplier on R^d, central-frequency blocks on H1.
 A V >= 0 supported on s of the cells is a rank-s correction to M, and the
 Woodbury identity solves the step exactly: an s x s positive definite
 system built from the Green's rows of M between the cells of the support
-(``DiscreteRockland.green_rows``), factorised once per problem by LAPACK
-dpptrf; each step is two resolvent applies and one dpptrs (2 s^2 flops),
-with no tolerance and no iteration.  The mollified delta and delta^2 nets
+(``DiscreteRockland.support_resolvent``), factorised once per problem by
+LAPACK dpptrf; each step is one resolvent apply, one dpptrs (2 s^2 flops)
+and M^{-1} of a vector supported on the s cells, which on H1 reads only the
+support's columns of the inverse blocks, with no tolerance and no
+iteration.  The mollified delta and delta^2 nets
 shrink onto such supports as eps falls.  The cost model picks this route
 iff its factor, s^3/3 flops, costs no more than one resolvent apply per
 step: s^3 <= WOODBURY_FLOPS_RATIO * steps * F, with F the operator's
@@ -61,13 +63,14 @@ product at exit checks the true residual b - A x, which a resolvent that is
 not M^{-1} fails (see _cg_solver).  The window keeps _CG_WINDOW + 1 states
 of each CG problem alive, 16.8 MB per state on a 64 x 64 x 512 grid.
 
-scipy.linalg.lapack is imported on the first 1-D or Woodbury solve, not
-with the package.  A state whose norms leave float64 range is reported as a
-CapabilityError naming the step, found where the recorder already reads
-the states: at each stored state and each block of norms.  Without series
-only the kept states are read, and the error names the first kept step at
-or after the overflow (at most thin - 1 steps later): every step map
-carries a non-finite state forward, and the last state is always kept.
+scipy.linalg.lapack is imported on the first 1-D or Woodbury solve or H1
+resolvent, not with the package.  A state whose norms leave float64 range
+is reported as a CapabilityError naming the step, found where the recorder
+already reads the states: at each stored state and each block of norms.
+Without series only the kept states are read, and the error names the first
+kept step at or after the overflow (at most thin - 1 steps later): every
+step map carries a non-finite state forward, and the last state is always
+kept.
 """
 
 from __future__ import annotations
@@ -325,8 +328,9 @@ def step_implicit(p: CauchyProblem, keep_states: bool = True,
     H1, a V >= 0 on s <= WOODBURY_MAX_CELLS cells with
     s^3 <= WOODBURY_FLOPS_RATIO * steps * F, F the operator's
     resolvent_flops, is solved exactly by the resolvent plus a
-    Cholesky-factored correction on its support: two resolvent applies and
-    two triangular solves of size s per step.  V = 0 takes one
+    Cholesky-factored correction on its support: one resolvent apply, two
+    triangular solves of size s and the resolvent of the correction, read
+    from the support's columns on H1, per step.  V = 0 takes one
     resolvent apply per step.  All other problems run preconditioned CG
     (see the module docstring).  The route reads only the problem, never
     the cores, and the Woodbury factor has the same bits at any BLAS thread
@@ -425,15 +429,19 @@ def _woodbury_solver(p: CauchyProblem, dt: float, v_flat: np.ndarray):
     the cells of S.  C is positive definite because M^{-1} is; its packed
     upper triangle is written a chunk of Green's rows at a time, and LAPACK
     dpptrf factorises it once per problem (info != 0 is a StabilityError).
-    Each step is two resolvent applies and one dpptrs.  The upper packed
-    routines run dtpsv and ddot, which OpenBLAS runs on the calling thread
-    (ddot up to 10000 elements, so for s <= WOODBURY_MAX_CELLS): their bits
-    do not depend on the BLAS thread count, and they wake no BLAS threads
-    to spin against numpy's on H1.  The lower packed dpptrf threads its
-    dspr, which made an H1 solve outside a sweep pool about twice as slow;
-    dpotrf's blocked factor changes bits with the thread count from
-    s = 128 on.  scipy.linalg.lapack is imported on the first call, not
-    with the package.
+    Each step is one resolvent apply, one dpptrs and M^{-1} P of the
+    correction, which ``DiscreteRockland.support_resolvent`` applies: on
+    R^d with the bits of a resolvent apply, on H1 by the support's
+    columns of the inverse blocks, gathered once with the Green's rows.
+    The upper packed routines run dtpsv and ddot, which OpenBLAS runs on
+    the calling thread (ddot up to 10000 elements, so for s <=
+    WOODBURY_MAX_CELLS): their bits do not depend on the BLAS thread
+    count, and they wake no BLAS threads to spin against numpy's on H1.
+    The lower packed dpptrf threads its dspr, which made an H1 solve
+    outside a sweep pool about twice as slow; dpotrf's blocked factor
+    changes bits with the thread count from s = 128 on.
+    scipy.linalg.lapack is imported on the first call, not with the
+    package.
     """
     from scipy.linalg.lapack import dpptrf, dpptrs
 
@@ -443,10 +451,11 @@ def _woodbury_solver(p: CauchyProblem, dt: float, v_flat: np.ndarray):
     if s == 0:
         return lambda u, k: op.resolvent(dt, u)
     d = np.sqrt(dt * v_flat[support])
+    scattered_resolvent, green_rows = op.support_resolvent(dt, support)
     # C is symmetric: row i of its lower triangle is column i of its packed upper triangle
     packed = np.empty(s * (s + 1) // 2)
     i = at = 0
-    for rows in op.green_rows(dt, support):
+    for rows in green_rows:
         rows *= d
         rows *= d[i:i + len(rows), None]
         for row in rows:
@@ -459,13 +468,11 @@ def _woodbury_solver(p: CauchyProblem, dt: float, v_flat: np.ndarray):
         raise StabilityError(
             "implicit system could not be factorised: the Woodbury matrix I + d G_S d "
             "is not positive definite")
-    correction = np.zeros(op.grid.size)
 
     def solve(u: np.ndarray, k: int) -> np.ndarray:
         y = op.resolvent(dt, u)
         w = dpptrs(s, factor, d * y[support], lower=0)[0]
-        correction[support] = d * w
-        y -= op.resolvent(dt, correction)
+        y -= scattered_resolvent(d * w)
         return y
 
     return solve

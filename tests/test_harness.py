@@ -928,13 +928,30 @@ dt = 0.015625
 experiment = existence
 """
 
+# the h1_existence benchmark config at a shorter T: eps = 0.25 (935 support
+# cells) steps by CG and 0.2 (535) by Woodbury
+H1_EXISTENCE_TEXT = """
+group = heisenberg1
+half_width = 1.5
+points = 16,16,32
+potential = delta
+schedule = log:1
+epsilons = 0.25,0.2,0.15,0.11
+mollifier_radius = 1.4
+T = 0.25
+dt = 0.03125
+norm = hnu2
+experiment = existence
+"""
+
 SERIES_DIGEST = """
 import hashlib, sys
 from gradedheat import harness
 from gradedheat.config import parse_sweep_config
-problem = harness.problem_builder(parse_sweep_config(sys.argv[1]))(0.18)
-traj = harness.step_implicit(problem, keep_states=False)
-print(hashlib.sha256(traj.l2.tobytes() + traj.sobolev_nu2.tobytes()).hexdigest())
+problem = harness.problem_builder(parse_sweep_config(sys.argv[1]))
+for eps in sys.argv[2:]:
+    traj = harness.step_implicit(problem(float(eps)), keep_states=False)
+    print(hashlib.sha256(traj.l2.tobytes() + traj.sobolev_nu2.tobytes()).hexdigest())
 """
 
 
@@ -996,16 +1013,24 @@ class TestWoodburyFactorDeterminism:
 
     def test_series_do_not_depend_on_the_openblas_thread_count_at_start(self):
         # OpenBLAS fixes its count when it loads, so each count needs a fresh
-        # interpreter; the environment variable sets numpy's and scipy's
+        # interpreter; the environment variable sets numpy's and scipy's.  On
+        # H1 the resolvent's inverse blocks, which both routes apply, are
+        # built on one scipy thread
+        problem = harness.problem_builder(parse_sweep_config(H1_EXISTENCE_TEXT))
+        cost = [3 * p.steps * p.op.resolvent_flops - np.count_nonzero(p.V.values) ** 3
+                for p in (problem(0.25), problem(0.2))]
+        assert cost[0] < 0 <= cost[1]  # CG, then Woodbury
         src = Path(__file__).resolve().parents[1] / "src"
-        digests = set()
-        for threads in ("1", "2"):
-            env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
-            done = subprocess.run([sys.executable, "-c", SERIES_DIGEST, WOODBURY_TEXT],
-                                  env=env, capture_output=True, text=True, timeout=120)
-            assert done.returncode == 0, done.stderr
-            digests.add(done.stdout)
-        assert len(digests) == 1
+        for text, eps in ((WOODBURY_TEXT, ("0.18",)), (H1_EXISTENCE_TEXT, ("0.25", "0.2"))):
+            digests = set()
+            for threads in ("1", "2"):
+                env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+                done = subprocess.run([sys.executable, "-c", SERIES_DIGEST, text, *eps],
+                                      env=env, capture_output=True, text=True, timeout=120)
+                assert done.returncode == 0, done.stderr
+                assert len(done.stdout.split()) == len(eps)
+                digests.add(done.stdout)
+            assert len(digests) == 1, text
 
 
 class TestCgStepDeterminism:

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from gradedheat import operators
-from gradedheat.errors import CapabilityError
+from gradedheat.errors import CapabilityError, StabilityError
 from gradedheat.groups import Field, euclidean, heisenberg1, make_grid
 from gradedheat.operators import (
     DiscreteRockland,
@@ -302,7 +302,8 @@ class TestSpectralLimit:
 
     @pytest.mark.parametrize("call", ["eigensystem", "resolvent"])
     def test_blocks_beyond_physical_memory_refused(self, monkeypatch, call):
-        # 5 blocks of 64 dof and their inverse or eigenvectors: 2 * 5 * 64^2 complex128
+        # 5 blocks of 64 dof and their eigenvectors, 2 * 5 * 64^2 complex128; or
+        # the same 5 blocks and the 5 offsets of their coupling table
         R = build_rockland(make_grid(heisenberg1(), 1.5, 8))
         run = R.eigensystem if call == "eigensystem" else lambda: R.resolvent(0.1, np.zeros(512))
         with monkeypatch.context() as m:
@@ -310,18 +311,33 @@ class TestSpectralLimit:
             m.setattr(operators, "_central_blocks", lambda *args: pytest.fail(
                 "blocks were built before their memory was checked"))
             with pytest.raises(CapabilityError, match=r"^5 dense central-frequency blocks of "
-                               r"64 dof and their inverse or eigenvectors need 655360 bytes"):
+                               rf"64 dof for the {call} need 655360 bytes"):
                 run()
         monkeypatch.setattr(operators, "_physical_memory", lambda: 655360)
         run()  # a block set that just fits is built
 
+    def test_in_place_resolvent_counts_one_block_set(self, monkeypatch):
+        # 9 blocks of 64 dof: the eigensystem needs two sets, 1179648 bytes;
+        # the resolvent one set and the 5 offsets of the coupling table,
+        # 917504 bytes
+        grid = make_grid(heisenberg1(), 1.5, (8, 8, 16))
+        monkeypatch.setattr(operators, "_physical_memory", lambda: 1_000_000)
+        build_rockland(grid).resolvent(0.1, np.zeros(grid.size))
+        monkeypatch.setattr(operators, "_central_blocks", lambda *args: pytest.fail(
+            "blocks were built before their memory was checked"))
+        with pytest.raises(CapabilityError, match=r"^9 dense central-frequency blocks of "
+                           r"64 dof for the eigensystem need 1179648 bytes, more than"):
+            build_rockland(grid).eigensystem()
+
     @pytest.mark.parametrize("first, second", [("eigensystem", "resolvent"),
                                                ("resolvent", "eigensystem")])
     def test_cached_blocks_count_against_physical_memory(self, monkeypatch, first, second):
-        # one set of 5 blocks of 64 dof is 327680 bytes; a build needs two
-        # sets, and the operator keeps one of them (the eigenvectors, with
-        # 2560 bytes of eigenvalues, or the inverse), so a second build
-        # needs more than 3 sets where 2.5 are at hand
+        # one set of 5 blocks of 64 dof is 327680 bytes, and so is the
+        # coupling table of their 5 offsets; a build needs two sets (the
+        # eigensystem) or one and the table (the resolvent), and the
+        # operator keeps one set (the eigenvectors, with 2560 bytes of
+        # eigenvalues, or the inverse), so a second build needs more than 3
+        # sets where 2.5 are at hand
         R = build_rockland(make_grid(heisenberg1(), 1.5, 8))
         block_set = 5 * 64**2 * 16
         calls = {"eigensystem": R.eigensystem,
@@ -476,6 +492,74 @@ class TestResolvent:
         want = np.fft.irfftn(np.fft.rfftn(values, axes=axes) * multiplier, s=shape, axes=axes)
         got = operators._apply_multiplier(multiplier, values.ravel(), shape)
         np.testing.assert_array_equal(got, want.ravel())
+
+
+class TestSupportResolvent:
+    # the map of values on cells to the resolvent of their scatter: on R^2
+    # the same scatter and multiplier as resolvent, on H1 a product with the
+    # cells' columns of the inverse blocks instead of the whole blocks
+    @pytest.mark.parametrize("group, points", [
+        (euclidean(2), (40, 24)),
+        (heisenberg1(), (8, 8, 16)),
+        (heisenberg1(), (12, 12, 12)),
+    ], ids=["r2", "h1-8x8x16", "h1-12^3"])
+    def test_matches_the_resolvent_of_the_scatter(self, group, points):
+        op = build_rockland(make_grid(group, 1.5, points))
+        rng = np.random.default_rng(9)
+        cells = np.sort(rng.choice(op.grid.size, 150, replace=False))
+        apply, _ = op.support_resolvent(1.0 / 32, cells)
+        for _ in range(2):  # the scatter buffer is reused
+            values = rng.standard_normal(cells.size)
+            scattered = np.zeros(op.grid.size)
+            scattered[cells] = values
+            want = op.resolvent(1.0 / 32, scattered)
+            got = apply(values)
+            if group.is_abelian:
+                np.testing.assert_array_equal(got, want)
+            else:
+                assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    def test_inverse_blocks_are_hermitian_and_invert(self, sub8):
+        # zpotri writes one triangle; the other is its mirror
+        inverse = sub8._resolvent_blocks(0.1)
+        np.testing.assert_array_equal(inverse, inverse.conj().transpose(0, 2, 1))
+        blocks = operators._central_blocks(sub8.matrix, sub8.grid.points[-1])
+        eye = np.eye(blocks.shape[1])
+        np.testing.assert_allclose(np.matmul(eye + 0.1 * blocks, inverse),
+                                   np.broadcast_to(eye, blocks.shape), rtol=0, atol=1e-13)
+
+
+class TestLapackThreadHold:
+    # the H1 inverse blocks are factorised on one scipy OpenBLAS thread, and
+    # the count that was there comes back, after a refused build too
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["sub-Laplacian", "negated"])
+    def test_blocks_are_inverted_on_one_thread(self, monkeypatch, sign):
+        import scipy.linalg.lapack
+
+        setter = operators._lapack_thread_setter()
+        if setter is None:
+            pytest.skip("scipy's BLAS exports no openblas_set_num_threads_local")
+
+        def count():
+            threads = setter(1)
+            setter(threads)
+            return threads
+
+        seen, zpotrf = [], scipy.linalg.lapack.zpotrf
+        monkeypatch.setattr(scipy.linalg.lapack, "zpotrf", lambda *args, **kwargs: (
+            seen.append(count()) or zpotrf(*args, **kwargs)))
+        grid = make_grid(heisenberg1(), 1.5, 8)
+        op = DiscreteRockland(grid, sign * build_rockland(grid).matrix, "sub-Laplacian")
+        before = count()
+        if sign > 0:
+            op.resolvent(0.1, np.zeros(grid.size))
+            assert len(seen) == 5
+        else:
+            with pytest.raises(StabilityError, match="central frequency"):
+                op.resolvent(1.0, np.zeros(grid.size))
+            assert seen
+        assert set(seen) == {1}
+        assert count() == before
 
 
 class TestGreenRows:

@@ -289,6 +289,17 @@ class TestHeisenbergStepper:
         p = CauchyProblem(sub12, bump_field(g, 1.0), Field.zeros(g), T=0.25, dt=1.0 / 32)
         np.testing.assert_array_equal(step_implicit(p).final.values, 0.0)
 
+    def test_indefinite_system_is_stability_error(self):
+        # V = 0 passes the guard, but a negated sub-Laplacian makes I + dt R
+        # indefinite: stepped anyway, the L2 norm went from 0.84 to 4.5e6 in 4 steps
+        op = build_rockland(make_grid(heisenberg1(), 1.5, (8, 8, 16)))
+        g = op.grid
+        negated = operators.DiscreteRockland(g, -op.matrix, "negated sub-Laplacian")
+        p = CauchyProblem(negated, Field.zeros(g), bump_field(g, 1.0), T=0.125, dt=1.0 / 32)
+        with pytest.raises(StabilityError,
+                           match=r"not positive definite .* central frequency k = \d+"):
+            step_implicit(p)
+
     def test_iteration_cap_names_step(self):
         # without the preconditioner CG needs far more iterations than the
         # cap sized for the preconditioned system; a sign-changing V keeps
@@ -342,6 +353,16 @@ class TestEuclidean2Stepper:
         g = lap2.grid
         p = CauchyProblem(lap2, bump_field(g, 1.0), Field.zeros(g), T=0.25, dt=1.0 / 32)
         np.testing.assert_array_equal(step_implicit(p).final.values, 0.0)
+
+    def test_indefinite_system_is_stability_error(self, lap2):
+        # V = 0 passes the guard, but -Laplacian makes I + dt R indefinite:
+        # its symbol reaches 1 - 8 dt / h^2 at the highest frequency
+        g = lap2.grid
+        negated = operators.DiscreteRockland(g, -lap2.matrix, "negated Laplacian")
+        dt = 0.4 * g.spacings[0] ** 2
+        p = CauchyProblem(negated, Field.zeros(g), bump_field(g, 1.0), T=4 * dt, dt=dt)
+        with pytest.raises(StabilityError, match="not positive definite"):
+            step_implicit(p)
 
 
 class TestCgStep:
@@ -478,8 +499,23 @@ class TestWoodburyStepper:
             np.testing.assert_array_equal(step_implicit(p).final.values.ravel(), want)
         assert len(woodbury_calls) == 2
 
+    def test_one_full_resolvent_per_h1_step(self, sub_12_24, monkeypatch, woodbury_calls):
+        # the correction acts on the support's columns of the inverse blocks,
+        # not through a second full apply
+        g = sub_12_24.grid
+        V = regularize_potential(PotentialSpec.dirac_delta(multiplier=200.0), 0.6,
+                                 OmegaSchedule.polynomial(), Mollifier(3, 1.4), g)
+        p = CauchyProblem(sub_12_24, V, bump_field(g, 1.0), T=0.25, dt=1.0 / 32)
+        calls, resolvent = [], sub_12_24.resolvent
+        monkeypatch.setattr(sub_12_24, "resolvent",
+                            lambda *args: calls.append(args) or resolvent(*args))
+        step_implicit(p)
+        assert len(woodbury_calls) == 1
+        assert len(calls) == p.steps
+
     def test_indefinite_correction_is_stability_error(self):
-        # a negated Laplacian makes the resolvent, and with it I + d G_S d, indefinite
+        # a negated Laplacian makes the resolvent, and with it I + d G_S d,
+        # indefinite; the resolvent's build refuses it before the factor
         op = build_rockland(make_grid(euclidean(2), 1.0, 16))
         g = op.grid
         negated = operators.DiscreteRockland(g, -op.matrix, "negated Laplacian")
@@ -488,7 +524,7 @@ class TestWoodburyStepper:
         dt = 0.4 * g.spacings[0] ** 2
         p = CauchyProblem(negated, Field(g, v.reshape(g.shape)), bump_field(g, 0.5),
                           T=4 * dt, dt=dt)
-        with pytest.raises(StabilityError, match="Woodbury matrix .* not positive definite"):
+        with pytest.raises(StabilityError, match=r"I \+ dt R is not positive definite"):
             step_implicit(p)
 
 
