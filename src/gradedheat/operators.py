@@ -63,7 +63,23 @@ blocks are summed from; the eigensystem's is two block sets.
   over k, taken at c - c' mod n_c, so a chunk costs one length-n_c irfft
   per pair of its (a, b) columns, read from the same gather.  The Woodbury
   step samples G on the support of V this way, and applies its correction
-  by the column product.
+  by the column product.  When the cells meet every (a, b) column, the
+  gather is the cached inverse itself; any other gather is refused, like a
+  block build, when its bytes with the cached blocks exceed the physical
+  memory.
+
+* ``support_green`` maps values on given cells to G[cells][:, cells] times
+  them, the resolvent of their scatter read on the cells, computing only
+  what the cells need.  On R^d it is the circular convolution with G's
+  column at the origin on a box around the cells: on each axis the cells
+  span a periodic arc of b points (a support that wraps the boundary is no
+  wider), and a side of the smallest 5-smooth L >= 2b - 1 sees every
+  difference of two cells once; where L would not be below the axis length
+  the whole axis is taken.  At 256^2 a support of 7209 cells took 0.36 ms
+  against 0.63 ms for a resolvent apply.  On H1 it is the product with the
+  cells' u x u sub-blocks B_k^{-1}[columns][:, columns] and an irfft of those
+  u columns, 8 (n_c/2 + 1) u^2 flops.  The CG step of backward Euler runs
+  on the support of V with it.
 """
 
 from __future__ import annotations
@@ -246,8 +262,8 @@ class DiscreteRockland:
         G[cells][:, cells] a chunk of rows at a time (``green_rows``), on H1
         from the same gather.
         """
-        inverse = self._resolvent_blocks(dt)
         if self.grid.group.is_abelian:
+            inverse = self._resolvent_blocks(dt)
             shape = self.grid.shape
             scattered = np.zeros(self.grid.size)
 
@@ -257,9 +273,7 @@ class DiscreteRockland:
 
             return apply, _multiplier_green_rows(inverse, cells, shape)
         n_c = self.grid.points[-1]
-        column, c = np.divmod(cells, n_c)
-        columns, q = np.unique(column, return_inverse=True)
-        gathered = np.take(inverse, columns, axis=2)
+        gathered, columns, q, c = self._support_columns(dt, cells, square=False)
         scattered = np.zeros((columns.size, n_c))
 
         def apply(values) -> np.ndarray:
@@ -267,6 +281,51 @@ class DiscreteRockland:
             return _apply_central_blocks(gathered, scattered)
 
         return apply, _block_green_rows(gathered, columns, q, c, n_c)
+
+    def support_green(self, dt: float, cells: np.ndarray):
+        """The map of values on distinct flat grid indices cells to G x on the cells.
+
+        G = (I + dt R)^{-1} and x holds the values on cells and zero
+        elsewhere, so the map is G[cells][:, cells], applied computing only
+        what the cells need: on R^d a circular convolution on a box that
+        holds the cells, on H1 a product with the cells' sub-blocks of the
+        inverse blocks (module docstring).
+        """
+        if self.grid.group.is_abelian:
+            return _multiplier_support_green(self._resolvent_blocks(dt), cells, self.grid.shape)
+        n_c = self.grid.points[-1]
+        sub, columns, q, c = self._support_columns(dt, cells, square=True)
+        scattered = np.zeros((columns.size, n_c))
+        flat = q * n_c + c
+
+        def apply(values) -> np.ndarray:
+            scattered[q, c] = values
+            return _apply_central_blocks(sub, scattered)[flat]
+
+        return apply
+
+    def _support_columns(self, dt: float, cells: np.ndarray, square: bool):
+        """(blocks, columns, q, c): the cells' columns of the H1 inverse blocks.
+
+        Cell i sits in (a, b) column columns[q[i]] and at c[i] along the last
+        axis.  blocks[k] is B_k^{-1}[:, columns], or with square
+        B_k^{-1}[columns][:, columns]; when the cells meet every column it
+        is the cached inverse itself, with no copy.  A gather whose bytes,
+        with the blocks the operator caches, exceed the physical memory is
+        refused with CapabilityError before it is made.
+        """
+        inverse = self._resolvent_blocks(dt)
+        column, c = np.divmod(cells, self.grid.points[-1])
+        columns, q = np.unique(column, return_inverse=True)
+        k, m = inverse.shape[:2]
+        u = columns.size
+        if u == m:
+            return inverse, columns, q, c
+        self._check_memory((u if square else m) * u * k * 16,
+                           f"{u} of the {m} columns of {k} inverse blocks")
+        if square:
+            return inverse[:, columns[:, None], columns], columns, q, c
+        return np.take(inverse, columns, axis=2), columns, q, c
 
     def green_rows(self, dt: float, cells: np.ndarray):
         """Yield G[cells][:, cells] for G = (I + dt R)^{-1}, a chunk of rows at a time.
@@ -324,26 +383,32 @@ class DiscreteRockland:
             raise CapabilityError(
                 f"dense central-frequency blocks of {block} dof exceed the limit of "
                 f"{SPECTRAL_DOF_LIMIT}; use a smaller grid")
-        # the operator keeps its eigensystem and each dt's inverse blocks
-        cached = sum(inverse.nbytes for inverse in self._resolvents.values())
-        if self._eigensystem is not None:
-            cached += sum(part.nbytes for part in self._eigensystem)
         offsets = np.unique(self.matrix[::n_c].indices % n_c).size
         block_set = (n_c // 2 + 1) * block**2 * 16  # complex128
-        need = max(copies * block_set, block_set + offsets * block**2 * 16) + cached
-        memory = _physical_memory()
-        if memory is not None and need > memory:
-            held = f" with the {cached} bytes this operator caches" if cached else ""
-            what = "the resolvent" if copies == 1 else "the eigensystem"
-            raise CapabilityError(
-                f"{n_c // 2 + 1} dense central-frequency blocks of {block} dof for {what} "
-                f"need {need} bytes{held}, more than the {memory} bytes of physical memory; "
-                f"use a smaller grid")
+        self._check_memory(
+            max(copies * block_set, block_set + offsets * block**2 * 16),
+            f"{n_c // 2 + 1} dense central-frequency blocks of {block} dof for "
+            + ("the resolvent" if copies == 1 else "the eigensystem"))
         blocks = _central_blocks(self.matrix, n_c)
         self._check_invariance(
             lambda x: _apply_central_blocks(blocks, x.reshape(blocks.shape[1], -1)),
             "along the last grid axis; it has no central-frequency block form")
         return blocks
+
+    def _check_memory(self, build: int, what: str):
+        """Refuse a build of that many bytes whose peak, with the blocks the operator
+        already caches (its eigensystem and each dt's inverse blocks), exceeds the
+        physical memory: CapabilityError naming what, before any of it is made."""
+        cached = sum(inverse.nbytes for inverse in self._resolvents.values())
+        if self._eigensystem is not None:
+            cached += sum(part.nbytes for part in self._eigensystem)
+        need = build + cached
+        memory = _physical_memory()
+        if memory is not None and need > memory:
+            held = f" with the {cached} bytes this operator caches" if cached else ""
+            raise CapabilityError(
+                f"{what} need {need} bytes{held}, more than the {memory} bytes of "
+                f"physical memory; use a smaller grid")
 
     def _checked_symbol(self) -> np.ndarray:
         """The Fourier symbol of R on an abelian grid, verified on a probe.
@@ -426,9 +491,7 @@ def _multiplier_green_rows(multiplier: np.ndarray, cells: np.ndarray, shape):
     s = cells.size
     if s == 0:
         return
-    origin = np.zeros(math.prod(shape))
-    origin[0] = 1.0
-    green = _apply_multiplier(multiplier, origin, shape)
+    green = _multiplier_green(multiplier, shape).ravel()
     coords = np.unravel_index(cells, shape)
     rows = max(1, _GREEN_CHUNK_BYTES // (8 * s))
     for start in range(0, s, rows):
@@ -441,6 +504,61 @@ def _multiplier_green_rows(multiplier: np.ndarray, cells: np.ndarray, shape):
             diff %= n
             index += diff
         yield green[index]
+
+
+def _multiplier_green(multiplier: np.ndarray, shape) -> np.ndarray:
+    """G[x, 0] for every x, shaped like the grid: the multiplier's irfftn."""
+    origin = np.zeros(math.prod(shape))
+    origin[0] = 1.0
+    return _apply_multiplier(multiplier, origin, shape).reshape(shape)
+
+
+def _multiplier_support_green(multiplier: np.ndarray, cells: np.ndarray, shape):
+    """The map v -> G[cells][:, cells] v for the multiplier's G, on a box around the cells.
+
+    On each axis the cells' coordinates lie on a periodic arc of b points
+    (the complement of the widest gap between them, so a support that wraps
+    the boundary is no wider), and the coordinate differences between cells
+    lie in [-(b - 1), b - 1].  A circular convolution of side L >= 2b - 1
+    sees each of them once, so on the L-box, with G[x - y] at the offsets of
+    |x - y| <= L // 2, it equals G on the cells.  L is the smallest 5-smooth
+    number >= 2b - 1, or the axis length n where that is not below n.  The
+    box kernel is symmetric, so its spectrum is a real multiplier.
+    """
+    green = _multiplier_green(multiplier, shape)
+    box, local, offsets = [], [], []
+    for x, n in zip(np.unravel_index(cells, shape), shape):
+        ticks = np.unique(x)
+        gaps = np.diff(ticks, append=ticks[0] + n)
+        widest = int(np.argmax(gaps))
+        extent = n - int(gaps[widest]) + 1
+        side = min(_five_smooth(2 * extent - 1), n)
+        box.append(side)
+        local.append((x - ticks[(widest + 1) % ticks.size]) % n)
+        t = np.arange(side)
+        offsets.append(np.where(t <= side // 2, t, t - side) % n)
+    box = tuple(box)
+    kernel = np.fft.rfftn(green[np.ix_(*offsets)]).real
+    flat = np.ravel_multi_index(local, box)
+    scattered = np.zeros(math.prod(box))
+
+    def apply(values) -> np.ndarray:
+        scattered[flat] = values
+        return _apply_multiplier(kernel, scattered, box)[flat]
+
+    return apply
+
+
+def _five_smooth(n: int) -> int:
+    """The smallest 2^i 3^j 5^k >= n, a fast FFT length."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
 
 def _block_green_rows(gathered: np.ndarray, columns: np.ndarray, q: np.ndarray,

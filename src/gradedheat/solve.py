@@ -44,24 +44,37 @@ shrink onto such supports as eps falls.  The cost model picks this route
 iff its factor, s^3/3 flops, costs no more than one resolvent apply per
 step: s^3 <= WOODBURY_FLOPS_RATIO * steps * F, with F the operator's
 ``resolvent_flops`` (5 N log2 N on R^d, 8 (n_c/2 + 1) m^2 on H1).  CG
-spent 6-10 applies per step on these problems when the ratio was chosen and
-spends about 4-5 from its Galerkin start, so the factor is still repaid
-within the run.  A second clause, s <= WOODBURY_MAX_CELLS, keeps the
-packed factor (4 s^2 bytes) under 256 MiB and its bits independent of the
-BLAS thread count (see _woodbury_solver).
+spends two resolvent applies per step and 2.3-3.6 products with the
+support's Green's matrix, each a fraction of an apply, and the rule still
+splits the eps of the benchmark sweeps where their timings cross (between
+s^3 = 1.1 and 5.7 steps * F).  A second clause,
+s <= WOODBURY_MAX_CELLS, keeps the packed factor (4 s^2 bytes) under
+256 MiB and its bits independent of the BLAS thread count (see
+_woodbury_solver).
 
 Every other problem (a sign-changing V, a larger support) is solved by
-conjugate gradients preconditioned with M^{-1}; the preconditioned
-condition number is at most (1 + dt max V^+)/(1 - dt max V^-), which also
-sizes the iteration cap.  Each step solves the same system for the last
-state, so CG starts from the Galerkin projection of the solution onto the
-span of the last _CG_WINDOW states (the projection start for successive
-right-hand sides), read off their inner products with no resolvent apply.
-Since the resolvent is M^{-1} exactly, M d is carried by recurrence, and an
-iteration costs one resolvent apply and no sparse product; one sparse
-product at exit checks the true residual b - A x, which a resolvent that is
-not M^{-1} fails (see _cg_solver).  The window keeps _CG_WINDOW + 1 states
-of each CG problem alive, 16.8 MB per state on a 64 x 64 x 512 grid.
+conjugate gradients on the support S of V (the capacitance-matrix method):
+the step is x = M^{-1} b + M^{-1} P e for the s values e on S that solve
+(I + dt V_S G_S) e = -dt V_S (M^{-1} b)_S, G_S the Green's matrix of M
+between the cells of S.  CG runs in the G_S inner product, where that
+system is positive definite whenever I + dt(R + V) is, so under the
+stability guard; it is CG on I + dt(R + V) preconditioned with M^{-1}, and
+its condition number is at most (1 + dt max V^+)/(1 - dt max V^-), which
+also sizes the iteration cap.  Each iteration makes one product with G_S,
+which ``DiscreteRockland.support_green`` computes on the cells alone (a
+box convolution on R^d, the support's sub-blocks on H1), and every
+vector of the iteration has length s; each step adds one resolvent apply
+for M^{-1} b and one for M^{-1} P e.  Where S covers more than half the
+grid, S is the whole grid: CG steps from its start x0 by M^{-1} e, with no
+apply for M^{-1} b or the correction, and one resolvent apply per
+iteration.  Each step solves the same system for a new right-hand side,
+so CG starts from the Galerkin projection onto the last _CG_WINDOW
+solutions, read off their stored images with no product.  One sparse
+product at exit checks the true residual b - A x, which a resolvent that
+is not M^{-1} fails (see _cg_solver), and hands R x to the recorder for
+the state's Sobolev norm.  The window keeps 3 _CG_WINDOW vectors of
+length s alive per CG problem, or, on the whole grid, _CG_WINDOW states
+and their images A x (16.8 MB per vector on a 64 x 64 x 512 grid).
 
 scipy.linalg.lapack is imported on the first 1-D or Woodbury solve or H1
 resolvent, not with the package.  A state whose norms leave float64 range
@@ -94,10 +107,11 @@ WOODBURY_FLOPS_RATIO = 3
 WOODBURY_MAX_CELLS = 8192
 STATE_THIN_TARGET = 64
 RECORD_BLOCK_BYTES = 1 << 18
-# CG starts from the Galerkin projection onto this many last states.  Resolvent
-# applies per step on the CG eps of e2_existence (1/2, 1/4) and h1_existence
-# (0.25): 4.12, 4.81, 5.25 with 3 states; 3.81, 4.28, 5.19 with 4; 3.59, 4.19,
-# 4.62 with 5; 3.44, 4.16, 4.62 with 6 and 3.44, 4.28, 4.62 with 8
+# CG starts from the Galerkin projection onto this many last solutions.
+# Products with G_S per step on the CG eps of e2_existence (1/2, 1/4) and
+# h1_existence (0.25): 2.44, 3.09, 4.12 with 3 solutions; 2.44, 2.94, 3.62
+# with 4; 2.28, 2.94, 3.56 with 5; 2.28, 2.91, 3.56 with 6 and 2.31, 2.78,
+# 3.56 with 8
 _CG_WINDOW = 5
 
 
@@ -202,6 +216,10 @@ class _Recorder:
         rows = min(max(RECORD_BLOCK_BYTES // (8 * grid.size), 1),
                    STATE_THIN_TARGET, self.steps + 1)
         self.block = np.empty((rows, grid.size))
+        # R u of the states whose step handed it over (allocated on the first),
+        # and which ones those are
+        self.products: np.ndarray | None = None
+        self.known = np.zeros(rows, dtype=bool)
         self.k = 0
         self.filled = 0
         self.times = np.arange(self.steps + 1) * problem.dt_effective
@@ -210,10 +228,15 @@ class _Recorder:
         self.e = np.empty(self.steps + 1) if self.v_flat.min() >= 0.0 else None
         self.state_times, self.states = [], []
 
-    def push(self, u: np.ndarray):
-        """Record u as the state at step self.k (time k * dt_effective)."""
+    def push(self, u: np.ndarray, ru: np.ndarray | None = None):
+        """Record u, with R u if the step computed it, as the state at step self.k."""
         k = self.k
         self.block[self.filled] = u
+        if ru is not None:
+            if self.products is None:
+                self.products = np.empty_like(self.block)
+            self.products[self.filled] = ru
+            self.known[self.filled] = True
         self.filled += 1
         self.k += 1
         if self.keep_states and (k % self.thin == 0 or k == self.steps):
@@ -226,11 +249,19 @@ class _Recorder:
 
     def _flush(self):
         u = self.block[:self.filled]
+        missing = np.flatnonzero(~self.known[:self.filled])
+        self.known[:] = False
         start = self.k - self.filled
         self.filled = 0
         with np.errstate(over="ignore", invalid="ignore"):
             l2 = np.sqrt(np.sum(u * u, axis=1) * self.vol)
-            ru = np.ascontiguousarray((self.mat @ u.T).T)
+            # csr_matvecs sums each row in csr_matvec's order: a handed R u has these bits
+            if missing.size == len(u):
+                ru = np.ascontiguousarray((self.mat @ u.T).T)
+            else:
+                ru = self.products[:len(u)]
+                if missing.size:
+                    ru[missing] = (self.mat @ u[missing].T).T
             quad = np.sum(u * ru, axis=1) * self.vol
             quad[quad < 0.0] = 0.0  # rounding may leave a tiny negative residue
             e = (None if self.e is None
@@ -275,8 +306,11 @@ def _overflow(k: int, steps: int, t: float) -> CapabilityError:
 
 
 def _integrate(p: CauchyProblem, advance, keep_states: bool = True,
-               series: bool = True) -> Trajectory:
+               series: bool = True, product=None) -> Trajectory:
     """The trajectory of u = advance(u, k), k = 1 .. p.steps, from u0.
+
+    product(u), if given, is R u for the state advance just returned, or
+    None; the recorder takes it instead of its own sparse product.
 
     With series, the recorder reduces the norm series of every state and
     reports a state that overflows, at each stored state and each block of
@@ -297,7 +331,7 @@ def _integrate(p: CauchyProblem, advance, keep_states: bool = True,
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(1, p.steps + 1):
                 u = advance(u, k)
-                rec.push(u)
+                rec.push(u, product and product(u))
         return rec.build()
     _check_series_fit(p.steps)
     steps, grid = p.steps, p.u0.grid
@@ -331,8 +365,13 @@ def step_implicit(p: CauchyProblem, keep_states: bool = True,
     Cholesky-factored correction on its support: one resolvent apply, two
     triangular solves of size s and the resolvent of the correction, read
     from the support's columns on H1, per step.  V = 0 takes one
-    resolvent apply per step.  All other problems run preconditioned CG
-    (see the module docstring).  The route reads only the problem, never
+    resolvent apply per step.  All other problems run CG on the support of
+    V, or on the whole grid where V covers more than half of it: two
+    resolvent applies per step and one product with the Green's matrix
+    between the support's cells per iteration, or one resolvent apply per
+    iteration on the whole grid, and one sparse product per step, whose
+    R u the recorder takes (see the module docstring).  The route reads
+    only the problem, never
     the cores, and the Woodbury factor has the same bits at any BLAS thread
     count, so its series do not depend on the worker count or the CPU
     affinity.  keep_states=False records the norm series only, as an
@@ -354,7 +393,8 @@ def step_implicit(p: CauchyProblem, keep_states: bool = True,
     if (v_minus == 0.0 and s <= WOODBURY_MAX_CELLS
             and s**3 <= WOODBURY_FLOPS_RATIO * p.steps * p.op.resolvent_flops):
         return _integrate(p, _woodbury_solver(p, dt, v_flat), keep_states, series)
-    return _integrate(p, _cg_solver(p, dt, v_flat, v_minus), keep_states, series)
+    solve, product = _cg_solver(p, dt, v_flat, v_minus)
+    return _integrate(p, solve, keep_states, series, product)
 
 
 def splu(matrix):
@@ -485,94 +525,119 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _cg_solver(p: CauchyProblem, dt: float, v_flat: np.ndarray, v_minus: float):
-    """CG on A = I + dt(R + V), preconditioned with M = I + dt R.
+    """(solve, product): CG for A = I + dt(R + V) on the support S of V.
 
-    M^{-1} A = I + dt M^{-1} V has its spectrum in
+    solve(b, k) is the step map; product(u) is R u as the exit check
+    computed it for the state u that solve last returned, else None.
+
+    Support coordinates.  With M = I + dt R, P the injection of S's s cells,
+    G_S = P^T M^{-1} P and V' = dt V_S, every x = y + M^{-1} P e with
+    y = M^{-1} b has A x - b = P (T e - f), T = I + V' G_S and f = -V' y_S.
+    T is self-adjoint in the G_S inner product <u, w> = u . G_S w, and
+    <e, T e> = z^T A z for z = M^{-1} P e, so CG runs on T e = f in that
+    inner product: the residual, the direction d and its image T d all have
+    length s, and each iteration makes one product G_S r
+    (``DiscreteRockland.support_green``); G_S d follows by recurrence.  The
+    iterates are those of CG on A preconditioned with M^{-1} from the
+    corresponding start, whose residual lies on S.  When 2s > N, S is the
+    whole grid and the unknown is the step from the start x0: x = x0 + M^{-1} e,
+    f = b - A x0, G_S = M^{-1}, and y and the final M^{-1} P e are not
+    applied (the images G_S d, summed, are the step).
+
+    Cap.  M^{-1} A = I + dt M^{-1} V has its spectrum in
     [1 - dt max V^-, 1 + dt max V^+] because M >= I, so kappa is at most
-    their ratio.  The A-norm error then obeys
-    |e_k|_A <= 2 rho^k |e_0|_A, rho = (sqrt(kappa) - 1)/(sqrt(kappa) + 1),
-    and from |e_0|_A <= |x*|_A the residual obeys
-    |r_k| / |b| <= 2 sqrt(kappa |M|) rho^k, with |M| bounded by its largest
+    their ratio, and the A-norm error obeys
+    |z_k|_A <= 2 rho^k |z_0|_A, rho = (sqrt(kappa) - 1)/(sqrt(kappa) + 1).
+    The start is at least as close as e = 0: x = 0 on the whole grid, whose
+    error |x*|_A is at most |b| / sqrt(lambda_min A), and x = y on S, whose
+    error y - x* = A^{-1} dt V y, |y| <= |b|, is at most dt max|V| times
+    that.  So |r_k| / |b| <= 2 c sqrt(kappa |M|) rho^k, c = 1 on the whole
+    grid and max(1, dt max|V|) on S, with |M| bounded by its largest
     absolute row sum (Gershgorin).  The cap is the k that guarantees CG_TOL
     in exact arithmetic, using log(1/rho) >= 2/sqrt(kappa).
 
-    Start.  The step's right-hand side is the last state, and the stored
-    states satisfy A u^{j+1} = u^j (to CG_TOL), so CG starts from the
-    A-orthogonal projection x0 of x* = A^{-1} b onto the span of the last
-    _CG_WINDOW states.  Its K x K Galerkin system is read off the inner
-    products of the K + 1 stored states, with no resolvent apply, and is
-    solved by lstsq; r0 = b - A x0 is one sparse product.  Since 0 lies in
-    the span, |x* - x0|_A <= |x*|_A, so the cap's bound still holds.  The
-    window keeps K + 1 states alive per CG problem (16.8 MB per state on a
-    64 x 64 x 512 grid); it holds the returned states themselves, which are
-    never written to, as a trajectory keeps views of them.
+    Start.  Each solution e_j keeps its images G_S e_j and T e_j (on the
+    whole grid x_j, x_j and A x_j, the last from the exit check), and CG
+    starts from the Galerkin projection of e* = T^{-1} f onto the span of the
+    last _CG_WINDOW solutions: the K x K system <e_i, T e_j> c = <e_i, f> is
+    read off the stored images and solved by lstsq, and r0 = f - sum c_j T e_j,
+    with no product.  0 lies in the span, so the cap's bound holds.
 
-    Iteration.  The resolvent applies M^{-1} exactly, so with z_k = M^{-1} r_k
-    and d_k = z_k + beta_k d_{k-1}, M d_k = r_k + beta_k M d_{k-1}: the
-    product A d = M d + dt V d needs no sparse product, and V is applied on
-    its support only.  One resolvent apply per iteration is the whole cost.
-
-    Exit check.  The recurrence is exact only when the resolvent is.  Once
-    the recursive residual meets CG_TOL, b - A x is evaluated once with one
-    sparse product; if it exceeds
-    CG_TOL |b| + gamma_w (|M|_inf + dt max|V|) |x|, the rounding bound of
-    that product (gamma_w = w u / (1 - w u), w the nonzeros in a row of R
-    plus the three other terms of a row of b - A x), CG goes on from that
-    residual within the same cap.  So a resolvent that is not M^{-1} ends in
-    ConvergenceError, never in a wrong state.  Inner products use _dot, as
-    the recorder's norms use np.sum, so trajectories are bit-stable across
-    thread counts.
+    Exit check.  The recurrences are exact only when the resolvent is.
+    Once the recursive residual meets CG_TOL, x is formed and b - A x is
+    evaluated once with one sparse product, whose R x the recorder takes for
+    x's Sobolev norm; if it exceeds CG_TOL |b| + gamma_w (|M|_inf +
+    dt max|V|) |x|, the rounding bound of that product (gamma_w =
+    w u / (1 - w u), w the nonzeros in a row of R plus the three other
+    terms of a row of b - A x), CG goes on from its part on S within the
+    same cap.  A resolvent that is not M^{-1} leaves a residual off S, or
+    a wrong one on it, so it ends in ConvergenceError, never in a wrong
+    state.  Inner products use _dot, as the recorder's norms use np.sum, so
+    trajectories are bit-stable across thread counts.
     """
     op = p.op
     mat = op.matrix
+    n = v_flat.size
     support = np.flatnonzero(v_flat)
-    dt_v = dt * v_flat[support]
+    whole = 2 * support.size > n
+    cells = slice(None) if whole else support
+    dt_v = dt * v_flat[cells]
+    v_abs = float(np.abs(v_flat).max())
     kappa = (1.0 + dt * max(float(v_flat.max()), 0.0)) / (1.0 - dt * v_minus)
     m_norm = 1.0 + dt * float(abs(mat).sum(axis=1).max())
-    cap = math.ceil(0.5 * math.sqrt(kappa)
-                    * math.log(2.0 * math.sqrt(kappa * m_norm) / CG_TOL))
+    start_bound = 1.0 if whole else max(1.0, dt * v_abs)
+    cap = math.ceil(0.5 * math.sqrt(kappa) * math.log(
+        2.0 * math.sqrt(kappa * m_norm) * start_bound / CG_TOL))
     w = int(np.diff(mat.indptr).max()) + 3
     unit = np.finfo(float).eps / 2.0
-    slack = w * unit / (1.0 - w * unit) * (m_norm + dt * float(np.abs(v_flat).max()))
-    # the last states, each the right-hand side of the next, with their Gram matrix
-    states: list[np.ndarray] = []
-    gram = np.empty((_CG_WINDOW + 1, _CG_WINDOW + 1))
-    r, d, md, q, work = (np.empty(v_flat.size) for _ in range(5))
+    slack = w * unit / (1.0 - w * unit) * (m_norm + dt * v_abs)
+    if whole:
+        def green(values: np.ndarray) -> np.ndarray:
+            return op.resolvent(dt, values)
+    else:
+        green = op.support_green(dt, support)
+        scattered_resolvent = op.support_resolvent(dt, support)[0]
+    # the last solutions, each with its two images, and their Galerkin matrix
+    window: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    galerkin = np.empty((_CG_WINDOW, _CG_WINDOW))
+    r, d, gd, td, work = (np.empty_like(dt_v) for _ in range(5))
+    full = np.empty(n)
+    last: list[np.ndarray | None] = [None, None]
 
-    def residual(b: np.ndarray, x: np.ndarray) -> float:
-        """r = b - A x by one sparse product; returns |r|."""
-        np.multiply(mat @ x, dt, out=r)
-        np.add(r, x, out=r)
-        r[support] += dt_v * x[support]
-        np.subtract(b, r, out=r)
-        return math.sqrt(_dot(r, r))
-
-    def start(b: np.ndarray) -> np.ndarray:
-        """x0, the Galerkin start, with r = b - A x0."""
-        if not states or states[-1] is not b:
-            states[:] = [b]
-            gram[0, 0] = _dot(b, b)
-        m = len(states) - 1  # basis states[1:], their images states[:-1]
+    def start(f: np.ndarray) -> np.ndarray:
+        """The Galerkin start, with r = f - T of it."""
+        np.copyto(r, f)
+        m = len(window)
         if m == 0:
-            np.copyto(r, b)
-            return np.zeros_like(b)
-        c = np.linalg.lstsq(gram[1:m + 1, :m], gram[1:m + 1, m], rcond=None)[0]
-        x = states[1] * c[0]
-        for ci, state in zip(c[1:], states[2:]):
-            np.multiply(state, ci, out=work)
-            x += work
-        residual(b, x)
-        return x
+            return np.zeros_like(f)
+        rhs = [_dot(probe, f) for _, probe, _ in window]
+        c = np.linalg.lstsq(galerkin[:m, :m], rhs, rcond=None)[0]
+        sol = window[0][0] * c[0]
+        for ci, (basis, _, _) in zip(c[1:], window[1:]):
+            np.multiply(basis, ci, out=work)
+            sol += work
+        for ci, (_, _, image) in zip(c, window):
+            np.multiply(image, ci, out=work)
+            np.subtract(r, work, out=r)
+        return sol
 
-    def keep(x: np.ndarray) -> np.ndarray:
-        if len(states) > _CG_WINDOW:
-            del states[0]
-            gram[:_CG_WINDOW, :_CG_WINDOW] = gram[1:, 1:].copy()
-        states.append(x)
-        last = len(states) - 1
-        for i, state in enumerate(states):
-            gram[last, i] = gram[i, last] = _dot(x, state)
-        return x
+    def keep(basis: np.ndarray, probe: np.ndarray, image: np.ndarray):
+        if len(window) == _CG_WINDOW:
+            del window[0]
+            galerkin[:-1, :-1] = galerkin[1:, 1:].copy()
+        window.append((basis, probe, image))
+        last_row = len(window) - 1
+        for i, (_, _, image_i) in enumerate(window):
+            galerkin[last_row, i] = galerkin[i, last_row] = _dot(probe, image_i)
+
+    def residual(b: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """(R x, A x, |b - A x|) by one sparse product; full = b - A x."""
+        rx = mat @ x
+        ax = rx * dt
+        ax += x
+        ax[cells] += dt_v * x[cells]
+        np.subtract(b, ax, out=full)
+        return rx, ax, math.sqrt(_dot(full, full))
 
     def solve(b: np.ndarray, k: int) -> np.ndarray:
         b_norm = math.sqrt(_dot(b, b))
@@ -581,46 +646,68 @@ def _cg_solver(p: CauchyProblem, dt: float, v_flat: np.ndarray, v_minus: float):
         if not math.isfinite(b_norm):
             # u left float64 range: pass that on for the recorder to report
             return np.full_like(b, np.nan)
-        x = start(b)
         tol = CG_TOL * b_norm
+        if whole:
+            f = b
+        else:
+            y = op.resolvent(dt, b)
+            f = -dt_v * y[support]
+        sol = start(f)
         r_norm = math.sqrt(_dot(r, r))
-        if r_norm <= tol:
-            return keep(x)
         fresh = True
-        for _ in range(cap):
+        iterations = 0
+        while True:
+            if r_norm <= tol:
+                if whole:
+                    x = sol
+                else:
+                    x = scattered_resolvent(sol)
+                    g_sol = x[support]
+                    x += y
+                rx, ax, r_norm = residual(b, x)
+                if r_norm <= tol + slack * math.sqrt(_dot(x, x)):
+                    if whole:
+                        keep(x, x, ax)
+                    else:
+                        keep(sol, g_sol, sol + dt_v * g_sol)
+                    last[:] = x, rx
+                    return x
+                np.copyto(r, full[cells])
+                fresh = True
+            if iterations == cap:
+                raise ConvergenceError(
+                    f"preconditioned CG stalled at step {k} of {p.steps}: relative residual "
+                    f"{r_norm / b_norm:.3e} > {CG_TOL:g} after {cap} iterations")
+            iterations += 1
             if fresh:
-                z = op.resolvent(dt, r)
-                np.copyto(d, z)
-                np.copyto(md, r)
-                rz = _dot(r, z)
+                gr = green(r)
+                np.copyto(d, r)
+                np.copyto(gd, gr)
+                rg = _dot(r, gr)
                 fresh = False
-            np.copyto(q, md)
-            q[support] += dt_v * d[support]
-            alpha = rz / _dot(d, q)
-            np.multiply(d, alpha, out=work)
-            x += work
-            np.multiply(q, alpha, out=work)
+            np.multiply(gd, dt_v, out=td)
+            np.add(td, d, out=td)
+            alpha = rg / _dot(gd, td)
+            np.multiply(gd if whole else d, alpha, out=work)
+            sol += work
+            np.multiply(td, alpha, out=work)
             np.subtract(r, work, out=r)
             r_norm = math.sqrt(_dot(r, r))
             if r_norm <= tol:
-                r_norm = residual(b, x)
-                if r_norm <= tol + slack * math.sqrt(_dot(x, x)):
-                    return keep(x)
-                fresh = True
                 continue
-            z = op.resolvent(dt, r)
-            rz_next = _dot(r, z)
-            beta = rz_next / rz
+            gr = green(r)
+            rg_next = _dot(r, gr)
+            beta = rg_next / rg
             np.multiply(d, beta, out=d)
-            np.add(d, z, out=d)
-            np.multiply(md, beta, out=md)
-            np.add(md, r, out=md)
-            rz = rz_next
-        raise ConvergenceError(
-            f"preconditioned CG stalled at step {k} of {p.steps}: relative residual "
-            f"{r_norm / b_norm:.3e} > {CG_TOL:g} after {cap} iterations")
+            np.add(d, r, out=d)
+            np.multiply(gd, beta, out=gd)
+            np.add(gd, gr, out=gd)
+            rg = rg_next
 
-    return solve
+    def product(u: np.ndarray) -> np.ndarray | None:
+        return last[1] if u is last[0] else None
+
+    return solve, product
 
 
 def solve_duhamel(p: CauchyProblem, n_picard: int | None = None) -> Trajectory:

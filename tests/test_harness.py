@@ -1015,13 +1015,17 @@ class TestWoodburyFactorDeterminism:
         # OpenBLAS fixes its count when it loads, so each count needs a fresh
         # interpreter; the environment variable sets numpy's and scipy's.  On
         # H1 the resolvent's inverse blocks, which both routes apply, are
-        # built on one scipy thread
-        problem = harness.problem_builder(parse_sweep_config(H1_EXISTENCE_TEXT))
-        cost = [3 * p.steps * p.op.resolvent_flops - np.count_nonzero(p.V.values) ** 3
-                for p in (problem(0.25), problem(0.2))]
-        assert cost[0] < 0 <= cost[1]  # CG, then Woodbury
+        # built on one scipy thread.  One eps of each net runs CG on the
+        # support of V: on R^2 its box convolutions, on H1 its sub-block products
+        for text, eps in ((WOODBURY_TEXT, (0.5, 0.18)), (H1_EXISTENCE_TEXT, (0.25, 0.2))):
+            problem = harness.problem_builder(parse_sweep_config(text))
+            support = [np.count_nonzero(problem(e).V.values) for e in eps]
+            cost = [3 * problem(e).steps * problem(e).op.resolvent_flops - s**3
+                    for e, s in zip(eps, support)]
+            assert cost[0] < 0 <= cost[1]  # CG, then Woodbury
+            assert 2 * support[0] < problem(eps[0]).op.grid.size  # CG on the support
         src = Path(__file__).resolve().parents[1] / "src"
-        for text, eps in ((WOODBURY_TEXT, ("0.18",)), (H1_EXISTENCE_TEXT, ("0.25", "0.2"))):
+        for text, eps in ((WOODBURY_TEXT, ("0.5", "0.18")), (H1_EXISTENCE_TEXT, ("0.25", "0.2"))):
             digests = set()
             for threads in ("1", "2"):
                 env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
@@ -1036,7 +1040,7 @@ class TestWoodburyFactorDeterminism:
 class TestCgStepDeterminism:
     # the CG step's inner products, Galerkin start and exit check call no
     # threaded BLAS, so a CG eps has one series on the calling thread and in
-    # a pool whose BLAS is capped
+    # a pool whose BLAS is capped; both run on the support of V
     def test_series_equal_on_the_calling_thread_and_in_a_pool(self, monkeypatch):
         calls, solver = [], solve_module._cg_solver
         monkeypatch.setattr(solve_module, "_cg_solver",
@@ -1047,6 +1051,7 @@ class TestCgStepDeterminism:
                                  potential=PotentialSpec.dirac_delta(multiplier=-5.0),
                                  norm="l2", T=0.25, epsilons=EpsilonNet((0.5, 0.35, 0.25, 0.18)))
         problems = [harness.problem_builder(cfg)(0.5) for cfg in (repulsive, attractive)]
+        assert all(2 * np.count_nonzero(p.V.values) < p.op.grid.size for p in problems)
 
         def series(p):
             traj = solve_module.step_implicit(p, keep_states=False)

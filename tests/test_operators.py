@@ -529,6 +529,101 @@ class TestSupportResolvent:
                                    np.broadcast_to(eye, blocks.shape), rtol=0, atol=1e-13)
 
 
+def support_cells(grid, kind):
+    """Sorted flat cells: scattered, a compact box, a box that wraps every axis, or all."""
+    if kind == "scattered":
+        return np.sort(np.random.default_rng(9).choice(grid.size, 150, replace=False))
+    if kind == "all":
+        return np.arange(grid.size)
+    coords = np.indices(grid.shape).reshape(grid.dim, -1)
+    if kind == "box":
+        inside = [(x >= 2) & (x < 5) for x in coords]
+    else:
+        inside = [(x <= 1) | (x >= n - 2) for x, n in zip(coords, grid.points)]
+    return np.flatnonzero(np.all(inside, axis=0))
+
+
+class TestSupportGreen:
+    # G[cells][:, cells] v equals the resolvent of the scatter of v, read on
+    # the cells; on R^d a box convolution computes it, on H1 the cells'
+    # sub-blocks of the inverse blocks.  The grids are not cubes.
+    @pytest.mark.parametrize("kind", ["scattered", "box", "wrapping", "all"])
+    @pytest.mark.parametrize("group, points", [
+        (euclidean(2), (40, 24)),
+        (euclidean(3), (8, 6, 10)),
+        (heisenberg1(), (8, 8, 16)),
+    ], ids=["r2", "r3", "h1"])
+    def test_matches_the_scattered_resolvent_on_the_cells(self, group, points, kind):
+        op = build_rockland(make_grid(group, 1.5, points))
+        cells = support_cells(op.grid, kind)
+        dt = 1.0 / 32
+        scattered, _ = op.support_resolvent(dt, cells)
+        green = op.support_green(dt, cells)
+        rng = np.random.default_rng(10)
+        for _ in range(2):  # the scatter buffer is reused
+            values = rng.standard_normal(cells.size)
+            want = scattered(values)[cells]
+            got = green(values)
+            assert got.shape == (cells.size,)
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("rows, cols, box", [
+        ([10, 11, 12], [20, 21, 22, 23], (5, 8)),
+        ([63, 0, 1], [46, 47, 0, 1], (5, 8)),
+        (None, None, (64, 48)),
+    ], ids=["inside", "wrapping", "scattered"])
+    def test_box_is_set_by_the_extent_of_the_support(self, monkeypatch, rows, cols, box):
+        # an extent of b cells needs a side of at least 2b - 1, here 5 and 7 -> 8;
+        # a support that wraps the boundary is no wider, and a scattered one
+        # takes the whole axes
+        sides = []
+        apply = operators._apply_multiplier
+        monkeypatch.setattr(operators, "_apply_multiplier", lambda multiplier, values, shape: (
+            sides.append(tuple(shape)) or apply(multiplier, values, shape)))
+        op = build_rockland(make_grid(euclidean(2), 1.5, (64, 48)))
+        if rows is None:
+            cells = np.arange(0, op.grid.size, 97)
+        else:
+            grid_rows, grid_cols = np.meshgrid(rows, cols, indexing="ij")
+            cells = np.sort(np.ravel_multi_index((grid_rows.ravel(), grid_cols.ravel()), (64, 48)))
+        green = op.support_green(1.0 / 32, cells)
+        sides.clear()
+        green(np.ones(cells.size))
+        assert sides == [box]
+
+    def test_sub_blocks_of_every_column_are_the_cached_inverse(self, sub8):
+        # cells in every (a, b) column take the inverse blocks themselves,
+        # for the Green's products and for the scattered resolvent alike
+        dt = 0.1
+        cells = np.arange(0, sub8.grid.size, 3)
+        inverse = sub8._resolvent_blocks(dt)
+        for square in (True, False):
+            blocks, columns, _, _ = sub8._support_columns(dt, cells, square)
+            assert columns.size == 64
+            assert np.shares_memory(blocks, inverse)
+        fewer = cells[cells < sub8.grid.size // 2]
+        assert not np.shares_memory(sub8._support_columns(dt, fewer, True)[0], inverse)
+
+    @pytest.mark.parametrize("square, build", [(True, "support_green"),
+                                               (False, "support_resolvent")])
+    def test_gathered_columns_count_against_physical_memory(self, monkeypatch, square, build):
+        # 5 blocks of 64 dof are cached (327680 bytes); 32 columns gather
+        # 5 * 32 * 32 or 5 * 64 * 32 complex entries
+        R = build_rockland(make_grid(heisenberg1(), 1.5, 8))
+        cached = R._resolvent_blocks(0.1).nbytes
+        gather = 5 * 32 * (32 if square else 64) * 16
+        cells = np.arange(32) * 8
+        monkeypatch.setattr(operators, "_physical_memory", lambda: cached + gather - 1)
+        with pytest.raises(CapabilityError, match=f"^32 of the 64 columns of 5 inverse blocks "
+                           f"need {cached + gather} bytes with the {cached} bytes"):
+            getattr(R, build)(0.1, cells)
+        monkeypatch.setattr(operators, "_physical_memory", lambda: cached + gather)
+        getattr(R, build)(0.1, cells)
+        # every column: no gather, nothing to check
+        monkeypatch.setattr(operators, "_physical_memory", lambda: cached)
+        getattr(R, build)(0.1, np.arange(R.grid.size))
+
+
 class TestLapackThreadHold:
     # the H1 inverse blocks are factorised on one scipy OpenBLAS thread, and
     # the count that was there comes back, after a refused build too

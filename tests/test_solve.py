@@ -365,9 +365,52 @@ class TestEuclidean2Stepper:
             step_implicit(p)
 
 
+def counting(counts, key, f):
+    """f, counting its calls in counts[key]."""
+    def counted(*args):
+        counts[key] += 1
+        return f(*args)
+    return counted
+
+
+def count_applies(monkeypatch, op):
+    """Counts of the operator's full resolvent applies, scattered resolvents and G_S products."""
+    counts = {"full": 0, "scattered": 0, "green": 0}
+    resolvent, scattered, green = op.resolvent, op.support_resolvent, op.support_green
+    monkeypatch.setattr(op, "resolvent", counting(counts, "full", resolvent))
+    monkeypatch.setattr(op, "support_resolvent", lambda dt, cells: (
+        counting(counts, "scattered", scattered(dt, cells)[0]), None))
+    monkeypatch.setattr(op, "support_green", lambda dt, cells: counting(
+        counts, "green", green(dt, cells)))
+    return counts
+
+
+class CountingCsr(sp.csr_matrix):
+    """A CSR matrix that counts the vectors it multiplies."""
+
+    vectors = 0
+
+    def __matmul__(self, other):
+        CountingCsr.vectors += 1 if np.ndim(other) == 1 else np.shape(other)[1]
+        return super().__matmul__(other)
+
+
+def dense_backward_euler(p):
+    """Every backward-Euler state, from the eigendecomposition of R + V that oracle_expm takes."""
+    ham = p.op.matrix.toarray() + np.diag(p.V.values.ravel())
+    w, vecs = np.linalg.eigh(0.5 * (ham + ham.T))
+    c0 = vecs.T @ p.u0.values.ravel()
+    return [vecs @ (c0 / (1.0 + p.dt_effective * w) ** k) for k in range(p.steps + 1)]
+
+
 class TestCgStep:
-    # CG starts from the Galerkin projection onto the last states and tracks
-    # M d by a recurrence that only the exact resolvent M^{-1} makes exact
+    # CG runs on the support S of V: each iteration makes one product with
+    # G_S, the Green's matrix between the cells of S, and each step one
+    # resolvent apply for M^{-1} b and one for M^{-1} P e; on a support of
+    # more than half the grid it runs on the whole grid, from the start x0,
+    # with neither.  It starts from the Galerkin projection onto the last
+    # solutions and tracks G_S d by a recurrence that only the exact
+    # resolvent makes exact.
     @pytest.fixture
     def cg_calls(self, monkeypatch):
         calls, solver = [], solve_module._cg_solver
@@ -375,30 +418,103 @@ class TestCgStep:
                             lambda *args: calls.append(args) or solver(*args))
         return calls
 
+    @staticmethod
+    def delta_problem(geometry, potential="delta"):
+        """R^2 48 x 40 at eps = 0.6 (s = 297) or H1 8 x 8 x 16 at 0.25 (s = 343), T = 8 dt.
+
+        attractive scales the delta to dt max V^- = 0.9; wide puts V on all
+        but the boundary cells of the first axis.
+        """
+        if geometry == "r2":
+            op = build_rockland(make_grid(euclidean(2), 2.0, (48, 40)))
+            schedule, radius, eps = OmegaSchedule.polynomial(), 1.5, 0.6
+        else:
+            op = build_rockland(make_grid(heisenberg1(), 1.5, (8, 8, 16)))
+            schedule, radius, eps = OmegaSchedule.logarithmic(1), 2.0, 0.25
+        g = op.grid
+        dt = 1.0 / 32
+        if potential == "wide":
+            V = Field.from_function(g, lambda x, *rest: 4.0 * (1.0 + np.cos(np.pi * x / 2.0)))
+        else:
+            V = regularize_potential(PotentialSpec.dirac_delta(multiplier=80.0), eps, schedule,
+                                     Mollifier(g.dim, radius), g)
+        if potential == "attractive":
+            V = V * (-0.9 / (dt * float(V.values.max())))
+        return CauchyProblem(op, V, bump_field(g, 1.0, center=(0.3, -0.2, 0.1)[:g.dim]),
+                             T=8 * dt, dt=dt)
+
+    @pytest.mark.parametrize("potential", ["delta", "attractive", "wide"])
+    @pytest.mark.parametrize("geometry", ["r2", "h1"])
+    def test_matches_backward_euler_on_the_oracles_eigensystem(
+            self, cg_calls, geometry, potential):
+        # states to 1e-12, so the distance to oracle_expm's flow is the
+        # scheme's own time error
+        p = self.delta_problem(geometry, potential)
+        s = np.count_nonzero(p.V.values)
+        assert (2 * s > p.op.grid.size) == (potential == "wide")
+        traj = step_implicit(p)
+        assert len(cg_calls) == 1
+        want = dense_backward_euler(p)
+        for got, ref in zip(traj.states, want, strict=True):
+            ref_norm = np.linalg.norm(ref)
+            assert np.linalg.norm(got.values.ravel() - ref) <= 1e-12 * ref_norm
+        exact = oracle_expm(p).final.values.ravel()
+        assert np.linalg.norm(traj.final.values.ravel() - exact) == pytest.approx(
+            np.linalg.norm(want[-1] - exact), rel=1e-10)
+
     @pytest.mark.parametrize("group, half_width, points, schedule, radius, eps, dt", [
         (euclidean(2), 2.0, 64, OmegaSchedule.polynomial(), 1.5, 0.5, 1.0 / 64),
         (heisenberg1(), 1.5, (8, 8, 16), OmegaSchedule.logarithmic(1), 2.0, 0.25, 1.0 / 32),
     ], ids=["r2", "h1"])
     def test_galerkin_start_saves_resolvent_applies(
             self, monkeypatch, cg_calls, group, half_width, points, schedule, radius, eps, dt):
-        # from a zero start both took 6.0 applies per step; from the window
-        # 4.44 (R^2, s = 437) and 4.31 (H1, s = 343)
+        # one M^{-1} b and one M^{-1} P e per step.  From a zero start the
+        # full-grid CG took 6.0 resolvent applies per step, from the window
+        # 4.44 (R^2, s = 437) and 4.31 (H1, s = 343); on the support the
+        # window leaves 2.69 and 3.25 products with G_S
         op = build_rockland(make_grid(group, half_width, points))
         g = op.grid
         V = regularize_potential(PotentialSpec.dirac_delta(), eps, schedule,
                                  Mollifier(g.dim, radius), g)
         p = CauchyProblem(op, V, bump_field(g, 1.0), T=16 * dt, dt=dt)
-        applies, resolvent = [], op.resolvent
-        monkeypatch.setattr(op, "resolvent",
-                            lambda dt, values: applies.append(1) or resolvent(dt, values))
+        counts = count_applies(monkeypatch, op)
         step_implicit(p, keep_states=False)
         assert len(cg_calls) == 1
-        assert len(applies) / p.steps <= 5.0
+        assert counts["full"] == counts["scattered"] == p.steps
+        assert counts["green"] / p.steps <= 3.5
+
+    def test_wide_support_applies_no_correction(self, monkeypatch, cg_calls):
+        # on the whole grid the summed images G d are the step: no M^{-1} b,
+        # no scattered resolvent, one resolvent apply per iteration, 9.5 per
+        # step here
+        p = self.delta_problem("r2", "wide")
+        counts = count_applies(monkeypatch, p.op)
+        step_implicit(p, keep_states=False)
+        assert len(cg_calls) == 1
+        assert counts["scattered"] == counts["green"] == 0
+        assert counts["full"] <= 10 * p.steps
+
+    @pytest.mark.parametrize("geometry", ["r2", "h1"])
+    def test_one_sparse_product_per_step(self, monkeypatch, geometry):
+        # the exit check's R x is the recorder's: one product per step, and
+        # one for u0's record
+        p = self.delta_problem(geometry)
+        monkeypatch.setattr(p.op, "matrix", CountingCsr(p.op.matrix))
+        solver = solve_module._cg_solver
+
+        def counted_from_here(*args):
+            made = solver(*args)
+            CountingCsr.vectors = 0
+            return made
+
+        monkeypatch.setattr(solve_module, "_cg_solver", counted_from_here)
+        step_implicit(p)
+        assert CountingCsr.vectors == p.steps + 1
 
     @pytest.mark.parametrize("scale", [0.5, 2.0])
     def test_inexact_resolvent_never_returns_a_wrong_state(self, monkeypatch, cg_calls, scale):
         # the recurrence for M d is off when the resolvent is; the exit
-        # check's true residual then refuses the state
+        # check's true residual then refuses the state.  V covers the grid.
         op = build_rockland(make_grid(euclidean(2), 2.0, (40, 24)))
         g = op.grid
         raw = Field.from_function(g, lambda x, y: np.cos(2.0 * x) * np.exp(-y * y)
@@ -406,6 +522,7 @@ class TestCgStep:
         dt = 1.0 / 32
         V = raw * (0.5 / (dt * float(-raw.values.min())))
         p = CauchyProblem(op, V, bump_field(g, 1.0), T=0.25, dt=dt)
+        assert 2 * np.count_nonzero(V.values) > g.size
         exact = step_implicit(p)
         resolvent = op.resolvent
         monkeypatch.setattr(op, "resolvent", lambda dt, values: scale * resolvent(dt, values))
@@ -418,6 +535,27 @@ class TestCgStep:
             for name in ("l2", "sobolev_nu2"):
                 np.testing.assert_allclose(getattr(scaled, name), getattr(exact, name),
                                            rtol=1e-12, atol=0.0, err_msg=name)
+
+    @pytest.mark.parametrize("scale", [0.5, 2.0])
+    @pytest.mark.parametrize("geometry", ["r2", "h1"])
+    def test_inexact_support_resolvent_is_convergence_error(
+            self, monkeypatch, cg_calls, geometry, scale):
+        # every resolvent the support CG reads is off by one factor: the
+        # recursive residual on S converges, the true one off S cannot
+        p = self.delta_problem(geometry, "attractive")
+        op = p.op
+        resolvent, scattered, green = op.resolvent, op.support_resolvent, op.support_green
+        monkeypatch.setattr(op, "resolvent", lambda dt, values: scale * resolvent(dt, values))
+
+        def scaled(apply):
+            return lambda values: scale * apply(values)
+
+        monkeypatch.setattr(op, "support_resolvent", lambda dt, cells: (
+            scaled(scattered(dt, cells)[0]), None))
+        monkeypatch.setattr(op, "support_green", lambda dt, cells: scaled(green(dt, cells)))
+        with pytest.raises(ConvergenceError, match=r"step 1 of 8: .* after \d+ iterations"):
+            step_implicit(p)
+        assert len(cg_calls) == 1
 
 
 @pytest.fixture
@@ -466,7 +604,7 @@ class TestWoodburyStepper:
         assert p.dt_effective * float(v.max()) >= 10.0
         traj = step_implicit(p)
         assert len(woodbury_calls) == 1
-        cg = solve_module._integrate(p, solve_module._cg_solver(p, p.dt_effective, v, 0.0))
+        cg = solve_module._integrate(p, *solve_module._cg_solver(p, p.dt_effective, v, 0.0))
         step = lu_step(p)
         lu = solve_module._integrate(p, lambda u, k: step(u))
         for ref in (cg, lu):
@@ -958,14 +1096,17 @@ class TestTrajectoryValidation:
                        energy=None, state_times=np.array([0.0]), states=(f, f))
 
 
-def record_every_state(monkeypatch):
-    """Copies of every state handed to the recorder, in order."""
+def record_every_state(monkeypatch, handed=None):
+    """Copies of every state handed to the recorder, in order; handed gets
+    whether the step handed over its R u too."""
     seen = []
     push = solve_module._Recorder.push
 
-    def spy(self, u):
+    def spy(self, u, ru=None):
         seen.append(np.array(u, copy=True))
-        push(self, u)
+        if handed is not None:
+            handed.append(ru is not None)
+        push(self, u, ru)
 
     monkeypatch.setattr(solve_module._Recorder, "push", spy)
     return seen
@@ -1047,6 +1188,19 @@ class TestRecorder:
         traj = step_implicit(p)
         assert traj.energy is None
         assert_series_per_state(p, traj, seen)
+
+    @pytest.mark.parametrize("geometry", ["r2", "h1"])
+    def test_support_cg_hands_over_its_sparse_products(self, monkeypatch, geometry):
+        # R u from the CG exit check for every state but u0, which the
+        # recorder multiplies itself, in blocks of 4 rows; csr_matvecs sums
+        # each row in csr_matvec's order, so the series keep their bits
+        p = TestCgStep.delta_problem(geometry, "attractive")
+        monkeypatch.setattr(solve_module, "RECORD_BLOCK_BYTES", 4 * 8 * p.op.grid.size)
+        assert block_rows(p) == 4
+        handed = []
+        seen = record_every_state(monkeypatch, handed)
+        assert_series_per_state(p, step_implicit(p), seen)
+        assert handed == [False] + [True] * p.steps
 
     @pytest.mark.parametrize("solver", [solve_duhamel, oracle_expm])
     def test_spectral_solvers(self, lap32, solver, monkeypatch):
