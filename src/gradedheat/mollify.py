@@ -237,7 +237,10 @@ def convolve(f: Field, g: Field) -> Field:
     on the Heisenberg group the central coordinate of y^{-1} x falls between
     nodes, and g is interpolated linearly along that axis.  The Heisenberg
     sum runs over the (a, b) columns of supp f: along c, a column's shift
-    and the interpolation are one Fourier multiplier.
+    and the interpolation are one Fourier multiplier.  Each column's term
+    is computed on the window of (a, b) columns where g, rolled to it, is
+    nonzero, and is added there alone: the terms it skips are exact zeros,
+    so the sum has the bits of the sum over the whole grid.
     """
     if f.grid != g.grid:
         raise ValueError("convolution operands live on different grids")
@@ -267,21 +270,33 @@ def _convolve_heisenberg(f: Field, g: Field) -> Field:
     ax_a, ax_b, _ = grid.axes
     freq = np.arange(nc // 2 + 1)
     roots = np.exp(-2j * np.pi * np.arange(nc) / nc)
-    g_hat = np.fft.rfft(g.values, axis=2)
+    # row w holds roots[(w k) % nc] over the frequencies k
+    powers = roots[np.outer(np.arange(nc), freq) % nc]
+    interpolant = roots[-freq % nc]
+    # g's (a, b) columns lie in the window ka x kb; a column of f adds
+    # nothing outside the window rolled to it, so only the window is summed
+    g_columns = np.any(g.values != 0.0, axis=2)
+    ka, kb = np.flatnonzero(g_columns.any(axis=1)), np.flatnonzero(g_columns.any(axis=0))
+    g_hat = np.fft.rfft(g.values[np.ix_(ka, kb)], axis=2)
+    # a rolled window that neither has gaps nor wraps is a slice of out
+    runs = ka.size > 0 and ka[-1] - ka[0] + 1 == ka.size and kb[-1] - kb[0] + 1 == kb.size
     # c-transform of each column of f, with c counted from the centre node
     f_hat = np.fft.rfft(f.values, axis=2) * (-1.0) ** freq
-    out = np.zeros(g_hat.shape, dtype=complex)
+    out = np.zeros((na, nb, nc // 2 + 1), dtype=complex)
     for ia, ib in np.argwhere(np.any(f.values != 0.0, axis=2)):
-        g_ab = np.roll(g_hat, (int(ia) - na // 2, int(ib) - nb // 2), axis=(0, 1))
+        xa, xb = (ka + (ia - na // 2)) % na, (kb + (ib - nb // 2)) % nb
         # the symplectic area term (ya*xb - yb*xa)/2 shifts g along c by s
         # cells; linear interpolation of that shift is the exact multiplier
         # e^{-2 pi i k ceil(s)/nc} ((1 - theta) + theta e^{2 pi i k/nc})
-        s = (ax_a[ia] * ax_b[None, :] - ax_b[ib] * ax_a[:, None]) / (2.0 * hc)
+        s = (ax_a[ia] * ax_b[xb][None, :] - ax_b[ib] * ax_a[xa][:, None]) / (2.0 * hc)
         whole = np.ceil(s)
         theta = (whole - s)[:, :, None]
-        turns = (whole.astype(np.int64)[:, :, None] * freq) % nc
-        shift = roots[turns] * ((1.0 - theta) + theta * roots[-freq % nc])
-        out += f_hat[ia, ib] * shift * g_ab
+        shift = powers[whole.astype(np.int64) % nc] * ((1.0 - theta) + theta * interpolant)
+        term = f_hat[ia, ib] * shift * g_hat
+        if runs and xa[0] <= xa[-1] and xb[0] <= xb[-1]:
+            out[xa[0]:xa[-1] + 1, xb[0]:xb[-1] + 1] += term
+        else:
+            out[xa[:, None], xb] += term
     return Field(grid, np.fft.irfft(out, n=nc, axis=2) * grid.cell_volume)
 
 

@@ -18,32 +18,51 @@ Both operators are 2-homogeneous under the group dilations (nu = 2).
 The spectral calculus uses the central-variable Fourier structure: the
 coefficients of both operators do not depend on the last grid axis (c on
 H1), so a real FFT along that axis splits R into one dense Hermitian
-(n_a n_b) x (n_a n_b) block per frequency -- on H1 the discrete counterpart
-of the twisted Laplacians.  The blocks are read off the assembled matrix
-and checked against it on a fixed probe; an operator that varies along the
-last axis is refused with ``CapabilityError``, and so are blocks above
-``SPECTRAL_DOF_LIMIT`` dof and a block set whose peak, with the blocks the
-operator already caches, exceeds the physical memory, before any block is
-built.  The resolvent's peak is one block set and the coupling table the
-blocks are summed from; the eigensystem's is two block sets.
+(n_a n_b) x (n_a n_b) block B_k per frequency -- on H1 the discrete
+counterpart of the twisted Laplacians.  The blocks are read off the
+assembled matrix and checked against it on a fixed probe; an operator that
+varies along the last axis is refused with ``CapabilityError``, and so are
+blocks above ``SPECTRAL_DOF_LIMIT`` dof and a block set whose peak, with
+the blocks the operator already caches, exceeds the physical memory, before
+any block is built.  The resolvent's peak is one block set and the coupling
+table the blocks are summed from; the eigensystem's is the larger of two
+block sets and that.
+
+The blocks are real where the grid's first two axes are the same.  The
+swap S of a and b, with c reversed, maps X to Y and Y to X, so the
+sub-Laplacian satisfies S B_k S = conj(B_k).  In the basis U = Q D of
+swap-symmetric and swap-antisymmetric pairs (Q real orthonormal, D = 1 on
+the symmetric and i on the antisymmetric ones) every U^H B_k U is real
+symmetric, and the blocks are built in it as float64: half the bytes of
+complex ones, and half the flops in every product, which takes the complex
+spectrum's real and imaginary parts as two rows of one real product.  U
+is applied as an O(m) gather on the way in and out.  Whether S is a
+symmetry is checked on the coupling the blocks are summed from, not
+assumed from the grid; where it is not (a and b of different lengths or
+widths, a potential that tells them apart), the blocks stay complex in the
+identity basis and the same code runs on them.  The swap basis is an
+interim: Harper chains, which would replace the dense blocks, take it with
+them.
 
 * ``eigensystem`` diagonalises the blocks in one batched ``eigh``, computed
-  lazily and cached on the operator.  Tiny negative eigenvalues (within
-  -1e-10 * lambda_max) are clamped to zero.  ``spectral_map`` applies g(R)
-  as rfft along the last axis, v^H, g(w), v, irfft; ``semigroup_apply``
-  and the Duhamel stepper take g(R) from it and from nowhere else.
+  lazily and cached on the operator, real in the swap basis.  Tiny
+  negative eigenvalues (within -1e-10 * lambda_max) are clamped to zero.
+  ``spectral_map`` applies g(R) as rfft along the last axis, U^H, v^H,
+  g(w), v, U, irfft; ``semigroup_apply`` and the Duhamel stepper take g(R)
+  from it and from nowhere else.
 
 * ``resolvent`` applies (I + dt R)^{-1}, built once per dt and cached.  On
-  H1 each block of I + dt R is factorised by LAPACK zpotrf and inverted by
-  zpotri in place, n^3 flops a block, and its lower triangle is mirrored.
-  scipy's OpenBLAS is held at one thread meanwhile, so the inverse has the
-  same bits at any BLAS thread count and wakes no threads to spin against
-  a sweep's workers.  On R^d the Laplacian is invariant under every grid
+  H1 each block of I + dt R is factorised by LAPACK dpotrf and inverted by
+  dpotri in place (zpotrf and zpotri for complex blocks), n^3 real or
+  complex flops a block, and its lower triangle is mirrored.  scipy's
+  OpenBLAS is held at one thread meanwhile, so the inverse has the same
+  bits at any BLAS thread count and wakes no threads to spin against a
+  sweep's workers.  On R^d the Laplacian is invariant under every grid
   translation, so the resolvent is the Fourier multiplier 1/(1 + dt lambda),
   lambda the real FFT of R's row at the origin, applied by one rfft, the
   complex passes in place, a multiply and one irfft, with the bits of
   rfftn / multiply / irfftn.  An I + dt R that is not positive definite (a
-  zpotrf info naming the central frequency on H1, a 1 + dt lambda <= 0 on
+  potrf info naming the central frequency on H1, a 1 + dt lambda <= 0 on
   R^d) is a ``StabilityError``.  ``resolvent_flops`` states the flops of
   one apply.  The backward-Euler stepper uses the resolvent as its CG
   preconditioner on every grid of dimension two or more, and as the
@@ -53,20 +72,24 @@ blocks are summed from; the eigensystem's is two block sets.
 * ``support_resolvent`` maps values on given cells to the flat
   (I + dt R)^{-1} of their scatter: on R^d the scatter and the multiplier,
   with the bits of ``resolvent``; on H1 the product with the cells' columns
-  of the inverse blocks, gathered once, 8 (n_c/2 + 1) m u flops for u
-  distinct (a, b) columns instead of 8 (n_c/2 + 1) m^2.  It also yields the
-  rows of the Green's matrix G = (I + dt R)^{-1} between the cells, a chunk
-  at a time, read off the cached resolvent with no solve; ``green_rows``
-  yields those alone.  On R^d G is translation invariant: G[x, y] is the
-  multiplier's irfftn at x - y.  On H1 it is invariant along c only:
-  G[(p, c), (q, c')] is the irfft of the inverse blocks' entries B_k[p, q]
-  over k, taken at c - c' mod n_c, so a chunk costs one length-n_c irfft
-  per pair of its (a, b) columns, read from the same gather.  The Woodbury
-  step samples G on the support of V this way, and applies its correction
-  by the column product.  When the cells meet every (a, b) column, the
-  gather is the cached inverse itself; any other gather is refused, like a
-  block build, when its bytes with the cached blocks exceed the physical
-  memory.
+  of the inverse blocks, gathered once as the rows they are the conjugate
+  transposes of, 4 (n_c/2 + 1) m u flops for u
+  (a, b) columns instead of 4 (n_c/2 + 1) m^2 (8 for complex blocks).  In
+  the swap basis the columns are those of the cells with their swaps, at
+  most twice as many; a support symmetric under the swap, as the
+  mollified delta nets are, adds none.  It also yields the rows of the
+  Green's matrix G = (I + dt R)^{-1} between the cells, a chunk at a time,
+  read off the cached resolvent with no solve; ``green_rows`` yields those
+  alone.  On R^d G is translation invariant: G[x, y] is the multiplier's
+  irfftn at x - y.  On H1 it is invariant along c only: G[(p, c), (q, c')]
+  is the irfft of the inverse blocks' entries B_k[p, q] over k, taken at
+  c - c' mod n_c, so a chunk costs one length-n_c irfft per pair of its
+  (a, b) columns, read from the same gather and rotated back to the
+  identity basis.  The Woodbury step samples G on the support of V this
+  way, and applies its correction by the column product.  When the columns
+  are all of them, the gather is the cached inverse itself; any other
+  gather is refused, like a block build, when its bytes with the cached
+  blocks exceed the physical memory.
 
 * ``support_green`` maps values on given cells to G[cells][:, cells] times
   them, the resolvent of their scatter read on the cells, computing only
@@ -77,8 +100,10 @@ blocks are summed from; the eigensystem's is two block sets.
   difference of two cells once; where L would not be below the axis length
   the whole axis is taken.  At 256^2 a support of 7209 cells took 0.36 ms
   against 0.63 ms for a resolvent apply.  On H1 it is the product with the
-  cells' u x u sub-blocks B_k^{-1}[columns][:, columns] and an irfft of those
-  u columns, 8 (n_c/2 + 1) u^2 flops.  The CG step of backward Euler runs
+  cells' u x u sub-blocks B_k^{-1}[columns][:, columns], gathered once into
+  one C-ordered array, and an irfft of those u columns, 4 (n_c/2 + 1) u^2
+  flops (8 for complex blocks), the columns taken as in
+  ``support_resolvent``.  The CG step of backward Euler runs
   on the support of V with it.
 """
 
@@ -156,6 +181,171 @@ def _physical_memory() -> int | None:
     return memory if memory > 0 else None
 
 
+class _PlainBasis:
+    """The identity: complex blocks act on the spectrum as it is.
+
+    The operand of a block product is the spectrum of the u columns as one
+    complex row per central frequency, (K, 1, u), K = n_c/2 + 1.
+    """
+
+    def closure(self, columns: np.ndarray) -> np.ndarray:
+        return columns
+
+    def restricted(self, columns: np.ndarray) -> "_PlainBasis":
+        return self
+
+    def into(self, spectrum: np.ndarray) -> np.ndarray:
+        """The operand (K, 1, u) of the spectrum (u, K)."""
+        return np.ascontiguousarray(spectrum.T)[:, None, :]
+
+    def out_of(self, y: np.ndarray) -> np.ndarray:
+        """The spectrum (m, K) of a block product (K, 1, m)."""
+        return y[:, 0, :].T
+
+    def rows_out_of(self, gathered: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """B[:, columns][rows] for the gathered rows B[columns] of Hermitian blocks B."""
+        return gathered[:, :, rows].conj().transpose(0, 2, 1)
+
+    def times_adjoint(self, x: np.ndarray) -> np.ndarray:
+        return x
+
+
+class _SwapBasis:
+    """The unitary U in which the blocks of a swap-symmetric operator are real.
+
+    S swaps the first two grid axes of the (a, b) columns, and maps a set of
+    columns, listed in ascending order, onto itself: partner[p] is S p.
+    Column p of U is e_p where S p = p, (e_p + e_Sp)/sqrt 2 where p < S p and
+    i (e_Sp - e_p)/sqrt 2 where p > S p (odd): U = Q D, Q the real orthonormal
+    basis of swap-symmetric and swap-antisymmetric pairs, D = diag(1, i) on
+    them.  For a Hermitian B with S B S = conj(B), Q^T B Q has a real
+    diagonal and an imaginary off-diagonal part in that split, so U^H B U is
+    real symmetric.  Row p of U holds U[p, p] = diag[p] and U[p, S p] =
+    pair[p], each real or imaginary, so U^H x and U y read two float entries
+    per float entry, an O(m) gather over the K = n_c/2 + 1 central
+    frequencies.  The operand of a block product is U^H x as two float rows
+    per central frequency, its real and imaginary parts, (K, 2, u), which the
+    real blocks take in one real product.
+    """
+
+    def __init__(self, partner: np.ndarray, frequencies: int):
+        p = np.arange(partner.size)
+        fixed = p == partner
+        self.partner, self.frequencies = partner, frequencies
+        self.odd = p > partner
+        r = math.sqrt(0.5)
+        self.diag = np.where(fixed, 1.0, np.where(self.odd, -1j * r, r))
+        self.pair = np.where(fixed, 0.0, np.where(self.odd, r, 1j * r))
+        # U^H[p, p] and U^H[p, S p]
+        self._adjoint_diag, self._adjoint_pair = self.diag.conj(), self.pair[partner].conj()
+
+    # built on first use: an operator whose blocks are refused never needs them
+    @functools.cached_property
+    def _into(self):
+        return self._pair_gather(self._adjoint_diag, self._adjoint_pair, into=True)
+
+    @functools.cached_property
+    def _out_of(self):
+        return self._pair_gather(self.diag, self.pair, into=False)
+
+    def _pair_gather(self, diag: np.ndarray, pair: np.ndarray, into: bool):
+        """Flat float indices and factors of x -> diag x + pair x[partner], row by row.
+
+        A factor a or i a times a complex entry (x_re, x_im) is (a x_re,
+        a x_im) or (-a x_im, a x_re): the entries complex multiplication
+        would give, as the other part of the factor is zero.  into reads
+        complex (u, K) and writes float rows (K, 2, u); otherwise it reads
+        float rows (K, 2, m) and writes complex (m, K).
+        """
+        u, k = self.partner.size, self.frequencies
+        gathers = []
+        for rows, factor in ((np.arange(u), diag), (self.partner, pair)):
+            imaginary = (factor.imag != 0.0)[:, None]
+            scale = np.where(imaginary, factor.imag[:, None] * [-1.0, 1.0], factor.real[:, None])
+            part = np.where(imaginary, [1, 0], [0, 1])
+            if into:
+                index = (rows * k + np.arange(k)[:, None, None]) * 2 + part.T
+                scale = scale.T
+            else:
+                index = (np.arange(k)[None, :, None] * 2 + part[:, None]) * u + rows[:, None, None]
+                scale = scale[:, None]
+            # spelt out in full: a multiply broadcast over two axes ran 5x slower
+            gathers.append((index, np.ascontiguousarray(np.broadcast_to(scale, index.shape))))
+        return gathers
+
+    @staticmethod
+    def _gather(values: np.ndarray, gathers) -> np.ndarray:
+        flat = values.view(float).reshape(-1)
+        (first, first_scale), (second, second_scale) = gathers
+        out = flat.take(first)
+        out *= first_scale
+        term = flat.take(second)
+        term *= second_scale
+        out += term
+        return out
+
+    def closure(self, columns: np.ndarray) -> np.ndarray:
+        """The ascending columns with their swaps, the least set S maps onto itself."""
+        return np.union1d(columns, self.partner[columns])
+
+    def restricted(self, columns: np.ndarray) -> "_SwapBasis":
+        """The basis of the ascending columns, a set S maps onto itself."""
+        return _SwapBasis(np.searchsorted(columns, self.partner[columns]), self.frequencies)
+
+    def into(self, spectrum: np.ndarray) -> np.ndarray:
+        """The operand U^H x (K, 2, u) of the spectrum x (u, K), C-ordered."""
+        return self._gather(spectrum, self._into)
+
+    def out_of(self, y: np.ndarray) -> np.ndarray:
+        """The spectrum U y (m, K) of a block product y (K, 2, m), C-ordered."""
+        return self._gather(y, self._out_of).view(complex)[:, :, 0]
+
+    def rows_out_of(self, gathered: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """(U M)[rows] for M = T[:, columns], each row a full column set.
+
+        gathered holds the rows T[columns] of the real symmetric blocks T.
+        """
+        columns = gathered.transpose(0, 2, 1)
+        at = (slice(None), None)
+        return (self.diag[rows][at] * columns[:, rows]
+                + self.pair[rows][at] * columns[:, self.partner[rows]])
+
+    def times_adjoint(self, x: np.ndarray) -> np.ndarray:
+        """x U^H: the row vectors x times U^H."""
+        return self._adjoint_diag * x + self.pair.conj() * x[..., self.partner]
+
+    def orthogonal(self) -> sp.csr_matrix:
+        """Q, the real part of the basis change: U = Q D."""
+        p = np.arange(self.partner.size)
+        fixed = p == self.partner
+        r = math.sqrt(0.5)
+        values = np.concatenate([np.where(fixed, 1.0, np.where(self.odd, -r, r)),
+                                 np.where(fixed, 0.0, r)])
+        return sp.csr_matrix((values, (np.concatenate([p, self.partner]), np.concatenate([p, p]))),
+                             shape=(p.size, p.size))
+
+
+def _block_basis(rows, points) -> _PlainBasis | _SwapBasis:
+    """The swap basis where the coupling rows are symmetric under S, else the identity.
+
+    rows are the rows at c = 0, A_m[p, q] = rows[p, q n_c + m].  S swaps the
+    first two axes of the (a, b) columns where they have the same length.
+    S B_k S = conj(B_k) at every central frequency k iff S A_m S = A_{-m} at
+    every offset m, which is checked here, to one rounding of the largest
+    coupling, before any block is built.
+    """
+    lead, n_c = points[:-1], points[-1]
+    if len(lead) < 2 or lead[0] != lead[1]:
+        return _PlainBasis()
+    swap = np.arange(math.prod(lead)).reshape(lead).swapaxes(0, 1).ravel()
+    column, offset = np.divmod(np.arange(rows.shape[1]), n_c)
+    mirrored = rows[swap][:, swap[column] * n_c + (-offset) % n_c]
+    scale = abs(rows).max()
+    if abs(mirrored - rows).max() > np.finfo(float).eps * scale:
+        return _PlainBasis()
+    return _SwapBasis(swap, n_c // 2 + 1)
+
+
 class DiscreteRockland:
     """Sparse symmetric PSD operator on a grid, with a cached spectrum."""
 
@@ -180,6 +370,11 @@ class DiscreteRockland:
     def __repr__(self):
         return f"DiscreteRockland({self.name}, dof={self.grid.size}, nu={self.nu})"
 
+    @functools.cached_property
+    def _basis(self) -> _PlainBasis | _SwapBasis:
+        """The basis of the central-frequency blocks (``_block_basis``)."""
+        return _block_basis(self.matrix[::self.grid.points[-1]], self.grid.points)
+
     def apply(self, f: Field) -> Field:
         """Matrix-vector product R f."""
         self._check_field(f)
@@ -200,7 +395,9 @@ class DiscreteRockland:
 
         Returns w of shape (n_c // 2 + 1, m) and v of shape (n_c // 2 + 1, m, m),
         m = size / n_c: block k of R under a real FFT along the last axis is
-        v[k] diag(w[k]) v[k]^H.  Each frequency 0 < k < n_c / 2 stands for
+        U v[k] diag(w[k]) v[k]^H U^H, U the blocks' basis (module docstring):
+        the swap basis, with v real, where S B_k S = conj(B_k), else the
+        identity, with v complex.  Each frequency 0 < k < n_c / 2 stands for
         itself and n_c - k, so its eigenvalues occur twice in the spectrum
         of R.  The decomposition is computed once and cached; concurrent
         callers share the cached copy.  Blocks larger than
@@ -226,8 +423,9 @@ class DiscreteRockland:
         """(I + dt R)^{-1} applied to grid values; returns a flat array.
 
         On R^d the bits of one rfftn, one multiply and one irfftn
-        (``_apply_multiplier``); on H1 one real FFT along the last axis, one
-        batched block product and one inverse FFT.
+        (``_apply_multiplier``); on H1 one real FFT along the last axis, the
+        basis change, one batched block product, its inverse and one inverse
+        FFT.
         The multiplier or the inverted blocks are built on the first call
         for each dt and cached; concurrent callers share them.  H1 blocks
         larger than ``SPECTRAL_DOF_LIMIT`` are refused (``_checked_blocks``),
@@ -236,21 +434,26 @@ class DiscreteRockland:
         inverse = self._resolvent_blocks(dt)
         if self.grid.group.is_abelian:
             return _apply_multiplier(inverse, values, self.grid.shape)
-        return _apply_central_blocks(inverse, np.reshape(values, (-1, self.grid.points[-1])))
+        basis = self._basis
+        return _apply_central_blocks(inverse, np.reshape(values, (-1, self.grid.points[-1])),
+                                     basis, basis)
 
     @property
     def resolvent_flops(self) -> float:
         """The flops of one ``resolvent`` apply, the unit of the steppers' cost model.
 
-        5 N log2 N for the rfftn / irfftn pair on R^d; 8 (n_c / 2 + 1) m^2
-        for the complex block products on H1, m = N / n_c, whose FFTs along
-        c are the smaller term.
+        5 N log2 N for the rfftn / irfftn pair on R^d.  On H1, m = N / n_c,
+        the block products: 4 (n_c / 2 + 1) m^2 for real blocks, one real
+        product with the spectrum's real and imaginary parts, and
+        8 (n_c / 2 + 1) m^2 for complex ones; the FFTs along c and the
+        basis change are the smaller terms.
         """
         n = self.grid.size
         if self.grid.group.is_abelian:
             return 5.0 * n * math.log2(n)
         n_c = self.grid.points[-1]
-        return 8.0 * (n_c // 2 + 1) * (n // n_c) ** 2
+        per_entry = 4.0 if isinstance(self._basis, _SwapBasis) else 8.0
+        return per_entry * (n_c // 2 + 1) * (n // n_c) ** 2
 
     def support_resolvent(self, dt: float, cells: np.ndarray):
         """(apply, rows) for G = (I + dt R)^{-1} and distinct flat grid indices cells.
@@ -275,12 +478,14 @@ class DiscreteRockland:
         n_c = self.grid.points[-1]
         gathered, columns, q, c = self._support_columns(dt, cells, square=False)
         scattered = np.zeros((columns.size, n_c))
+        basis = self._basis
+        local = basis.restricted(columns)
 
         def apply(values) -> np.ndarray:
             scattered[q, c] = values
-            return _apply_central_blocks(gathered, scattered)
+            return _apply_central_blocks(gathered, scattered, local, basis)
 
-        return apply, _block_green_rows(gathered, columns, q, c, n_c)
+        return apply, _block_green_rows(gathered, basis, columns, q, c, n_c)
 
     def support_green(self, dt: float, cells: np.ndarray):
         """The map of values on distinct flat grid indices cells to G x on the cells.
@@ -297,35 +502,45 @@ class DiscreteRockland:
         sub, columns, q, c = self._support_columns(dt, cells, square=True)
         scattered = np.zeros((columns.size, n_c))
         flat = q * n_c + c
+        local = self._basis.restricted(columns)
 
         def apply(values) -> np.ndarray:
             scattered[q, c] = values
-            return _apply_central_blocks(sub, scattered)[flat]
+            return _apply_central_blocks(sub, scattered, local, local)[flat]
 
         return apply
 
     def _support_columns(self, dt: float, cells: np.ndarray, square: bool):
         """(blocks, columns, q, c): the cells' columns of the H1 inverse blocks.
 
-        Cell i sits in (a, b) column columns[q[i]] and at c[i] along the last
-        axis.  blocks[k] is B_k^{-1}[:, columns], or with square
-        B_k^{-1}[columns][:, columns]; when the cells meet every column it
-        is the cached inverse itself, with no copy.  A gather whose bytes,
-        with the blocks the operator caches, exceed the physical memory is
-        refused with CapabilityError before it is made.
+        columns are the (a, b) columns of the cells with, in the swap basis,
+        their swaps, the least set the basis change maps onto itself (at
+        most twice as many); cell i sits in column columns[q[i]] and at c[i]
+        along the last axis.  blocks[k] is B_k^{-1}[columns], the rows whose
+        conjugate transposes are the columns B_k^{-1}[:, columns], or with
+        square B_k^{-1}[columns][:, columns], B_k^{-1} the cached inverse in
+        the blocks' basis; when the columns are all of them it is the cached
+        inverse itself, with no copy.  A gather whose bytes, with the blocks
+        the operator caches, exceed the physical memory is refused with
+        CapabilityError before it is made.
         """
         inverse = self._resolvent_blocks(dt)
         column, c = np.divmod(cells, self.grid.points[-1])
-        columns, q = np.unique(column, return_inverse=True)
+        columns = self._basis.closure(np.unique(column))
+        q = np.searchsorted(columns, column)
         k, m = inverse.shape[:2]
         u = columns.size
         if u == m:
             return inverse, columns, q, c
-        self._check_memory((u if square else m) * u * k * 16,
+        self._check_memory((u if square else m) * u * k * inverse.itemsize,
                            f"{u} of the {m} columns of {k} inverse blocks")
         if square:
-            return inverse[:, columns[:, None], columns], columns, q, c
-        return np.take(inverse, columns, axis=2), columns, q, c
+            # one gather of the flat entries: indexing the two axes at once
+            # returns a strided copy, on which a batched product ran 9x slower
+            entries = (columns[:, None] * m + columns).ravel()
+            sub = np.take(inverse.reshape(k, m * m), entries, axis=1).reshape(k, u, u)
+            return sub, columns, q, c
+        return np.take(inverse, columns, axis=1), columns, q, c
 
     def green_rows(self, dt: float, cells: np.ndarray):
         """Yield G[cells][:, cells] for G = (I + dt R)^{-1}, a chunk of rows at a time.
@@ -367,15 +582,17 @@ class DiscreteRockland:
             return inverse
 
     def _checked_blocks(self, copies: int) -> np.ndarray:
-        """The central-frequency blocks of R, verified against R on a probe.
+        """The central-frequency blocks of R in their basis, verified against R on a probe.
 
         Blocks larger than ``SPECTRAL_DOF_LIMIT`` (read at call time), and
         a build whose peak with the blocks the operator already caches
         exceeds the physical memory, are refused with ``CapabilityError``
-        before any block is built.  The peak is the larger of the caller's
-        copies of the block set (one for the in-place resolvent, two for
-        the eigensystem) and one set with the coupling table the blocks are
-        summed from (``_central_blocks``).
+        before any block is built.  A block set is float64 in the swap basis
+        and complex128 in the identity.  The peak is the larger of the
+        caller's copies of the block set (one for the in-place resolvent,
+        two for the eigensystem) and one set with the coupling table the
+        blocks are summed from, offsets x m x m complex or twice as many
+        float64 (``_central_blocks``).
         """
         n_c = self.grid.points[-1]
         block = self.grid.size // n_c
@@ -383,15 +600,17 @@ class DiscreteRockland:
             raise CapabilityError(
                 f"dense central-frequency blocks of {block} dof exceed the limit of "
                 f"{SPECTRAL_DOF_LIMIT}; use a smaller grid")
+        basis = self._basis
         offsets = np.unique(self.matrix[::n_c].indices % n_c).size
-        block_set = (n_c // 2 + 1) * block**2 * 16  # complex128
+        itemsize = 8 if isinstance(basis, _SwapBasis) else 16
+        block_set = (n_c // 2 + 1) * block**2 * itemsize
         self._check_memory(
             max(copies * block_set, block_set + offsets * block**2 * 16),
             f"{n_c // 2 + 1} dense central-frequency blocks of {block} dof for "
             + ("the resolvent" if copies == 1 else "the eigensystem"))
-        blocks = _central_blocks(self.matrix, n_c)
+        blocks = _central_blocks(self.matrix, n_c, basis)
         self._check_invariance(
-            lambda x: _apply_central_blocks(blocks, x.reshape(blocks.shape[1], -1)),
+            lambda x: _apply_central_blocks(blocks, x.reshape(block, -1), basis, basis),
             "along the last grid axis; it has no central-frequency block form")
         return blocks
 
@@ -436,46 +655,73 @@ class DiscreteRockland:
             raise ValueError("field grid does not match operator grid")
 
 
-def _central_blocks(matrix, n_c: int) -> np.ndarray:
-    """The blocks B_k of the matrix under a real FFT along the last axis.
+def _central_blocks(matrix, n_c: int, basis) -> np.ndarray:
+    """The blocks B_k of the matrix under a real FFT along the last axis, in the basis.
 
     The rows at c = 0 hold the coupling A_m[p, q] of column (p, 0) to
     (q, m); translation invariance along c repeats it at every c, so
-    B_k = sum_m A_m exp(2 pi i k m / n_c) for k = 0 .. n_c // 2.  The
-    coupling table is complex, so the product makes no complex copy of it.
+    B_k = sum_m A_m exp(i theta_km), theta_km = 2 pi k m / n_c, for
+    k = 0 .. n_c // 2.  The canonical rows hold each (p, q, m) once, so the
+    coupling table is filled by assignment.  In the identity basis the
+    table is complex, so the product makes no complex copy of it.  In the
+    swap basis U = Q D (``_SwapBasis``) the rows are rotated to
+    A'_m = Q^T A_m Q first, and U^H B_k U = sum_m Re(exp(i theta_km) D^H A'_m D)
+    is cos(theta_km) A'_m on the entries between two symmetric or two
+    antisymmetric columns and -/+ sin(theta_km) A'_m between a symmetric row
+    and an antisymmetric column or the reverse: each entry of A'_m goes to
+    one of two float64 tables, one summed with the cosines and one with the
+    sines.  The imaginary part that drops out vanishes where
+    S A_m S = A_{-m} (``_block_basis``).
     """
     n_ab = matrix.shape[0] // n_c
-    rows = matrix[::n_c].tocoo()
+    rows = matrix[::n_c]
+    rows.sum_duplicates()
+    real = isinstance(basis, _SwapBasis)
+    if real:
+        rotation = basis.orthogonal()
+        rows = (rotation.T @ rows @ sp.kron(rotation, sp.identity(n_c), format="csr")).tocsr()
+    rows = rows.tocoo()
     q, m = np.divmod(rows.col, n_c)
     offsets, which = np.unique(m, return_inverse=True)
-    coupling = np.zeros((offsets.size, n_ab, n_ab), dtype=complex)
-    np.add.at(coupling, (which, rows.row, q), rows.data)
-    k = np.arange(n_c // 2 + 1)
-    phases = np.exp(2j * np.pi * (np.outer(k, offsets) % n_c) / n_c)
+    angles = 2 * np.pi * (np.outer(np.arange(n_c // 2 + 1), offsets) % n_c) / n_c
+    if real:
+        odd = basis.odd
+        cross = odd[rows.row] != odd[q]
+        coupling = np.zeros((2 * offsets.size, n_ab, n_ab))
+        coupling[which + offsets.size * cross, rows.row, q] = np.where(
+            cross & ~odd[rows.row], -rows.data, rows.data)
+        phases = np.hstack([np.cos(angles), np.sin(angles)])
+    else:
+        coupling = np.zeros((offsets.size, n_ab, n_ab), dtype=complex)
+        coupling[which, rows.row, q] = rows.data
+        phases = np.exp(1j * angles)
     return np.tensordot(phases, coupling, axes=1)
 
 
 def _invert_in_place(blocks: np.ndarray, dt: float):
-    """Invert Hermitian positive definite blocks in place by LAPACK zpotrf and zpotri.
+    """Invert symmetric or Hermitian positive definite blocks in place by LAPACK potrf and potri.
 
-    A C-order block is the transpose, so the conjugate, of the Fortran matrix
-    LAPACK sees, so the upper triangle LAPACK writes is the block's lower
-    triangle; it is mirrored into the upper.  scipy's OpenBLAS is held at one
-    thread meanwhile and gets its count back after, also after a failure.  A
-    block with no Cholesky factor is a StabilityError naming its central
-    frequency.
+    dpotrf and dpotri for float64 blocks, zpotrf and zpotri for complex
+    ones.  A C-order block is the transpose, so the conjugate, of the
+    Fortran matrix LAPACK sees, so the upper triangle LAPACK writes is the
+    block's lower triangle; it is mirrored into the upper.  scipy's OpenBLAS
+    is held at one thread meanwhile and gets its count back after, also
+    after a failure.  A block with no Cholesky factor is a StabilityError
+    naming its central frequency.
     """
-    from scipy.linalg.lapack import zpotrf, zpotri
+    from scipy.linalg import lapack
 
+    prefix = "z" if np.iscomplexobj(blocks) else "d"
+    potrf, potri = getattr(lapack, prefix + "potrf"), getattr(lapack, prefix + "potri")
     upper = ~np.tri(blocks.shape[1], dtype=bool)
     setter = _lapack_thread_setter()
     with _LAPACK_THREADS_LOCK:
         before = None if setter is None else setter(1)
         try:
             for k, block in enumerate(blocks):
-                factor, info = zpotrf(block.T, lower=0, clean=0, overwrite_a=1)
+                factor, info = potrf(block.T, lower=0, clean=0, overwrite_a=1)
                 if info == 0:
-                    info = zpotri(factor, lower=0, overwrite_c=1)[1]
+                    info = potri(factor, lower=0, overwrite_c=1)[1]
                 if info != 0:
                     raise StabilityError(
                         f"I + dt R is not positive definite at dt = {dt:g}: its block at "
@@ -561,28 +807,55 @@ def _five_smooth(n: int) -> int:
         n += 1
 
 
-def _block_green_rows(gathered: np.ndarray, columns: np.ndarray, q: np.ndarray,
+def _block_green_rows(gathered: np.ndarray, basis, columns: np.ndarray, q: np.ndarray,
                       c: np.ndarray, n_c: int):
-    """G[cells][:, cells] a chunk of rows at a time from the cells' gathered columns.
+    """G[cells][:, cells] a chunk of rows at a time from the cells' gathered rows.
 
-    gathered[k, p, j] is B_k[p, columns[j]]; cell i sits at column columns[q[i]]
-    and at c[i] along the last axis (module docstring).
+    gathered[k, j, p] is B_k[columns[j], p] in the blocks' basis, the
+    conjugate of B_k[p, columns[j]], and the columns are a set it maps onto
+    itself; cell i sits at column
+    columns[q[i]] and at c[i] along the last axis (module docstring).  The
+    entries of a chunk's rows of B_k are (U B_k U^H)[rows][:, columns].
     """
     s = c.size
+    local = basis.restricted(columns)
     rows = max(1, _GREEN_CHUNK_BYTES // (8 * n_c * max(columns.size, 1)))
     for start in range(0, s, rows):
         chunk = slice(start, start + rows)
         first, last = int(q[chunk].min()), int(q[chunk].max()) + 1
-        table = np.fft.irfft(gathered[:, columns[first:last]], n=n_c, axis=0)
+        spectrum = local.times_adjoint(basis.rows_out_of(gathered, columns[first:last]))
+        table = np.fft.irfft(spectrum, n=n_c, axis=0)
         shift = c[chunk, None] - c
         shift %= n_c
         yield table[shift, q[chunk, None] - first, q]
 
 
-def _apply_central_blocks(blocks: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Apply per-frequency blocks to values shaped (n_a n_b, n_c)."""
-    spectrum = np.fft.rfft(values, axis=1).T[:, :, None]
-    return _from_eigenbasis(blocks, spectrum, values.shape[1]).ravel()
+def _block_product(blocks: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The rows z[k] conj(blocks[k]), (blocks[k]^H z[k]^T)^T, for an operand z (``_SwapBasis``).
+
+    For Hermitian or real symmetric blocks, and for their gathered rows, the
+    rows of the product of the blocks (or of their columns) with z.  The
+    operand's rows meet the blocks in their own layout: real blocks take the
+    real and imaginary parts as two rows, (K, 2, u), in one real product,
+    which ran 1.6-1.8x as fast at m = 1024 and 1 BLAS thread as the blocks
+    times those parts as two columns, and 14x as fast at 2 threads.
+    """
+    if np.iscomplexobj(blocks):
+        return np.matmul(z.conj(), blocks).conj()
+    return np.matmul(z, blocks)
+
+
+def _apply_central_blocks(blocks: np.ndarray, values: np.ndarray, into, out_of) -> np.ndarray:
+    """Apply per-frequency blocks to values shaped (u, n_c); a flat (m, n_c) result.
+
+    blocks (K, u, m) are Hermitian blocks or their rows at the values' u
+    columns, whose conjugate transposes are the columns applied
+    (``_block_product``).  The blocks act in a basis: into is the basis of
+    the u columns the values sit in, out_of that of the m rows
+    (``_SwapBasis``).
+    """
+    spectrum = into.into(np.fft.rfft(values, axis=1))
+    return _from_spectrum(out_of.out_of(_block_product(blocks, spectrum)), values.shape[1])
 
 
 def _apply_multiplier(multiplier: np.ndarray, values, shape: tuple[int, ...]) -> np.ndarray:
@@ -683,21 +956,24 @@ def semigroup_apply(op: DiscreteRockland, t: float, f: Field) -> Field:
 def spectral_map(op: DiscreteRockland, g):
     """The map of flat grid values x to flat g(R) x, g a function of the eigenvalues.
 
-    g(w) is evaluated once, on the cached eigensystem.  v[k]^H x is computed
-    as conj(v[k]^T conj(x)) so that the transposed view of v is not copied.
+    g(w) is evaluated once, on the cached eigensystem, whose eigenvectors
+    act in the blocks' basis: x is taken into it after the FFT and back
+    before the inverse FFT.
     """
     w, v = op.eigensystem()
+    basis = op._basis
     n_c = op.grid.points[-1]
-    gw = g(w)[:, :, None]
+    gw = g(w)[:, None, :]
 
     def apply(values) -> np.ndarray:
-        spectrum = np.fft.rfft(np.reshape(values, (1, -1, n_c)), axis=-1).transpose(2, 1, 0)
-        coeff = gw * np.matmul(v.transpose(0, 2, 1), spectrum.conj()).conj()
-        return _from_eigenbasis(v, coeff, n_c).ravel()
+        spectrum = basis.into(np.fft.rfft(np.reshape(values, (-1, n_c)), axis=1))
+        coeff = _block_product(v, spectrum)
+        coeff *= gw
+        return _from_spectrum(basis.out_of(np.matmul(coeff, v.transpose(0, 2, 1))), n_c)
 
     return apply
 
 
-def _from_eigenbasis(v: np.ndarray, coeff: np.ndarray, n_c: int) -> np.ndarray:
-    """Real fields (S, m, n_c) from the blocks v[k] @ coeff[k], coeff shaped (K, m, S)."""
-    return np.fft.irfft(np.matmul(v, coeff).transpose(2, 1, 0), n=n_c, axis=-1)
+def _from_spectrum(spectrum: np.ndarray, n_c: int) -> np.ndarray:
+    """The flat real field (m, n_c) whose rfft along the last axis is spectrum, (m, K)."""
+    return np.fft.irfft(spectrum, n=n_c, axis=1).ravel()

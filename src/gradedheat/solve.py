@@ -43,11 +43,12 @@ iteration.  The mollified delta and delta^2 nets
 shrink onto such supports as eps falls.  The cost model picks this route
 iff its factor, s^3/3 flops, costs no more than one resolvent apply per
 step: s^3 <= WOODBURY_FLOPS_RATIO * steps * F, with F the operator's
-``resolvent_flops`` (5 N log2 N on R^d, 8 (n_c/2 + 1) m^2 on H1).  CG
-spends two resolvent applies per step and 2.3-3.6 products with the
-support's Green's matrix, each a fraction of an apply, and the rule still
-splits the eps of the benchmark sweeps where their timings cross (between
-s^3 = 1.1 and 5.7 steps * F).  A second clause,
+``resolvent_flops`` (5 N log2 N on R^d; on H1 4 (n_c/2 + 1) m^2 for
+real blocks, 8 (n_c/2 + 1) m^2 for complex ones).  CG spends two
+resolvent applies per step and 2.3-3.6 products with the support's
+Green's matrix, each a fraction of an apply, and the rule still splits
+the eps of the benchmark sweeps where their timings cross (on H1 between
+s^3 = 2.1 and 11.5 steps * F).  A second clause,
 s <= WOODBURY_MAX_CELLS, keeps the packed factor (4 s^2 bytes) under
 256 MiB and its bits independent of the BLAS thread count (see
 _woodbury_solver).

@@ -749,11 +749,11 @@ class TestRunParallelDeterminism:
 def heisenberg_pool_config():
     """An H1 net whose two coarser eps (s = 343, 245 support cells) are
     stepped by CG and whose two finer (s = 163, 131) by Woodbury: the cost
-    model admits s <= 192 at 8 steps on 8 x 8 x 16."""
+    model admits s <= 192 at 16 steps on 8 x 8 x 16, whose blocks are real."""
     return make_config(group=heisenberg1(), half_width=1.5, points=(8, 8, 16),
                        schedule=OmegaSchedule.logarithmic(1),
                        epsilons=EpsilonNet((0.25, 0.22, 0.19, 0.17)),
-                       mollifier_radius=2.0, T=0.25, dt=1.0 / 32)
+                       mollifier_radius=2.0, T=0.5, dt=1.0 / 32)
 
 
 def affinity_cores():
@@ -928,8 +928,8 @@ dt = 0.015625
 experiment = existence
 """
 
-# the h1_existence benchmark config at a shorter T: eps = 0.25 (935 support
-# cells) steps by CG and 0.2 (535) by Woodbury
+# the h1_existence benchmark config at a shorter T: eps = 0.25 and 0.2 (935
+# and 535 support cells) step by CG and 0.15 (261) by Woodbury
 H1_EXISTENCE_TEXT = """
 group = heisenberg1
 half_width = 1.5
@@ -1017,7 +1017,7 @@ class TestWoodburyFactorDeterminism:
         # H1 the resolvent's inverse blocks, which both routes apply, are
         # built on one scipy thread.  One eps of each net runs CG on the
         # support of V: on R^2 its box convolutions, on H1 its sub-block products
-        for text, eps in ((WOODBURY_TEXT, (0.5, 0.18)), (H1_EXISTENCE_TEXT, (0.25, 0.2))):
+        for text, eps in ((WOODBURY_TEXT, (0.5, 0.18)), (H1_EXISTENCE_TEXT, (0.25, 0.15))):
             problem = harness.problem_builder(parse_sweep_config(text))
             support = [np.count_nonzero(problem(e).V.values) for e in eps]
             cost = [3 * problem(e).steps * problem(e).op.resolvent_flops - s**3
@@ -1025,7 +1025,7 @@ class TestWoodburyFactorDeterminism:
             assert cost[0] < 0 <= cost[1]  # CG, then Woodbury
             assert 2 * support[0] < problem(eps[0]).op.grid.size  # CG on the support
         src = Path(__file__).resolve().parents[1] / "src"
-        for text, eps in ((WOODBURY_TEXT, ("0.5", "0.18")), (H1_EXISTENCE_TEXT, ("0.25", "0.2"))):
+        for text, eps in ((WOODBURY_TEXT, ("0.5", "0.18")), (H1_EXISTENCE_TEXT, ("0.25", "0.15"))):
             digests = set()
             for threads in ("1", "2"):
                 env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
@@ -1264,6 +1264,44 @@ method = duhamel
         workload = load_perfbench("workloads").WORKLOADS[name]
         cfg = parse_sweep_config(workload.config, experiment=workload.experiment)
         assert config_hash(cfg) == self.BENCHMARK_HASHES[name]
+
+    # the backward-Euler route of every eps of the benchmark sweeps, and of the
+    # h1_spectral solve, as the cost model picks it from resolvent_flops
+    BENCHMARK_ROUTES = {
+        "h1_existence": ["cg", "woodbury", "woodbury", "woodbury"],
+        "e2_existence": ["cg", "cg", "woodbury", "woodbury"],
+        "h1_spectral": ["cg"],
+    }
+
+    @pytest.mark.parametrize("name", BENCHMARK_ROUTES)
+    def test_benchmark_routes(self, monkeypatch, name):
+        class Routed(Exception):
+            pass
+
+        def route(kind):
+            def spy(*args):
+                raise Routed(kind)
+            return spy
+
+        monkeypatch.setattr(solve_module, "_woodbury_solver", route("woodbury"))
+        monkeypatch.setattr(solve_module, "_cg_solver", route("cg"))
+        workload = load_perfbench("workloads").WORKLOADS[name]
+        if name == "h1_spectral":
+            # the problem its operation solves by backward Euler
+            grid = make_grid(heisenberg1(), workload.half_width, workload.points)
+            problems = [solve_module.CauchyProblem(
+                operators.build_rockland(grid), bump_field(grid, 1.0, 0.8),
+                bump_field(grid, 1.125), workload.T, workload.dt)]
+        else:
+            cfg = parse_sweep_config(workload.config, experiment=workload.experiment)
+            problem = harness.problem_builder(cfg)
+            problems = [problem(eps) for eps in cfg.epsilons]
+        routes = []
+        for p in problems:
+            with pytest.raises(Routed) as routed:
+                solve_module.step_implicit(p, keep_states=False)
+            routes.append(str(routed.value))
+        assert routes == self.BENCHMARK_ROUTES[name]
 
     def test_e1_uniqueness_report_bytes_match_the_benchmark_reference(self, tmp_path):
         # the benchmark's e1 sweep, as it runs it: report.csv is the reference's bytes

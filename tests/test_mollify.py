@@ -56,6 +56,28 @@ def node_loop_heisenberg(f, g):
     return out * grid.cell_volume
 
 
+def column_sum_heisenberg(f, g):
+    """H1 convolution as the sum over the (a, b) columns of supp f of a whole-grid term each."""
+    grid = f.grid
+    na, nb, nc = grid.points
+    hc = grid.spacings[2]
+    ax_a, ax_b, _ = grid.axes
+    freq = np.arange(nc // 2 + 1)
+    roots = np.exp(-2j * np.pi * np.arange(nc) / nc)
+    g_hat = np.fft.rfft(g.values, axis=2)
+    f_hat = np.fft.rfft(f.values, axis=2) * (-1.0) ** freq
+    out = np.zeros(g_hat.shape, dtype=complex)
+    for ia, ib in np.argwhere(np.any(f.values != 0.0, axis=2)):
+        g_ab = np.roll(g_hat, (int(ia) - na // 2, int(ib) - nb // 2), axis=(0, 1))
+        s = (ax_a[ia] * ax_b[None, :] - ax_b[ib] * ax_a[:, None]) / (2.0 * hc)
+        whole = np.ceil(s)
+        theta = (whole - s)[:, :, None]
+        turns = (whole.astype(np.int64)[:, :, None] * freq) % nc
+        shift = roots[turns] * ((1.0 - theta) + theta * roots[-freq % nc])
+        out += f_hat[ia, ib] * shift * g_ab
+    return np.fft.irfft(out, n=nc, axis=2) * grid.cell_volume
+
+
 def relative_l2(got, want):
     return np.linalg.norm(got - want) / np.linalg.norm(want)
 
@@ -294,6 +316,30 @@ class TestConvolve:
         kernel = unit_mass_kernel(Mollifier(3, 1.4), eps, OmegaSchedule.logarithmic(1), grid)
         got = convolve(u0, kernel).values
         assert relative_l2(got, node_loop_heisenberg(u0, kernel)) <= 1e-12
+
+    @pytest.mark.parametrize("eps", [0.25, 0.11])
+    @pytest.mark.parametrize("datum", ["centred", "at-the-edge"])
+    def test_heisenberg_window_has_the_bits_of_the_column_sum(self, eps, datum):
+        # the window of the kernel rolled to a column of the datum wraps the
+        # box edge where the datum sits at the edge
+        grid = make_grid(heisenberg1(), 1.5, (16, 16, 32))
+        center = (0.0, 0.0, 0.0) if datum == "centred" else (-1.5, 1.3, 0.0)
+        u0 = bump_field(grid, (0.6, 0.5, 1.1), center=center)
+        kernel = unit_mass_kernel(Mollifier(3, 1.4), eps, OmegaSchedule.logarithmic(1), grid)
+        support = np.flatnonzero(np.any(kernel.values != 0.0, axis=(1, 2)))
+        assert support.size < 16
+        got = convolve(u0, kernel).values
+        np.testing.assert_array_equal(got, column_sum_heisenberg(u0, kernel))
+
+    def test_heisenberg_window_of_a_kernel_across_the_box_edge(self):
+        # a kernel whose own columns straddle the edge: a = 0, 1, 7 and b = 6, 7, 0
+        grid = make_grid(heisenberg1(), 1.0, 8)
+        rng = np.random.default_rng(35)
+        f = Field(grid, rng.standard_normal(grid.shape))
+        g = np.zeros(grid.shape)
+        g[np.ix_([0, 1, 7], [6, 7, 0])] = rng.standard_normal((3, 3, 8))
+        g = Field(grid, g)
+        np.testing.assert_array_equal(convolve(f, g).values, column_sum_heisenberg(f, g))
 
     def test_odd_grid_rejected(self):
         grid = make_grid(euclidean(1), 1.0, 9)

@@ -300,63 +300,72 @@ class TestSpectralLimit:
         with pytest.raises(CapabilityError, match="smaller grid"):
             semigroup_apply(R, 0.1, Field.zeros(grid))
 
-    @pytest.mark.parametrize("call", ["eigensystem", "resolvent"])
-    def test_blocks_beyond_physical_memory_refused(self, monkeypatch, call):
-        # 5 blocks of 64 dof and their eigenvectors, 2 * 5 * 64^2 complex128; or
-        # the same 5 blocks and the 5 offsets of their coupling table
-        R = build_rockland(make_grid(heisenberg1(), 1.5, 8))
-        run = R.eigensystem if call == "eigensystem" else lambda: R.resolvent(0.1, np.zeros(512))
+    @pytest.mark.parametrize("call, points, block, need", [
+        (call, points, block, need)
+        for points, block, need in [((8, 8, 8), 64, 5 * 64**2 * 8 + 5 * 64**2 * 16),
+                                    ((8, 10, 8), 80, 2 * 5 * 80**2 * 16)]
+        for call in ("eigensystem", "resolvent")
+    ], ids=["eigensystem", "resolvent", "complex-eigensystem", "complex-resolvent"])
+    def test_blocks_beyond_physical_memory_refused(self, monkeypatch, call, points, block, need):
+        # 5 blocks and the coupling table of their 5 offsets, 5 x m x m complex
+        # (or twice as many float64): the larger of the eigensystem's two sets
+        # and the resolvent's one is one set and the table
+        R = build_rockland(make_grid(heisenberg1(), 1.5, points))
+        size = R.grid.size
+        run = R.eigensystem if call == "eigensystem" else lambda: R.resolvent(0.1, np.zeros(size))
         with monkeypatch.context() as m:
-            m.setattr(operators, "_physical_memory", lambda: 655360 - 1)
+            m.setattr(operators, "_physical_memory", lambda: need - 1)
             m.setattr(operators, "_central_blocks", lambda *args: pytest.fail(
                 "blocks were built before their memory was checked"))
             with pytest.raises(CapabilityError, match=r"^5 dense central-frequency blocks of "
-                               rf"64 dof for the {call} need 655360 bytes"):
+                               rf"{block} dof for the {call} need {need} bytes"):
                 run()
-        monkeypatch.setattr(operators, "_physical_memory", lambda: 655360)
+        monkeypatch.setattr(operators, "_physical_memory", lambda: need)
         run()  # a block set that just fits is built
 
     def test_in_place_resolvent_counts_one_block_set(self, monkeypatch):
-        # 9 blocks of 64 dof: the eigensystem needs two sets, 1179648 bytes;
-        # the resolvent one set and the 5 offsets of the coupling table,
-        # 917504 bytes
-        grid = make_grid(heisenberg1(), 1.5, (8, 8, 16))
+        # 17 float64 blocks of 64 dof: the eigensystem needs two sets, 1114112
+        # bytes; the resolvent one set and the 5 offsets of the coupling
+        # table, 884736 bytes
+        grid = make_grid(heisenberg1(), 1.5, (8, 8, 32))
         monkeypatch.setattr(operators, "_physical_memory", lambda: 1_000_000)
         build_rockland(grid).resolvent(0.1, np.zeros(grid.size))
         monkeypatch.setattr(operators, "_central_blocks", lambda *args: pytest.fail(
             "blocks were built before their memory was checked"))
-        with pytest.raises(CapabilityError, match=r"^9 dense central-frequency blocks of "
-                           r"64 dof for the eigensystem need 1179648 bytes, more than"):
+        with pytest.raises(CapabilityError, match=r"^17 dense central-frequency blocks of "
+                           r"64 dof for the eigensystem need 1114112 bytes, more than"):
             build_rockland(grid).eigensystem()
 
     @pytest.mark.parametrize("first, second", [("eigensystem", "resolvent"),
                                                ("resolvent", "eigensystem")])
     def test_cached_blocks_count_against_physical_memory(self, monkeypatch, first, second):
-        # one set of 5 blocks of 64 dof is 327680 bytes, and so is the
-        # coupling table of their 5 offsets; a build needs two sets (the
-        # eigensystem) or one and the table (the resolvent), and the
-        # operator keeps one set (the eigenvectors, with 2560 bytes of
-        # eigenvalues, or the inverse), so a second build needs more than 3
-        # sets where 2.5 are at hand
+        # one float64 set of 5 blocks of 64 dof is 163840 bytes, and the
+        # coupling table of their 5 offsets twice that; either build needs
+        # one set and the table, and the operator keeps one set (the
+        # eigenvectors, with 2560 bytes of eigenvalues, or the inverse), so a
+        # second build needs a set more where half a set is to spare
         R = build_rockland(make_grid(heisenberg1(), 1.5, 8))
-        block_set = 5 * 64**2 * 16
+        block_set = 5 * 64**2 * 8
+        build = 3 * block_set
+        memory = build + block_set // 2
         calls = {"eigensystem": R.eigensystem,
                  "resolvent": lambda: R.resolvent(0.1, np.zeros(R.grid.size))}
-        monkeypatch.setattr(operators, "_physical_memory", lambda: 5 * block_set // 2)
+        monkeypatch.setattr(operators, "_physical_memory", lambda: memory)
         calls[first]()
         cached = block_set + (5 * 64 * 8 if first == "eigensystem" else 0)
         monkeypatch.setattr(operators, "_central_blocks", lambda *args: pytest.fail(
             "blocks were built before their memory was checked"))
-        with pytest.raises(CapabilityError, match=f"need {2 * block_set + cached} bytes with "
+        with pytest.raises(CapabilityError, match=f"need {build + cached} bytes with "
                            f"the {cached} bytes this operator caches, more than the "
-                           f"{5 * block_set // 2} bytes"):
+                           f"{memory} bytes"):
             calls[second]()
 
-    # on 8.2 GB the block limit alone admits 257 H1 blocks of 4096^2 (69 GB) and 33 on R^3
-    # (8.9 GB); an identity stands in for the H1 operator, whose blocks are never read
+    # on 8.2 GB the block limit alone admits an eigensystem of 257 H1 blocks of 4096^2
+    # (69 GB in float64) and of 33 on R^3 (8.9 GB); an identity stands in for the H1
+    # operator, whose blocks are never read.  Both are symmetric under the swap.
     @pytest.mark.parametrize("grid, matrix, need", [
-        (make_grid(heisenberg1(), 1.5, (64, 64, 512)), "identity", 2 * 257 * 4096**2 * 16),
-        (make_grid(euclidean(3), 1.0, 64), "laplacian", 2 * 33 * 4096**2 * 16),
+        (make_grid(heisenberg1(), 1.5, (64, 64, 512)), "identity", 2 * 257 * 4096**2 * 8),
+        (make_grid(euclidean(3), 1.0, 64), "laplacian", 2 * 33 * 4096**2 * 8),
     ], ids=["heisenberg1-64x64x512", "euclidean3-64^3"])
     def test_large_block_sets_refused(self, no_blocks, monkeypatch, grid, matrix, need):
         monkeypatch.setattr(operators, "_physical_memory", lambda: 8_200_000_000)
@@ -520,13 +529,64 @@ class TestSupportResolvent:
                 assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
     def test_inverse_blocks_are_hermitian_and_invert(self, sub8):
-        # zpotri writes one triangle; the other is its mirror
+        # potri writes one triangle; the other is its mirror
         inverse = sub8._resolvent_blocks(0.1)
         np.testing.assert_array_equal(inverse, inverse.conj().transpose(0, 2, 1))
-        blocks = operators._central_blocks(sub8.matrix, sub8.grid.points[-1])
+        blocks = operators._central_blocks(sub8.matrix, sub8.grid.points[-1], sub8._basis)
+        assert blocks.dtype == inverse.dtype == float
         eye = np.eye(blocks.shape[1])
         np.testing.assert_allclose(np.matmul(eye + 0.1 * blocks, inverse),
                                    np.broadcast_to(eye, blocks.shape), rtol=0, atol=1e-13)
+
+    def test_real_blocks_are_the_complex_blocks_in_the_swap_basis(self, sub8):
+        # U T_k U^H = B_k, for the blocks and for their inverses
+        n_c = sub8.grid.points[-1]
+        basis = sub8._basis
+        real = operators._central_blocks(sub8.matrix, n_c, basis)
+        plain = operators._central_blocks(sub8.matrix, n_c, operators._PlainBasis())
+        assert real.dtype == float and plain.dtype == complex
+        m = real.shape[1]
+        u = np.zeros((m, m), dtype=complex)
+        u[np.arange(m), np.arange(m)] = basis.diag
+        u[np.arange(m), basis.partner] += basis.pair
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(m), rtol=0, atol=1e-15)
+        scale = np.abs(plain).max()
+        np.testing.assert_allclose(u @ real @ u.conj().T, plain, rtol=0, atol=1e-15 * scale)
+        eye = np.eye(m)
+        np.testing.assert_allclose(u @ np.linalg.inv(eye + 0.1 * real) @ u.conj().T,
+                                   np.linalg.inv(eye + 0.1 * plain), rtol=0, atol=1e-15)
+
+
+class TestBlockBasis:
+    # the blocks are float64 in the swap basis where the coupling is
+    # symmetric under the swap of a and b with c reversed, and complex128
+    # where it is not; either way they are the operator's
+    @pytest.mark.parametrize("half_widths, points, weight, dtype", [
+        (1.5, (8, 8, 16), None, float),
+        (1.5, (12, 12, 12), None, float),
+        (1.5, (8, 8, 16), "a^2 + b^2", float),
+        (1.5, (8, 10, 16), None, complex),
+        ((1.5, 1.8, 1.5), (8, 8, 16), None, complex),
+        (1.5, (8, 8, 16), "a^2", complex),
+    ], ids=["8x8x16", "12^3", "swap-weighted", "8x10x16", "unequal-widths", "a-weighted"])
+    def test_blocks_are_real_exactly_where_the_swap_is_a_symmetry(
+            self, half_widths, points, weight, dtype):
+        grid = make_grid(heisenberg1(), half_widths, points)
+        matrix = build_rockland(grid).matrix
+        if weight is not None:
+            a, b, _ = grid.broadcast_axes()
+            potential = a**2 + b**2 if weight == "a^2 + b^2" else a**2 + 0.0 * b
+            matrix = matrix + sp.diags(np.broadcast_to(potential, grid.shape).ravel())
+        op = DiscreteRockland(grid, matrix, "operator")
+        dt = 0.1
+        assert op._resolvent_blocks(dt).dtype == dtype
+        assert op.eigensystem()[1].dtype == dtype
+        x = np.random.default_rng(13).standard_normal(grid.size)
+        np.testing.assert_allclose(op.resolvent(dt, x + dt * (op.matrix @ x)), x,
+                                   rtol=0, atol=1e-12)
+        want = op.matrix @ x
+        got = spectral_map(op, lambda w: w)(x)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def support_cells(grid, kind):
@@ -607,14 +667,16 @@ class TestSupportGreen:
     @pytest.mark.parametrize("square, build", [(True, "support_green"),
                                                (False, "support_resolvent")])
     def test_gathered_columns_count_against_physical_memory(self, monkeypatch, square, build):
-        # 5 blocks of 64 dof are cached (327680 bytes); 32 columns gather
-        # 5 * 32 * 32 or 5 * 64 * 32 complex entries
+        # 5 float64 blocks of 64 dof are cached (163840 bytes); the 32 columns
+        # a < 4 and their 16 swaps b < 4 gather 5 * 48 * 48 or 5 * 64 * 48
+        # entries
         R = build_rockland(make_grid(heisenberg1(), 1.5, 8))
         cached = R._resolvent_blocks(0.1).nbytes
-        gather = 5 * 32 * (32 if square else 64) * 16
+        assert cached == 5 * 64**2 * 8
+        gather = 5 * 48 * (48 if square else 64) * 8
         cells = np.arange(32) * 8
         monkeypatch.setattr(operators, "_physical_memory", lambda: cached + gather - 1)
-        with pytest.raises(CapabilityError, match=f"^32 of the 64 columns of 5 inverse blocks "
+        with pytest.raises(CapabilityError, match=f"^48 of the 64 columns of 5 inverse blocks "
                            f"need {cached + gather} bytes with the {cached} bytes"):
             getattr(R, build)(0.1, cells)
         monkeypatch.setattr(operators, "_physical_memory", lambda: cached + gather)
@@ -627,8 +689,11 @@ class TestSupportGreen:
 class TestLapackThreadHold:
     # the H1 inverse blocks are factorised on one scipy OpenBLAS thread, and
     # the count that was there comes back, after a refused build too
-    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["sub-Laplacian", "negated"])
-    def test_blocks_are_inverted_on_one_thread(self, monkeypatch, sign):
+    @pytest.mark.parametrize("sign, points, potrf", [
+        (1.0, (8, 8, 8), "dpotrf"), (-1.0, (8, 8, 8), "dpotrf"),
+        (1.0, (8, 10, 8), "zpotrf"), (-1.0, (8, 10, 8), "zpotrf"),
+    ], ids=["sub-Laplacian", "negated", "complex-sub-Laplacian", "complex-negated"])
+    def test_blocks_are_inverted_on_one_thread(self, monkeypatch, sign, points, potrf):
         import scipy.linalg.lapack
 
         setter = operators._lapack_thread_setter()
@@ -640,10 +705,10 @@ class TestLapackThreadHold:
             setter(threads)
             return threads
 
-        seen, zpotrf = [], scipy.linalg.lapack.zpotrf
-        monkeypatch.setattr(scipy.linalg.lapack, "zpotrf", lambda *args, **kwargs: (
-            seen.append(count()) or zpotrf(*args, **kwargs)))
-        grid = make_grid(heisenberg1(), 1.5, 8)
+        seen, factor = [], getattr(scipy.linalg.lapack, potrf)
+        monkeypatch.setattr(scipy.linalg.lapack, potrf, lambda *args, **kwargs: (
+            seen.append(count()) or factor(*args, **kwargs)))
+        grid = make_grid(heisenberg1(), 1.5, points)
         op = DiscreteRockland(grid, sign * build_rockland(grid).matrix, "sub-Laplacian")
         before = count()
         if sign > 0:

@@ -666,6 +666,69 @@ class TestWoodburyStepper:
             step_implicit(p)
 
 
+class TestComplexBlocks:
+    # on an H1 grid whose a and b axes differ in points or in width the swap
+    # is no symmetry of the central-frequency blocks, which stay complex;
+    # every route through them matches the dense references
+    @pytest.fixture(scope="class", params=[
+        ((1.5, 1.5, 1.5), (8, 10, 16)),
+        ((1.5, 1.8, 1.5), (8, 8, 16)),
+    ], ids=["8x10x16", "unequal-widths"])
+    def op(self, request):
+        half_widths, points = request.param
+        return build_rockland(make_grid(heisenberg1(), half_widths, points))
+
+    @staticmethod
+    def problem(op, potential):
+        g = op.grid
+        V = regularize_potential(PotentialSpec.dirac_delta(multiplier=80.0), 0.25,
+                                 OmegaSchedule.logarithmic(1), Mollifier(3, 2.0), g)
+        if potential == "attractive":
+            V = V * (-0.9 * 32 / float(V.values.max()))
+        elif potential == "wide":
+            V = Field.from_function(g, lambda a, b, c: 4.0 * (1.0 + np.cos(np.pi * a / 1.5)))
+        return CauchyProblem(op, V, bump_field(g, 1.0, center=(0.3, -0.2, 0.1)),
+                             T=8.0 / 32, dt=1.0 / 32)
+
+    def test_blocks_and_eigenvectors_are_complex(self, op):
+        assert op._resolvent_blocks(1.0 / 32).dtype == complex
+        assert op.eigensystem()[1].dtype == complex
+        m = op.grid.size // op.grid.points[-1]
+        assert op.resolvent_flops == 8.0 * 9 * m**2
+
+    def test_resolvent_inverts_the_shifted_operator(self, op):
+        dt = 1.0 / 32
+        x = np.random.default_rng(12).standard_normal(op.grid.size)
+        np.testing.assert_allclose(op.resolvent(dt, x + dt * (op.matrix @ x)), x,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("route, potential", [
+        ("woodbury", "delta"), ("cg", "delta"), ("cg", "attractive"), ("cg", "wide"),
+    ], ids=["woodbury", "cg", "cg-attractive", "cg-whole-grid"])
+    def test_steps_match_dense_backward_euler(self, op, route, potential):
+        p = self.problem(op, potential)
+        v = p.V.values.ravel()
+        dt = p.dt_effective
+        s = np.count_nonzero(v)
+        assert (2 * s > v.size) == (potential == "wide")
+        if route == "woodbury":
+            traj = solve_module._integrate(p, solve_module._woodbury_solver(p, dt, v))
+        else:
+            advance, product = solve_module._cg_solver(p, dt, v, max(-float(v.min()), 0.0))
+            traj = solve_module._integrate(p, advance, product=product)
+        for got, ref in zip(traj.states, dense_backward_euler(p), strict=True):
+            assert np.linalg.norm(got.values.ravel() - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_spectral_calculus_matches_oracle_expm(self, op):
+        # the Duhamel step with V = 0 is e^{-dt R} from the eigensystem, step
+        # by step; oracle_expm takes a dense eigh of the whole operator
+        g = op.grid
+        p = CauchyProblem(op, Field.zeros(g), bump_field(g, 1.0, center=(0.3, -0.2, 0.1)),
+                          T=8.0 / 32, dt=1.0 / 32)
+        for got, want in zip(solve_duhamel(p).states, oracle_expm(p).states, strict=True):
+            np.testing.assert_allclose(got.values, want.values, rtol=0, atol=1e-12)
+
+
 OVERFLOW_ROWS = pytest.mark.parametrize("group, points, step", [
     (euclidean(1), (64,), 154),
     (euclidean(2), (16, 10), 155),
@@ -755,8 +818,9 @@ class TestStepperRouting:
         assert len(calls) == lu_calls
 
     # at 4 steps the cost model s^3 <= 3 * 4 * F admits s <= 128 on 64 x 48
-    # (F = 5 N log2 N = 177945), s <= 65 on 8^3 (F = 23040) and s <= 125 on
-    # H1 8^3 (F = 8 * 5 * 64^2 = 163840)
+    # (F = 5 N log2 N = 177945), s <= 65 on 8^3 (F = 23040), s <= 99 on H1
+    # 8^3, whose blocks are real (F = 4 * 5 * 64^2 = 81920), and s <= 145 on
+    # H1 8 x 10 x 8, whose blocks are complex (F = 8 * 5 * 80^2 = 256000)
     @pytest.mark.parametrize("group, points, values, woodbury", [
         (euclidean(2), (64, 48), [1.0] * 128, 1),
         (euclidean(2), (64, 48), [1.0] * 129, 0),
@@ -764,10 +828,13 @@ class TestStepperRouting:
         (euclidean(3), (8, 8, 8), [1.0] * 65, 1),
         (euclidean(3), (8, 8, 8), [1.0] * 66, 0),
         (euclidean(1), (64,), [1.0] * 4, 0),
-        (heisenberg1(), (8, 8, 8), [1.0] * 125, 1),
+        (heisenberg1(), (8, 8, 8), [1.0] * 99, 1),
+        (heisenberg1(), (8, 8, 8), [1.0] * 100, 0),
         (heisenberg1(), (8, 8, 8), [1.0] * 126, 0),
+        (heisenberg1(), (8, 10, 8), [1.0] * 145, 1),
+        (heisenberg1(), (8, 10, 8), [1.0] * 146, 0),
     ], ids=["r2-s128", "r2-s129", "r2-sign-changing", "r3", "r3-s66", "r1", "h1",
-            "h1-s126"])
+            "h1-s100", "h1-s126", "h1-complex", "h1-complex-s146"])
     def test_woodbury_only_for_a_small_nonnegative_support_on_rd(
             self, woodbury_calls, group, points, values, woodbury):
         op = build_rockland(make_grid(group, 1.5, points))
