@@ -51,21 +51,22 @@ Each pool claims all the cores, so the pools of concurrent sweeps in one process
 take turns.  Every path outside a pool, a one-worker sweep too, keeps its BLAS
 threads.  A BLAS that does not export openblas_set_num_threads_local (MKL,
 Accelerate, OpenBLAS before 0.3.27) is not capped.  The manifest records the
-split.  The LAPACK routines of the steps, dpttrf/dpttrs on 1-D periodic
-tridiagonal systems and the upper packed dpptrf/dpptrs of the Woodbury step
-(solve._woodbury_solver), link another OpenBLAS, which the pool does not cap:
-they run on the calling thread.  The zpotrf/zpotri that invert the H1
-resolvent's blocks link it too, and the build holds it at one thread itself
-(operators.DiscreteRockland.resolvent), through the same setter-finder
-(operators.openblas_thread_setter).  The packed Cholesky's and the held
-inverse's bits do not depend on the BLAS thread count, so the reports stay
-byte-identical for any worker count and any CPU affinity; numpy's Cholesky
-and the blocked dpotrf change bits with the count from s = 128 on.
+split.  The setter and the LAPACK routines of the steps, dpttrf/dpttrs on
+1-D periodic tridiagonal systems and the upper packed dpptrf/dpptrs of the
+Woodbury step (solve._woodbury_solver), are bound in numpy's OpenBLAS by
+one module (gradedheat._lapack); the routines run on the calling thread at
+any count.  The dpotrf/dpotri that invert the H1 resolvent's blocks link
+scipy's OpenBLAS, which the pool does not cap, and the build holds it at
+one thread itself (operators.DiscreteRockland.resolvent), through the same
+setter-finder (_lapack.openblas_thread_setter).  The packed Cholesky's and
+the held inverse's bits do not depend on the BLAS thread count, so the
+reports stay byte-identical for any worker count and any CPU affinity;
+numpy's Cholesky and the blocked dpotrf change bits with the count from
+s = 128 on.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import threading
@@ -91,7 +92,8 @@ from .mollify import (
     regularize_potential,
 )
 from .norms import lp_norm
-from .operators import build_rockland, openblas_thread_setter
+from ._lapack import thread_setter as _blas_thread_setter
+from .operators import build_rockland
 from .solve import CauchyProblem, Trajectory, step_implicit
 
 CONSISTENCY_FLOOR_FACTOR = 0.1
@@ -224,15 +226,6 @@ def _l2_state_distance(a: Trajectory, b: Trajectory) -> float:
     if len(a.states) != len(b.states):
         raise ValueError("trajectories store different numbers of states")
     return max(lp_norm(fa - fb, 2) for fa, fb in zip(a.states, b.states))
-
-
-@functools.cache
-def _blas_thread_setter():
-    """The thread setter of the OpenBLAS numpy links, or None.
-
-    See operators.openblas_thread_setter, which also finds scipy's.
-    """
-    return openblas_thread_setter(np.linalg._umath_linalg.__file__)
 
 
 def _cores() -> int:

@@ -1,17 +1,22 @@
 """Discrete Rockland operators: Laplacians, sub-Laplacians, spectral calculus.
 
-Both operators are assembled as sparse symmetric positive semidefinite
-matrices acting on C-order raveled grid values:
+Both operators are symmetric positive semidefinite and act on C-order
+raveled grid values:
 
 * ``build_euclidean_laplacian`` is the negative Laplacian with the compact
-  3-point stencil (-1, 2, -1)/h^2 per axis and periodic wraparound.
+  3-point stencil (-1, 2, -1)/h^2 per axis and periodic wraparound.  It is
+  its stencil, with no matrix: its product has the bits of the CSR product
+  of the matrix the stencil defines, and that CSR matrix is a view built on
+  first access (``_Laplacian``).  Building it and stepping with it import
+  no scipy module.
 
 * ``build_heisenberg_sublaplacian`` is R = -(X^2 + Y^2) for the left-invariant
   frame X = d_a - (b/2) d_c, Y = d_b + (a/2) d_c.  X and Y are discretised
   with centred first differences and squared as matrices; since the
   coefficient of d_c is constant along the c-axis, both are exactly
   antisymmetric and R = X^T X + Y^T Y is positive semidefinite by
-  construction.
+  construction.  It is assembled as a scipy.sparse CSR matrix, which is
+  imported with its first build, not with the package.
 
 Both operators are 2-homogeneous under the group dilations (nu = 2).
 
@@ -20,7 +25,8 @@ coefficients of both operators do not depend on the last grid axis (c on
 H1), so a real FFT along that axis splits R into one dense Hermitian
 (n_a n_b) x (n_a n_b) block B_k per frequency -- on H1 the discrete
 counterpart of the twisted Laplacians.  The blocks are read off the
-assembled matrix and checked against it on a fixed probe; an operator that
+CSR matrix (on R^d its view) and checked against R on a fixed probe; an
+operator that
 varies along the last axis is refused with ``CapabilityError``, and so are
 blocks above ``SPECTRAL_DOF_LIMIT`` dof and a block set whose peak, with
 the blocks the operator already caches, exceeds the physical memory, before
@@ -67,7 +73,8 @@ them.
   one apply.  The backward-Euler stepper uses the resolvent as its CG
   preconditioner on every grid of dimension two or more, and as the
   (I + dt R)^{-1} of its Woodbury step.  scipy.linalg.lapack is imported on
-  the first H1 resolvent, not with the package.
+  the first H1 resolvent, not with the package; the multiplier on R^d needs
+  no scipy module.
 
 * ``support_resolvent`` maps values on given cells to the flat
   (I + dt R)^{-1} of their scatter: on R^d the scatter and the multiplier,
@@ -116,8 +123,8 @@ import os
 import threading
 
 import numpy as np
-import scipy.sparse as sp
 
+from gradedheat._lapack import openblas_thread_setter
 from gradedheat.errors import CapabilityError, StabilityError
 from gradedheat.groups import Field, Grid
 
@@ -142,29 +149,24 @@ _EIG_CLAMP_REL = 1e-10
 _GREEN_CHUNK_BYTES = 1 << 20
 
 
-def openblas_thread_setter(extension: str):
-    """openblas_set_num_threads_local of the OpenBLAS an extension module links, or None.
-
-    Loading the extension resolves the symbol in the library it links.  The
-    setter returns the count it replaces.  It sets openblas_set_num_threads'
-    count, which is the calling thread's in an OpenMP build but the whole
-    process's in the pthreads builds numpy and scipy ship.  A BLAS that does
-    not export it (MKL, Accelerate, OpenBLAS before 0.3.27) gives None.
-    """
-    try:
-        setter = ctypes.CDLL(extension).openblas_set_num_threads_local
-    except (OSError, AttributeError):
-        return None
-    setter.argtypes = [ctypes.c_int]
-    setter.restype = ctypes.c_int
-    return setter
+def _sparse():
+    """scipy.sparse, imported on first use: by the H1 operator and the CSR views only."""
+    import scipy.sparse
+    return scipy.sparse
 
 
 @functools.cache
 def _lapack_thread_setter():
-    """The thread setter of the OpenBLAS scipy.linalg.lapack links, or None."""
+    """The thread setter of the OpenBLAS scipy.linalg.lapack links, or None.
+
+    Only H1's dpotrf/dpotri (``_invert_in_place``) still run in scipy's
+    OpenBLAS; the steps' LAPACK runs in numpy's (``gradedheat._lapack``).
+    """
     from scipy.linalg import _flapack
-    return openblas_thread_setter(_flapack.__file__)
+    try:
+        return openblas_thread_setter(ctypes.CDLL(_flapack.__file__))
+    except OSError:
+        return None
 
 
 # where the count is the process's, two holds at once would restore each
@@ -314,15 +316,16 @@ class _SwapBasis:
         """x U^H: the row vectors x times U^H."""
         return self._adjoint_diag * x + self.pair.conj() * x[..., self.partner]
 
-    def orthogonal(self) -> sp.csr_matrix:
-        """Q, the real part of the basis change: U = Q D."""
+    def orthogonal(self):
+        """Q, the real part of the basis change: U = Q D, as a CSR matrix."""
         p = np.arange(self.partner.size)
         fixed = p == self.partner
         r = math.sqrt(0.5)
         values = np.concatenate([np.where(fixed, 1.0, np.where(self.odd, -r, r)),
                                  np.where(fixed, 0.0, r)])
-        return sp.csr_matrix((values, (np.concatenate([p, self.partner]), np.concatenate([p, p]))),
-                             shape=(p.size, p.size))
+        return _sparse().csr_matrix(
+            (values, (np.concatenate([p, self.partner]), np.concatenate([p, p]))),
+            shape=(p.size, p.size))
 
 
 def _block_basis(rows, points) -> _PlainBasis | _SwapBasis:
@@ -347,10 +350,16 @@ def _block_basis(rows, points) -> _PlainBasis | _SwapBasis:
 
 
 class DiscreteRockland:
-    """Sparse symmetric PSD operator on a grid, with a cached spectrum."""
+    """Symmetric PSD operator on a grid, with a cached spectrum.
+
+    Built from a sparse matrix, which it holds as CSR.  Its solvers read it
+    through ``product``, ``periodic_tridiagonal``, ``row_sum_bound`` and
+    ``row_width``; the Laplacian on R^d gives them from its stencil
+    (``_Laplacian``).
+    """
 
     def __init__(self, grid: Grid, matrix, name: str, nu: int = 2):
-        matrix = sp.csr_matrix(matrix)
+        matrix = _sparse().csr_matrix(matrix)
         if matrix.shape != (grid.size, grid.size):
             raise ValueError(
                 f"matrix shape {matrix.shape} does not match grid size {grid.size}"
@@ -359,8 +368,11 @@ class DiscreteRockland:
         skew = abs(matrix - matrix.T).max()
         if skew > 1e-12 * scale:
             raise ValueError(f"operator matrix is not symmetric (relative skew {skew/scale:.2e})")
-        self.grid = grid
         self.matrix = matrix
+        self._setup(grid, name, nu)
+
+    def _setup(self, grid: Grid, name: str, nu: int):
+        self.grid = grid
         self.name = name
         self.nu = nu
         self._lock = threading.Lock()
@@ -375,10 +387,21 @@ class DiscreteRockland:
         """The basis of the central-frequency blocks (``_block_basis``)."""
         return _block_basis(self.matrix[::self.grid.points[-1]], self.grid.points)
 
+    def product(self, values: np.ndarray) -> np.ndarray:
+        """R x for flat grid values x (N,), or for each row of a C-ordered block (k, N).
+
+        A CSR product sums each row from zero in ascending column order, for
+        one vector or a block, so a row of a block has the bits of its
+        vector's product.
+        """
+        if values.ndim == 1:
+            return self.matrix @ values
+        return np.ascontiguousarray((self.matrix @ values.T).T)
+
     def apply(self, f: Field) -> Field:
         """Matrix-vector product R f."""
         self._check_field(f)
-        return Field(self.grid, (self.matrix @ f.flat).reshape(self.grid.shape))
+        return Field(self.grid, self.product(f.flat).reshape(self.grid.shape))
 
     def quad_form(self, f: Field) -> float:
         """<R f, f> in l2 weighted by the cell volume; clamped at zero."""
@@ -386,9 +409,37 @@ class DiscreteRockland:
         v = f.flat
         # np.sum (fixed pairwise order) as in the solvers' norm series, so the
         # value matches their t = 0 record bit for bit
-        q = float(np.sum(v * (self.matrix @ v))) * self.grid.cell_volume
+        q = float(np.sum(v * self.product(v))) * self.grid.cell_volume
         # exact value is >= 0; rounding may leave a tiny negative residue
         return max(q, 0.0)
+
+    def periodic_tridiagonal(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(R[i, i], R[i, i + 1], R[0, n - 1]) of a periodic tridiagonal R on a 1-D grid.
+
+        An R with any other stencil is a CapabilityError.
+        """
+        mat = self.matrix
+        n = self.grid.size
+        coo = mat.tocoo()
+        offsets = np.unique((coo.col - coo.row)[coo.data != 0] % n)
+        offsets = np.where(offsets > n // 2, offsets - n, offsets)
+        if np.any(np.abs(offsets) > 1):
+            raise CapabilityError(
+                f"the 1-D stepper needs a periodic tridiagonal R (stencil offsets -1, 0, 1); "
+                f"{self.name} has stencil offsets {sorted(offsets.tolist())}")
+        return mat.diagonal(), mat.diagonal(1), float(mat.diagonal(n - 1)[0])
+
+    def row_sum_bound(self) -> float:
+        """The largest absolute row sum of R, a bound on its norm (Gershgorin)."""
+        return float(abs(self.matrix).sum(axis=1).max())
+
+    def row_width(self) -> int:
+        """The most entries a row of R stores."""
+        return int(np.diff(self.matrix.indptr).max())
+
+    def _origin_row(self) -> np.ndarray:
+        """Row 0 of R, shaped like the grid."""
+        return self.matrix[[0]].toarray().reshape(self.grid.shape)
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Clamped eigenvalues and orthonormal eigenvectors, per central frequency.
@@ -636,8 +687,7 @@ class DiscreteRockland:
         the origin, whose real FFT is then real since R is symmetric.
         """
         shape = self.grid.shape
-        row = self.matrix[[0]].toarray().reshape(shape)
-        symbol = np.fft.rfftn(row, axes=range(len(shape))).real
+        symbol = np.fft.rfftn(self._origin_row(), axes=range(len(shape))).real
         self._check_invariance(lambda x: _apply_multiplier(symbol, x, shape),
                                "of the grid; it is no Fourier multiplier")
         return symbol
@@ -645,7 +695,7 @@ class DiscreteRockland:
     def _check_invariance(self, apply, what: str):
         """Refuse a structured form of R that disagrees with R on a fixed probe."""
         probe = np.random.default_rng(0).standard_normal(self.grid.size)
-        want = self.matrix @ probe
+        want = self.product(probe)
         if np.linalg.norm(apply(probe) - want) > 1e-10 * np.linalg.norm(want):
             raise CapabilityError(
                 f"operator {self.name} is not invariant under translations {what}")
@@ -678,6 +728,7 @@ def _central_blocks(matrix, n_c: int, basis) -> np.ndarray:
     rows.sum_duplicates()
     real = isinstance(basis, _SwapBasis)
     if real:
+        sp = _sparse()
         rotation = basis.orthogonal()
         rows = (rotation.T @ rows @ sp.kron(rotation, sp.identity(n_c), format="csr")).tocsr()
     rows = rows.tocoo()
@@ -876,14 +927,124 @@ def _apply_multiplier(multiplier: np.ndarray, values, shape: tuple[int, ...]) ->
     return np.fft.irfft(spectrum, n=shape[-1], axis=-1).ravel()
 
 
+class _Laplacian(DiscreteRockland):
+    """The negative Laplacian on R^d as its periodic (2d + 1)-point stencil, with no matrix.
+
+    Row x holds the sum over the axes, in axis order from zero, of
+    2 (1/h_a^2) on the diagonal, and -(1/h_a^2) at x - e_a and x + e_a,
+    periodically: the entries of the CSR matrix that summed one 3-point
+    difference (2, -1, -1)/h^2 per axis, which scipy divides as the
+    product with 1/h^2.  ``product`` has that matrix's bits.  A CSR row is
+    summed from zero in ascending column order.  On a row off the grid's
+    boundary the columns ascend through x - s_a for a = 0 .. d-1 (s_a the
+    C-order strides), x, then x + s_a for a = d-1 .. 0, so the flat range
+    [s_0, N - s_0) is 2d + 1 products and sums of contiguous shifted slices
+    in that order, the first added to zero so that a -0 turns to +0 as in
+    the CSR sum.  On a row at the first or last point of an axis both
+    neighbours along it sit on one side, in one of 3^d - 1 boundary orders,
+    and the flat shifts of the other axes wrap to the wrong row; those
+    rows, the shell, are then overwritten by sums as a CSR matrix would
+    make them, from a table of their columns sorted in each row.  At 256^2
+    a product took as long as a CSR product, at 64^3 twice as long; the
+    CSR matrix itself is a view built on first access (``matrix``), for
+    the tests, the oracle and the spectral calculus.
+    """
+
+    def __init__(self, grid: Grid):
+        self._setup(grid, f"laplacian_{grid.group}", 2)
+        inverse = [1.0 / h**2 for h in grid.spacings]
+        diagonal = 0.0
+        for c in inverse:
+            diagonal += 2.0 * c
+        self._diagonal, self._off = diagonal, [-c for c in inverse]
+        points, d = grid.points, grid.dim
+        strides = [math.prod(points[a + 1:]) for a in range(d)]
+        start, stop = strides[0], grid.size - strides[0]
+        self._inner = (Ellipsis, slice(start, stop))
+        self._inner_terms = (
+            [((Ellipsis, slice(start - s, stop - s)), c) for s, c in zip(strides, self._off)]
+            + [(self._inner, diagonal)]
+            + [((Ellipsis, slice(start + s, stop + s)), c)
+               for s, c in reversed(list(zip(strides, self._off)))])
+        edge = np.ones(points, dtype=bool)
+        edge[tuple(slice(1, n - 1) for n in points)] = False
+        self._shell = np.flatnonzero(edge)
+        self._shell_columns, self._shell_values = self._rows(self._shell)
+
+    def _rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(columns, values), each (2d + 1, len(rows)): the rows' entries, columns ascending."""
+        points = self.grid.points
+        x = np.array(np.unravel_index(rows, points))
+        columns, values = [rows], [np.full(rows.size, self._diagonal)]
+        for axis, n in enumerate(points):
+            for step in (-1, 1):
+                moved = x.copy()
+                moved[axis] = (moved[axis] + step) % n
+                columns.append(np.ravel_multi_index(moved, points))
+                values.append(np.full(rows.size, self._off[axis]))
+        columns, values = np.array(columns), np.array(values)
+        order = np.argsort(columns, axis=0)
+        return np.take_along_axis(columns, order, 0), np.take_along_axis(values, order, 0)
+
+    @functools.cached_property
+    def matrix(self):
+        """R as a CSR matrix, built from the stencil on first access."""
+        columns, values = self._rows(np.arange(self.grid.size))
+        width = len(columns)
+        return _sparse().csr_matrix(
+            (values.T.ravel(), columns.T.ravel(), np.arange(0, width * self.grid.size + 1, width)),
+            shape=(self.grid.size, self.grid.size))
+
+    def product(self, values: np.ndarray) -> np.ndarray:
+        """R x for flat grid values x (N,), or for each row of a C-ordered block (k, N).
+
+        The bits of the CSR product (class docstring).
+        """
+        out = np.empty(values.shape)
+        total = out[self._inner]
+        term = np.empty(total.shape)
+        (first, c), *rest = self._inner_terms
+        np.multiply(values[first], c, out=total)
+        total += 0.0
+        for source, c in rest:
+            np.multiply(values[source], c, out=term)
+            total += term
+        columns, coefficients = self._shell_columns, self._shell_values
+        shell = np.take(values, columns[0], axis=-1)
+        shell *= coefficients[0]
+        shell += 0.0
+        for column, c in zip(columns[1:], coefficients[1:]):
+            term = np.take(values, column, axis=-1)
+            term *= c
+            shell += term
+        out[..., self._shell] = shell
+        return out
+
+    def periodic_tridiagonal(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(R[i, i], R[i, i + 1], R[0, n - 1]) on a 1-D grid."""
+        n, off = self.grid.size, self._off[0]
+        return np.full(n, self._diagonal), np.full(n - 1, off), off
+
+    def row_sum_bound(self) -> float:
+        """The largest absolute row sum of R, summed as scipy sums a CSR row."""
+        rows = np.vstack([[abs(c) for _, c in self._inner_terms], abs(self._shell_values.T)])
+        width = rows.shape[1]
+        return float(np.add.reduceat(rows.ravel(), np.arange(0, rows.size, width)).max())
+
+    def row_width(self) -> int:
+        return len(self._inner_terms)
+
+    def _origin_row(self) -> np.ndarray:
+        row = np.zeros(self.grid.size)
+        columns, values = self._rows(np.zeros(1, dtype=np.intp))
+        row[columns[:, 0]] = values[:, 0]
+        return row.reshape(self.grid.shape)
+
+
 def _shift(n: int):
     """Periodic forward shift: (S u)[i] = u[i+1 mod n]."""
+    sp = _sparse()
     return sp.eye(n, k=1, format="csr") + sp.eye(n, k=1 - n, format="csr")
-
-
-def _second_difference(n: int, h: float):
-    s = _shift(n)
-    return (2.0 * sp.eye(n) - s - s.T) / h**2
 
 
 def _centered_difference(n: int, h: float):
@@ -891,33 +1052,31 @@ def _centered_difference(n: int, h: float):
     return (s - s.T) / (2.0 * h)
 
 
-def _embed(mats) -> sp.csr_matrix:
-    """Kronecker chain matching C-order ravel of the grid axes."""
+def _embed(mats):
+    """Kronecker chain matching C-order ravel of the grid axes, as CSR."""
+    sp = _sparse()
     out = mats[0]
     for m in mats[1:]:
         out = sp.kron(out, m, format="csr")
     return sp.csr_matrix(out)
 
 
-def _axis_operator(grid: Grid, axis: int, mat1d) -> sp.csr_matrix:
-    mats = [sp.identity(n, format="csr") for n in grid.points]
+def _axis_operator(grid: Grid, axis: int, mat1d):
+    mats = [_sparse().identity(n, format="csr") for n in grid.points]
     mats[axis] = mat1d
     return _embed(mats)
 
 
-def _coordinate_diagonal(grid: Grid, axis: int) -> sp.dia_matrix:
+def _coordinate_diagonal(grid: Grid, axis: int):
     vals = np.broadcast_to(grid.broadcast_axes()[axis], grid.shape).ravel()
-    return sp.diags(vals)
+    return _sparse().diags(vals)
 
 
 def build_euclidean_laplacian(grid: Grid) -> DiscreteRockland:
-    """Negative Laplacian on R^d with periodic 3-point stencils."""
+    """Negative Laplacian on R^d with periodic 3-point stencils (``_Laplacian``)."""
     if not grid.group.is_abelian:
         raise ValueError(f"grid group is {grid.group}, expected a euclidean group")
-    R = sp.csr_matrix((grid.size, grid.size))
-    for axis, (n, h) in enumerate(zip(grid.points, grid.spacings)):
-        R = R + _axis_operator(grid, axis, _second_difference(n, h))
-    return DiscreteRockland(grid, R, name=f"laplacian_{grid.group}", nu=2)
+    return _Laplacian(grid)
 
 
 def build_heisenberg_sublaplacian(grid: Grid) -> DiscreteRockland:

@@ -70,15 +70,17 @@ grid, S is the whole grid: CG steps from its start x0 by M^{-1} e, with no
 apply for M^{-1} b or the correction, and one resolvent apply per
 iteration.  Each step solves the same system for a new right-hand side,
 so CG starts from the Galerkin projection onto the last _CG_WINDOW
-solutions, read off their stored images with no product.  One sparse
-product at exit checks the true residual b - A x, which a resolvent that
+solutions, read off their stored images with no product.  One product
+with R (``DiscreteRockland.product``: a CSR product on H1, the stencil on
+R^d) at exit checks the true residual b - A x, which a resolvent that
 is not M^{-1} fails (see _cg_solver), and hands R x to the recorder for
 the state's Sobolev norm.  The window keeps 3 _CG_WINDOW vectors of
 length s alive per CG problem, or, on the whole grid, _CG_WINDOW states
 and their images A x (16.8 MB per vector on a 64 x 64 x 512 grid).
 
-scipy.linalg.lapack is imported on the first 1-D or Woodbury solve or H1
-resolvent, not with the package.  A state whose norms leave float64 range
+The LAPACK routines of the 1-D and Woodbury steps are numpy's own, bound
+through ctypes on the first factorisation (``gradedheat._lapack``): a
+sweep on R^d imports no scipy module.  A state whose norms leave float64 range
 is reported as a CapabilityError naming the step, found where the recorder
 already reads the states: at each stored state and each block of norms.
 Without series only the kept states are read, and the error names the first
@@ -94,7 +96,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import operators
+from . import _lapack, operators
 from .errors import CapabilityError, ConvergenceError, StabilityError
 from .groups import Field
 from .norms import lp_norm
@@ -209,7 +211,7 @@ class _Recorder:
         grid = problem.u0.grid
         self.grid = grid
         self.vol = grid.cell_volume
-        self.mat = problem.op.matrix
+        self.op = problem.op
         self.v_flat = problem.V.values.ravel()
         self.steps = problem.steps
         self.thin = max(1, problem.steps // STATE_THIN_TARGET)
@@ -256,13 +258,13 @@ class _Recorder:
         self.filled = 0
         with np.errstate(over="ignore", invalid="ignore"):
             l2 = np.sqrt(np.sum(u * u, axis=1) * self.vol)
-            # csr_matvecs sums each row in csr_matvec's order: a handed R u has these bits
+            # a row of a block product has its vector's bits: a handed R u has these
             if missing.size == len(u):
-                ru = np.ascontiguousarray((self.mat @ u.T).T)
+                ru = self.op.product(u)
             else:
                 ru = self.products[:len(u)]
                 if missing.size:
-                    ru[missing] = (self.mat @ u[missing].T).T
+                    ru[missing] = self.op.product(u[missing])
             quad = np.sum(u * ru, axis=1) * self.vol
             quad[quad < 0.0] = 0.0  # rounding may leave a tiny negative residue
             e = (None if self.e is None
@@ -311,7 +313,7 @@ def _integrate(p: CauchyProblem, advance, keep_states: bool = True,
     """The trajectory of u = advance(u, k), k = 1 .. p.steps, from u0.
 
     product(u), if given, is R u for the state advance just returned, or
-    None; the recorder takes it instead of its own sparse product.
+    None; the recorder takes it instead of its own product with R.
 
     With series, the recorder reduces the norm series of every state and
     reports a state that overflows, at each stored state and each block of
@@ -370,7 +372,7 @@ def step_implicit(p: CauchyProblem, keep_states: bool = True,
     V, or on the whole grid where V covers more than half of it: two
     resolvent applies per step and one product with the Green's matrix
     between the support's cells per iteration, or one resolvent apply per
-    iteration on the whole grid, and one sparse product per step, whose
+    iteration on the whole grid, and one product with R per step, whose
     R u the recorder takes (see the module docstring).  The route reads
     only the problem, never
     the cores, and the Woodbury factor has the same bits at any BLAS thread
@@ -417,41 +419,37 @@ def _periodic_tridiagonal_solver(p: CauchyProblem, dt: float, v_flat: np.ndarray
     z = T^{-1} w.  A is positive definite iff beta > 0, T is positive
     definite and beta - w . z > 0, which the stability guard ensures for a
     PSD R; where any of them fails, StabilityError is raised.  An R with any
-    other stencil is refused.  scipy.linalg.lapack is imported on the first
-    call, not with the package.
+    other stencil is refused (``DiscreteRockland.periodic_tridiagonal``).
+    The step solves in place on a buffer it owns and returns it, so each
+    state it returns is overwritten by the next step; the recorder and
+    Field copy what they keep.
     """
-    from scipy.linalg.lapack import dpttrf, dpttrs
-
-    mat = p.op.matrix
     n = v_flat.size
-    coo = mat.tocoo()
-    offsets = np.unique((coo.col - coo.row)[coo.data != 0] % n)
-    offsets = np.where(offsets > n // 2, offsets - n, offsets)
-    if np.any(np.abs(offsets) > 1):
-        raise CapabilityError(
-            f"the 1-D stepper needs a periodic tridiagonal R (stencil offsets -1, 0, 1); "
-            f"{p.op.name} has stencil offsets {sorted(offsets.tolist())}")
-    a = 1.0 + dt * (mat.diagonal() + v_flat)
-    b = dt * mat.diagonal(1)
-    c = dt * float(mat.diagonal(n - 1)[0])
+    diagonal, upper, corner = p.op.periodic_tridiagonal()
+    a = 1.0 + dt * (diagonal + v_flat)
+    b = dt * upper
+    c = dt * corner
     beta = float(a[0])
-    w = np.zeros(n)
-    w[0], w[-1] = beta, -c
+    z = np.zeros(n)
+    z[0], z[-1] = beta, -c  # w, which dpttrs below turns into T^{-1} w
     a[0] += beta  # beta <= 0 leaves a[0] <= 0, where dpttrf stops at row 1
     a[-1] += c * c / beta if beta > 0.0 else 0.0
-    d, e, info = dpttrf(a, b)  # T = L diag(d) L^T, e the subdiagonal of L
+    info = _lapack.dpttrf(a, b)  # T = L diag(a) L^T, b the subdiagonal of L
     if info == 0:
-        z = dpttrs(d, e, w)[0]
+        _lapack.dpttrs(a, b, z)()
         denom = beta - (beta * float(z[0]) - c * float(z[-1]))
     if info != 0 or denom <= 0.0:
         raise StabilityError(
             "implicit system could not be factorised: I + dt(R + V) is not positive definite")
     z /= denom
 
-    buf = np.empty(n)
+    y, buf = np.empty(n), np.empty(n)
+    solve_in_place = _lapack.dpttrs(a, b, y)
 
     def solve(u: np.ndarray, k: int) -> np.ndarray:
-        y = dpttrs(d, e, u)[0]
+        if u is not y:
+            np.copyto(y, u)
+        solve_in_place()
         # y += (w . y) z with no temporary, in the same operations and order
         np.multiply(z, beta * float(y[0]) - c * float(y[-1]), out=buf)
         np.add(y, buf, out=y)
@@ -481,11 +479,7 @@ def _woodbury_solver(p: CauchyProblem, dt: float, v_flat: np.ndarray):
     The lower packed dpptrf threads its dspr, which made an H1 solve
     outside a sweep pool about twice as slow; dpotrf's blocked factor
     changes bits with the thread count from s = 128 on.
-    scipy.linalg.lapack is imported on the first call, not with the
-    package.
     """
-    from scipy.linalg.lapack import dpptrf, dpptrs
-
     op = p.op
     support = np.flatnonzero(v_flat)
     s = support.size
@@ -504,15 +498,17 @@ def _woodbury_solver(p: CauchyProblem, dt: float, v_flat: np.ndarray):
             packed[at:at + i + 1] = row[:i + 1]
             at += i + 1
             i += 1
-    factor, info = dpptrf(s, packed, lower=0, overwrite_ap=1)
-    if info != 0:
+    if _lapack.dpptrf(packed, s) != 0:
         raise StabilityError(
             "implicit system could not be factorised: the Woodbury matrix I + d G_S d "
             "is not positive definite")
+    w = np.empty(s)
+    solve_in_place = _lapack.dpptrs(packed, s, w)
 
     def solve(u: np.ndarray, k: int) -> np.ndarray:
         y = op.resolvent(dt, u)
-        w = dpptrs(s, factor, d * y[support], lower=0)[0]
+        np.multiply(d, y[support], out=w)
+        solve_in_place()
         y -= scattered_resolvent(d * w)
         return y
 
@@ -566,10 +562,10 @@ def _cg_solver(p: CauchyProblem, dt: float, v_flat: np.ndarray, v_minus: float):
 
     Exit check.  The recurrences are exact only when the resolvent is.
     Once the recursive residual meets CG_TOL, x is formed and b - A x is
-    evaluated once with one sparse product, whose R x the recorder takes for
+    evaluated once with one product with R, whose R x the recorder takes for
     x's Sobolev norm; if it exceeds CG_TOL |b| + gamma_w (|M|_inf +
     dt max|V|) |x|, the rounding bound of that product (gamma_w =
-    w u / (1 - w u), w the nonzeros in a row of R plus the three other
+    w u / (1 - w u), w the entries in a row of R plus the three other
     terms of a row of b - A x), CG goes on from its part on S within the
     same cap.  A resolvent that is not M^{-1} leaves a residual off S, or
     a wrong one on it, so it ends in ConvergenceError, never in a wrong
@@ -577,7 +573,6 @@ def _cg_solver(p: CauchyProblem, dt: float, v_flat: np.ndarray, v_minus: float):
     trajectories are bit-stable across thread counts.
     """
     op = p.op
-    mat = op.matrix
     n = v_flat.size
     support = np.flatnonzero(v_flat)
     whole = 2 * support.size > n
@@ -585,11 +580,11 @@ def _cg_solver(p: CauchyProblem, dt: float, v_flat: np.ndarray, v_minus: float):
     dt_v = dt * v_flat[cells]
     v_abs = float(np.abs(v_flat).max())
     kappa = (1.0 + dt * max(float(v_flat.max()), 0.0)) / (1.0 - dt * v_minus)
-    m_norm = 1.0 + dt * float(abs(mat).sum(axis=1).max())
+    m_norm = 1.0 + dt * op.row_sum_bound()
     start_bound = 1.0 if whole else max(1.0, dt * v_abs)
     cap = math.ceil(0.5 * math.sqrt(kappa) * math.log(
         2.0 * math.sqrt(kappa * m_norm) * start_bound / CG_TOL))
-    w = int(np.diff(mat.indptr).max()) + 3
+    w = op.row_width() + 3
     unit = np.finfo(float).eps / 2.0
     slack = w * unit / (1.0 - w * unit) * (m_norm + dt * v_abs)
     if whole:
@@ -632,8 +627,8 @@ def _cg_solver(p: CauchyProblem, dt: float, v_flat: np.ndarray, v_minus: float):
             galerkin[last_row, i] = galerkin[i, last_row] = _dot(probe, image_i)
 
     def residual(b: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """(R x, A x, |b - A x|) by one sparse product; full = b - A x."""
-        rx = mat @ x
+        """(R x, A x, |b - A x|) by one product with R; full = b - A x."""
+        rx = op.product(x)
         ax = rx * dt
         ax += x
         ax[cells] += dt_v * x[cells]

@@ -12,6 +12,7 @@ from scipy.sparse.linalg import splu
 from gradedheat import operators
 from gradedheat.errors import CapabilityError, StabilityError
 from gradedheat.groups import Field, euclidean, heisenberg1, make_grid
+from gradedheat.mollify import bump_field
 from gradedheat.operators import (
     DiscreteRockland,
     build_euclidean_laplacian,
@@ -20,6 +21,7 @@ from gradedheat.operators import (
     semigroup_apply,
     spectral_map,
 )
+from gradedheat.solve import CauchyProblem, step_implicit
 
 
 def random_fields(grid, count, seed):
@@ -65,6 +67,93 @@ class TestEuclideanAssembly:
         grid = make_grid(heisenberg1(), 1.0, 4)
         with pytest.raises(ValueError):
             build_euclidean_laplacian(grid)
+
+
+def assembled_laplacian(grid):
+    """The negative Laplacian as scipy.sparse assembles it: one periodic
+    3-point difference (2, -1, -1)/h^2 per axis, in Kronecker products with
+    identities, summed over the axes."""
+    total = sp.csr_matrix((grid.size, grid.size))
+    for axis, (n, h) in enumerate(zip(grid.points, grid.spacings)):
+        shift = sp.eye(n, k=1, format="csr") + sp.eye(n, k=1 - n, format="csr")
+        factors = [sp.identity(m, format="csr") for m in grid.points]
+        factors[axis] = (2.0 * sp.eye(n) - shift - shift.T) / h**2
+        term = factors[0]
+        for factor in factors[1:]:
+            term = sp.kron(term, factor, format="csr")
+        total = total + sp.csr_matrix(term)
+    return total
+
+
+def with_signed_zeros(values):
+    """values with every third entry +0 and every fifth -0."""
+    values = values.copy()
+    values[..., ::3] = 0.0
+    values[..., 1::5] = -0.0
+    return values
+
+
+class TestEuclideanStencil:
+    # the Laplacian on R^d is its stencil, and its product has the bits of the
+    # CSR product of the matrix it once was; the CSR view stands in for that
+    # matrix, read through the matrix-backed operator's own methods
+    @pytest.fixture(params=[
+        ((37,), 1.3), ((12, 9), (1.0, 2.7)), ((64, 48), (2.0, 1.1)), ((5, 7, 6), (0.9, 1.3, 2.2)),
+        ((16, 12, 10), (1.5, 0.7, 2.0)),
+    ], ids=["r1", "r2", "r2-64x48", "r3", "r3-16x12x10"])
+    def pair(self, request):
+        points, half_widths = request.param
+        grid = make_grid(euclidean(len(points)), half_widths, points)
+        op = build_euclidean_laplacian(grid)
+        return op, DiscreteRockland(grid, op.matrix, "CSR view")
+
+    def test_view_is_the_assembled_matrix(self, pair):
+        op, _ = pair
+        want, got = assembled_laplacian(op.grid), op.matrix
+        assert got.has_sorted_indices and want.has_sorted_indices
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, part), getattr(want, part)), part
+
+    def test_products_have_the_csr_bits(self, pair):
+        op, csr = pair
+        rng = np.random.default_rng(21)
+        x = with_signed_zeros(rng.standard_normal(op.grid.size))
+        block = with_signed_zeros(rng.standard_normal((5, op.grid.size)))
+        # a -0 amid +0: every term of its row is -0, which a CSR row, summed
+        # from +0, turns to +0
+        lone = np.zeros(op.grid.size)
+        lone[[0, op.grid.size // 2, op.grid.size - 1]] = -0.0
+        for values in (x, block, lone, np.full(op.grid.size, -0.0), x[None]):
+            got, want = op.product(values), csr.product(values)
+            assert got.flags.c_contiguous and got.shape == values.shape
+            assert got.tobytes() == want.tobytes()
+        f = Field(op.grid, x.reshape(op.grid.shape))
+        assert op.apply(f).values.tobytes() == csr.apply(f).values.tobytes()
+        assert op.quad_form(f) == csr.quad_form(f)
+
+    def test_structure_has_the_csr_bits(self, pair):
+        op, csr = pair
+        assert op.row_sum_bound() == csr.row_sum_bound()
+        assert op.row_width() == csr.row_width() == 2 * op.grid.dim + 1
+        assert op._origin_row().tobytes() == csr._origin_row().tobytes()
+        assert op._checked_symbol().tobytes() == csr._checked_symbol().tobytes()
+        if op.grid.dim == 1:
+            for got, want in zip(op.periodic_tridiagonal(), csr.periodic_tridiagonal(),
+                                 strict=True):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_steps_build_no_matrix(self, pair):
+        # the view is built on first access (the fixture's operator has built
+        # it); the steps of a fresh operator never ask for it
+        op = build_euclidean_laplacian(pair[0].grid)
+        g = op.grid
+        v = np.zeros(g.size)
+        v[np.arange(0, g.size, max(1, g.size // 7))] = 2.0
+        p = CauchyProblem(op, Field(g, v.reshape(g.shape)), bump_field(g, 0.5), T=0.25,
+                          dt=1.0 / 32)
+        step_implicit(p)
+        step_implicit(CauchyProblem(op, p.V - 1.0, p.u0, p.T, p.dt))
+        assert "matrix" not in vars(op)
 
 
 class TestHeisenbergAssembly:
